@@ -423,10 +423,6 @@ def morphism_commutes(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
     return True
 
 
-def identity_morphism(M: CRTModule) -> Morphism:
-    return {(p, n): identity_hom(M.group(p, n)) for p in PARTS for n in range(8)}
-
-
 def morphism_is_iso(phi: Morphism) -> bool:
     from .zlinalg import hom_cokernel, hom_kernel
     for h in phi.values():

@@ -3,23 +3,26 @@
 Given the tensor and Tor of a pair, the middle module K fits degreewise
 extensions 0 -> tensor_n -> K_n -> tor_{n-1} -> 0 where the injection is
 a CRT-morphism and the surjection a CRT-morphism of degree -1, and K must
-satisfy the relations and be acyclic.  The solver enumerates extension
-groups per slot (one slot per stored period: 8 real, 2 complex, 4
-self-conjugate), fixes the extension maps up to automorphism of the
-middle group, and then backtracks over the operation matrices.  For each
-operation instance the intertwining conditions are an affine problem: one
-particular solution is found by exact linear algebra, and the ambiguity
-is exactly alpha . W . beta for W ranging over the finite group
-Hom(tor_{n-1}, tensor_m), so the aggregate search space is small and is
-pruned further by relation and exactness checks as operations fill in.
+satisfy the relations and be acyclic.  The solver writes down the
+extensions of each slot (one slot per stored period: 8 real, 2 complex,
+4 self-conjugate) directly, one per class of Ext^1(tor_{n-1}, tensor_n),
+each with its extension maps, and then backtracks over the operation
+matrices.  For each operation instance the intertwining conditions are
+an affine problem: one particular solution is found by exact linear
+algebra, and the ambiguity is exactly alpha . W . beta for W ranging
+over the finite group Hom(tor_{n-1}, tensor_m), so the aggregate search
+space is small and is pruned further by relation and exactness checks
+as operations fill in.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Optional
 
 from .crt_core import (
@@ -41,23 +44,17 @@ from .crt_core import (
 from .zlinalg import (
     FinAbGroup,
     GroupHom,
-    ZERO_GROUP,
+    IntMatrix,
     Zmod,
-    automorphisms,
-    extension_candidates,
+    _quotient_data,
     fin_ab_tensor,
     fin_ab_tor,
     hom_compose,
-    hom_cokernel,
-    hom_from_cols,
     hom_group_elements,
-    hom_preimage,
     hom_scale,
     identity_hom,
-    injections,
     is_exact_at,
     solve_matrix_system,
-    zero_hom,
 )
 
 
@@ -95,46 +92,31 @@ def _slot_of(part: str, n: int) -> tuple[str, int]:
     return (part, n % PART_PERIOD[part])
 
 
-def _aut_with_inverse(G: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:
-    auts = automorphisms(G)
-    out = []
-    for u in auts:
-        cols = []
-        for k in range(G.ngens):
-            e = tuple(1 if j == k else 0 for j in range(G.ngens))
-            cols.append(list(hom_preimage(u, e)))
-        out.append((u, hom_from_cols(G, G, cols)))
-    return out
+def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
+    """One (K, alpha, beta) per class of Ext^1(quot, sub); both groups finite.
 
-
-def _extension_options(sub: FinAbGroup, quot: FinAbGroup, bound: int):
-    """(K, alpha, beta) triples per slot, up to automorphisms of K."""
-    if sub.is_trivial() and quot.is_trivial():
-        z = ZERO_GROUP
-        return [(z, zero_hom(sub, z), zero_hom(z, quot))]
-    if sub.is_trivial():
-        return [(quot, zero_hom(sub, quot), identity_hom(quot))]
-    if quot.is_trivial():
-        return [(sub, identity_hom(sub), zero_hom(sub, quot))]
+    With sub = (+) Z_{s_j} and quot = (+) Z_{q_i}, Ext^1 is (+) Z_{gcd(q_i, s_j)}.
+    The class c is realised by generators e_j, f_i with relations
+    s_j e_j = 0 and q_i f_i + sum_j c_{ji} e_j = 0, i.e. K is the cokernel
+    of [[diag s, C], [0, diag q]]; alpha reads off the e_j and beta the f_i.
+    Equivalent extensions (related by an automorphism of K fixing both
+    ends) are the same class, so the options are distinct up to Aut(K).
+    """
+    s, q = sub.torsion, quot.torsion
+    ns, n = len(s), len(s) + len(q)
     options = []
-    for K in extension_candidates(sub, quot, bound=bound):
-        pairs = []
-        for alpha in injections(sub, K):
-            Q, proj = hom_cokernel(alpha)
-            if Q != quot:
-                continue
-            base = GroupHom(K, quot, proj.matrix)
-            for v, _ in _aut_with_inverse(quot):
-                pairs.append((alpha, hom_compose(v, base)))
-        seen = set()
-        for alpha, beta in pairs:
-            key = min((hom_compose(u, alpha).matrix.entries,
-                       hom_compose(beta, uinv).matrix.entries)
-                      for u, uinv in _aut_with_inverse(K))
-            if key in seen:
-                continue
-            seen.add(key)
-            options.append((K, alpha, beta))
+    for c in itertools.product(*(range(gcd(qi, sj)) for sj in s for qi in q)):
+        rels = [[0] * n for _ in range(n)]
+        for j, sj in enumerate(s):
+            rels[j][j] = sj
+        for i, qi in enumerate(q):
+            rels[ns + i][ns + i] = qi
+            for j in range(ns):
+                rels[j][ns + i] = c[j * len(q) + i]
+        K, proj, reps = _quotient_data(n, IntMatrix.from_rows(rels, cols=n))
+        alpha = GroupHom(sub, K, IntMatrix.from_rows([row[:ns] for row in proj.entries], cols=ns))
+        beta = GroupHom(K, quot, IntMatrix.from_rows(reps.entries[ns:], cols=K.ngens))
+        options.append((K, alpha, beta))
     return options
 
 
@@ -145,17 +127,14 @@ _ORDER_INDEX = {key: i for i, key in enumerate(_OP_ORDER)}
 
 
 class _Search:
-    def __init__(self, p: KunnethProblem, budget: int, ext_bound: int):
+    def __init__(self, p: KunnethProblem, budget: int):
         self.p = p
         self.budget = budget
         self.nodes = 0
         self.solutions: list[KunnethSolution] = []
-        self.ext_bound = ext_bound
-        self.slot_options = {}
-        for part, n in _SLOTS:
-            sub = p.sub(part, n)
-            quot = p.quot(part, n)
-            self.slot_options[(part, n)] = _extension_options(sub, quot, ext_bound)
+        self._cand_cache: dict[tuple, list[GroupHom]] = {}
+        self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
+                             for slot in _SLOTS}
 
     # -- slot stage ---------------------------------------------------------
 
@@ -222,11 +201,9 @@ class _Search:
         Q = self.p.tor.op(name, n - 1)
         cache_key = (name, n, Ks, Kt, a_s.matrix.entries, b_s.matrix.entries,
                      a_t.matrix.entries, b_t.matrix.entries)
-        hit = self._cand_cache.get(cache_key) if hasattr(self, "_cand_cache") else None
+        hit = self._cand_cache.get(cache_key)
         if hit is not None:
             return hit
-        if not hasattr(self, "_cand_cache"):
-            self._cand_cache = {}
         eqs = []
         rows, cols = Kt.ngens, Ks.ngens
         # well-definedness
@@ -390,14 +367,13 @@ class _Search:
         self.solutions.append(KunnethSolution(middle, alpha, beta))
 
 
-def solve_middle(p: KunnethProblem, budget: int = 5_000_000,
-                 ext_bound: int = 4096) -> list[KunnethSolution]:
+def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
     Raises BudgetExceeded when the node budget runs out; an empty result
     for a pair the tables cover signals a transcription error upstream.
     """
-    search = _Search(p, budget, ext_bound)
+    search = _Search(p, budget)
     raw = search.run()
     kept: list[KunnethSolution] = []
     for sol in raw:

@@ -510,11 +510,6 @@ def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
     return _quotient_data(relations.rows, relations)[0]
 
 
-def group_presentation_matrix(G: FinAbGroup) -> IntMatrix:
-    """A presentation whose quotient is G itself (diagonal invariants)."""
-    return IntMatrix.diag(list(G.invariants), G.ngens, G.ngens)
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -717,101 +712,13 @@ def oracle_enumerate(f: GroupHom) -> tuple[list[Vec], list[Vec]]:
 
 
 # ---------------------------------------------------------------------------
-# Extension candidates
+# Automorphisms and hom groups
 # ---------------------------------------------------------------------------
-
-
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
-
-
-def abelian_groups_of_order(n: int) -> list[FinAbGroup]:
-    """All isomorphism classes of abelian groups of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return [ZERO_GROUP]
-    factors = {}
-    m, p = n, 2
-    while p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    per_prime = [[(p, part) for part in _partitions(e)] for p, e in sorted(factors.items())]
-    out = []
-    for combo in itertools.product(*per_prime):
-        width = max(len(part) for _, part in combo)
-        invs = []
-        for i in range(width):
-            v = 1
-            for p, part in combo:
-                if i < len(part):
-                    v *= p ** part[i]
-            invs.append(v)
-        out.append(FinAbGroup(tuple(sorted(invs))))
-    return sorted(out, key=_group_sort_key)
-
-
-def _group_sort_key(G: FinAbGroup):
-    return (G.free_rank, len(G.torsion), G.torsion)
 
 
 def _annihilated_elements(G: FinAbGroup, d: int) -> list[Vec]:
     """Elements x of a finite group with d*x = 0."""
     return [x for x in G.elements() if all((d * xi) % t == 0 for xi, t in zip(x, G.torsion))]
-
-
-def injections(sub: FinAbGroup, G: FinAbGroup) -> Iterator[GroupHom]:
-    """All injective homomorphisms sub -> G (finite groups)."""
-    so = sub.order()
-    if so is None or G.order() is None:
-        raise ValueError("injection enumeration requires finite groups")
-    pools = [_annihilated_elements(G, t) for t in sub.torsion]
-    for cols in itertools.product(*pools):
-        f = hom_from_cols(sub, G, [list(c) for c in cols])
-        seen = set()
-        for v in sub.elements():
-            seen.add(f.apply(v))
-        if len(seen) == so:
-            yield f
-
-
-def extension_candidates(sub: FinAbGroup, quot: FinAbGroup, bound: int = 4096) -> list[FinAbGroup]:
-    """Isomorphism classes G fitting 0 -> sub -> G -> quot -> 0.
-
-    Brute force: enumerate abelian groups of order |sub|*|quot| and search
-    for an injection of sub whose cokernel is quot.
-
-    >>> [str(G) for G in extension_candidates(Zmod(2), Zmod(2))]
-    ['Z_4', 'Z_2+Z_2']
-    """
-    so, qo = sub.order(), quot.order()
-    if so is None or qo is None:
-        raise ValueError("extension candidates require finite groups")
-    if so * qo > bound:
-        raise ValueError(f"order {so * qo} exceeds bound {bound}")
-    if sub.is_trivial():
-        return [quot]
-    if quot.is_trivial():
-        return [sub]
-    out = []
-    for G in abelian_groups_of_order(so * qo):
-        for f in injections(sub, G):
-            coker, _ = hom_cokernel(f)
-            if coker == quot:
-                out.append(G)
-                break
-    return sorted(out, key=_group_sort_key)
 
 
 _AUT_CACHE: dict[tuple, list[GroupHom]] = {}

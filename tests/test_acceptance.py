@@ -32,7 +32,6 @@ from crtk.zlinalg import (
     FinAbGroup,
     IntMatrix,
     Zmod,
-    abelian_groups_of_order,
     hom_cokernel,
     hom_from_cols,
     hom_image,
@@ -40,6 +39,8 @@ from crtk.zlinalg import (
     oracle_enumerate,
     smith_normal_form,
 )
+
+from extension_oracle import abelian_groups_of_order
 
 _SOLVED = {}
 

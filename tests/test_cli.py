@@ -85,6 +85,12 @@ class TestDeterminism:
         assert run(["tensor", "O4", "O7", "--json", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_kunneth_json_byte_identical(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["kunneth", "O6", "O6", "--json", str(a)], capsys)[0] == 0
+        assert run(["kunneth", "O6", "O6", "--json", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_round_trip_catalog_modules(self):
         for name in ("R", "C", "T", "O3", "O5"):
             from crtk.catalog import catalog_entry

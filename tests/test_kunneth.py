@@ -1,12 +1,16 @@
 """The extension solver, split detection, and the pipeline."""
 
+from math import gcd, prod
+
 import pytest
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import PARTS, crt_isomorphic
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
+    _SLOTS,
     KunnethProblem,
+    _extension_options,
     classical_complex_kunneth,
     kunneth_pipeline,
     solve_middle,
@@ -15,6 +19,8 @@ from crtk.kunneth import (
 )
 from crtk.tensor import tensor_and_tor
 from crtk.zlinalg import FinAbGroup, Zmod, hom_cokernel, hom_compose, hom_kernel, is_exact_at
+
+from extension_oracle import extension_options, same_extension
 
 
 def solve(k, l, **kw):
@@ -42,6 +48,32 @@ def check_solution_contract(problem, sol):
             opK = sol.middle.op(name, n)
             assert hom_compose(opK, a_s) == hom_compose(a_t, problem.tensor.op(name, n))
             assert hom_compose(b_t, opK) == hom_compose(problem.tor.op(name, n - 1), b_s)
+
+
+def _distinct_slots(pairs):
+    slots = set()
+    for k, l in pairs:
+        tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
+        problem = KunnethProblem(tp.tensor, tp.tor)
+        slots.update((problem.sub(*slot), problem.quot(*slot)) for slot in _SLOTS)
+    return sorted(slots, key=lambda sq: (sq[0].torsion, sq[1].torsion))
+
+
+class TestExtensionOptions:
+    @pytest.mark.parametrize("sub, quot", _distinct_slots(
+        [(2, 2), (2, 4), (4, 4), (3, 6), (6, 6), (4, 8), (5, 5)]), ids=str)
+    def test_matches_brute_force(self, sub, quot):
+        got = _extension_options(sub, quot)
+        want = extension_options(sub, quot)
+        assert len(got) == prod(gcd(q, s) for s in sub.torsion for q in quot.torsion)
+        for option in got:
+            K, alpha, beta = option
+            assert hom_kernel(alpha)[0].is_trivial()
+            assert hom_cokernel(beta)[0].is_trivial()
+            assert is_exact_at(alpha, beta)
+            assert sum(same_extension(option, other) for other in want) == 1
+        for other in want:
+            assert sum(same_extension(option, other) for option in got) == 1
 
 
 class TestSolver:
@@ -126,6 +158,16 @@ class TestPipeline:
             mid = rep.solutions[0].middle
             for n in range(8):
                 assert mid.group("U", n) == classical[n]
+
+    @pytest.mark.parametrize("a, b, k, l", [("O6", "O6", 5, 5), ("O8", "O8", 7, 7)])
+    def test_odd_prime_gcd_pairs(self, a, b, k, l):
+        rep = kunneth_pipeline(a, b)
+        assert rep.ok()
+        mid = rep.solutions[0].middle
+        assert crt_isomorphic(mid, expected_product(k, l)) is not None
+        classical = classical_complex_kunneth(k, l)
+        assert [mid.group("U", n) for n in range(8)] == classical
+        assert rep.split is True
 
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):
