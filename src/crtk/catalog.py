@@ -417,9 +417,8 @@ class CatalogEntry:
 
 def cuntz(k: int) -> CatalogEntry:
     """Catalog entry for the Cuntz module, with its resolution."""
-    module = cuntz_module(k)
     res = cuntz_resolution(k)
-    return CatalogEntry(f"O{k + 1}", module, {"k": k}, res)
+    return CatalogEntry(f"O{k + 1}", res.target, {"k": k}, res)
 
 
 _DATA_DIR_ENV = "CRT_DATA_DIR"
@@ -440,18 +439,27 @@ def _load_base(name: str) -> CRTModule:
     return monogenic(name, 0).realized
 
 
+def cuntz_parameter(name: str) -> Optional[int]:
+    """k for the catalog name O<k+1>, None for R, C, T and zero; KeyError otherwise."""
+    if name in ("R", "C", "T", "zero"):
+        return None
+    digits = name[1:] if name.startswith("O") else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise KeyError(f"unknown catalog name {name!r}")
+    m = int(digits)
+    if m < 2:
+        raise KeyError(f"bad Cuntz index in {name!r}")
+    return m - 1
+
+
 def catalog_entry(name: str) -> CatalogEntry:
     """Look up R, C, T, zero, or O<k+1>."""
-    if name in ("R", "C", "T"):
-        return CatalogEntry(name, _load_base(name))
+    k = cuntz_parameter(name)
+    if k is not None:
+        return cuntz(k)
     if name == "zero":
         return CatalogEntry("zero", zero_module())
-    if name.startswith("O"):
-        m = int(name[1:])
-        if m < 2:
-            raise KeyError(f"bad Cuntz index in {name!r}")
-        return cuntz(m - 1)
-    raise KeyError(f"unknown catalog name {name!r}")
+    return CatalogEntry(name, _load_base(name))
 
 
 def catalog_names() -> list[str]:

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import catalog_entry, catalog_names, cuntz_resolution
+from .catalog import catalog_entry, catalog_names, cuntz_parameter, cuntz_resolution
 from .crt_core import (
     CRTModule,
     OP_NAMES,
@@ -40,6 +40,16 @@ _OP_LABELS = {"c": "c_n", "r": "r_n", "eps": "eps_n", "zeta": "zeta_n",
 
 class UsageError(Exception):
     pass
+
+
+def _catalog_name(source: str) -> str:
+    """The catalog name in source; UsageError if the catalog has no such name."""
+    name = source.removeprefix("catalog:")
+    try:
+        cuntz_parameter(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+    return name
 
 
 def _load_module(source: str) -> CRTModule:
@@ -95,7 +105,7 @@ def cmd_catalog(args) -> int:
         for name in catalog_names():
             print(name)
         return 0
-    ent = catalog_entry(args.name.removeprefix("catalog:"))
+    ent = catalog_entry(_catalog_name(args.name))
     if args.json:
         _write_json(module_to_json(ent.module), args.json)
     print(f"catalog entry {ent.name}")
@@ -117,18 +127,15 @@ def cmd_verify(args) -> int:
 
 
 def _tensor_tor(args) -> tuple[CRTModule, CRTModule]:
-    a = args.a.removeprefix("catalog:")
+    a = _catalog_name(args.a)
     B = _load_module(args.b)
+    k = cuntz_parameter(a)
+    if k is not None:
+        tp = tensor_and_tor(cuntz_resolution(k), B)
+        return tp.tensor, tp.tor
     if a == "zero":
         return zero_module(), zero_module()
-    if a in ("R", "C", "T"):
-        tm = tensor_free(monogenic(a, 0), B)
-        return tm.module, zero_module()
-    if a.startswith("O"):
-        res = cuntz_resolution(int(a[1:]) - 1)
-        tp = tensor_and_tor(res, B)
-        return tp.tensor, tp.tor
-    raise UsageError(f"first factor {args.a!r} needs a catalog resolution")
+    return tensor_free(monogenic(a, 0), B).module, zero_module()
 
 
 def cmd_tensor(args) -> int:
@@ -148,8 +155,7 @@ def cmd_tor(args) -> int:
 
 
 def cmd_kunneth(args) -> int:
-    a = args.a.removeprefix("catalog:")
-    b = args.b.removeprefix("catalog:")
+    a, b = _catalog_name(args.a), _catalog_name(args.b)
     report = kunneth_pipeline(a, b, budget=args.budget)
     print(f"pair ({a}, {b}): k={report.k}, l={report.l}")
     print("tensor part:")

@@ -35,6 +35,13 @@ from .zlinalg import (
 
 PARTS = ("O", "U", "T")
 PART_PERIOD = {"O": 8, "U": 2, "T": 4}
+# One stored degree per period of each part: 2 complex, 4 self-conjugate, 8 real.
+SLOTS = [(p, n) for p in ("U", "T", "O") for n in range(PART_PERIOD[p])]
+
+
+def slot_of(part: str, n: int) -> tuple[str, int]:
+    return (part, n % PART_PERIOD[part])
+
 
 # name -> (source part, target part, degree shift of the target)
 OP_SPECS: dict[str, tuple[str, str, int]] = {
@@ -441,18 +448,13 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
     """
     if not (M.all_finite() and N.all_finite()):
         raise ValueError("crt_isomorphic requires finite parts")
-    slots = ([("U", n) for n in range(2)] + [("T", n) for n in range(4)]
-             + [("O", n) for n in range(8)])
-    for p, n in slots:
+    for p, n in SLOTS:
         if M.group(p, n) != N.group(p, n):
             return None
 
     # (op, degree) checks become available once their two slots are known.
-    checks_by_slot: dict[tuple[str, int], list[tuple[str, int, tuple[str, int]]]] = {s: [] for s in slots}
-    slot_index = {s: i for i, s in enumerate(slots)}
-
-    def slot_of(part, n):
-        return (part, n % PART_PERIOD[part])
+    checks_by_slot: dict[tuple[str, int], list[tuple[str, int, tuple[str, int]]]] = {s: [] for s in SLOTS}
+    slot_index = {s: i for i, s in enumerate(SLOTS)}
 
     for name in OP_NAMES:
         src, tgt, shift = OP_SPECS[name]
@@ -480,9 +482,9 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
 
     def rec(k: int) -> bool:
         nonlocal nodes
-        if k == len(slots):
+        if k == len(SLOTS):
             return True
-        slot = slots[k]
+        slot = SLOTS[k]
         G = M.group(*slot)
         for u in automorphisms(G):
             nodes += 1

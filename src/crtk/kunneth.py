@@ -14,13 +14,15 @@ over the finite group Hom(tor_{n-1}, tensor_m), so the aggregate search
 space is small and is pruned further by relation and exactness checks
 as operations fill in.
 
-All consistent middles are returned, deduplicated up to CRT-isomorphism.
+All consistent middles are returned, deduplicated up to CRT-isomorphism
+as they arrive; only the first middle of each class is fully checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional
@@ -32,12 +34,13 @@ from .crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
-    PART_PERIOD,
+    SLOTS,
     crt_isomorphic,
     direct_sum,
     is_acyclic,
     make_module,
     module_to_json,
+    slot_of,
     suspend,
     verify_relations,
 )
@@ -56,6 +59,8 @@ from .zlinalg import (
     is_exact_at,
     solve_matrix_system,
 )
+
+log = logging.getLogger("crtk")
 
 
 @dataclass(eq=False)
@@ -82,14 +87,6 @@ class KunnethSolution:
     alpha: Morphism
     beta: Morphism
     split: Optional[bool] = None
-
-
-_SLOTS = [("U", 0), ("U", 1), ("T", 0), ("T", 1), ("T", 2), ("T", 3)] + \
-    [("O", n) for n in range(8)]
-
-
-def _slot_of(part: str, n: int) -> tuple[str, int]:
-    return (part, n % PART_PERIOD[part])
 
 
 def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
@@ -131,10 +128,12 @@ class _Search:
         self.p = p
         self.budget = budget
         self.nodes = 0
+        self.raw = 0        # middles reaching _finish
+        self.checked = 0    # middles that started a new class and were checked
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
-                             for slot in _SLOTS}
+                             for slot in SLOTS}
 
     # -- slot stage ---------------------------------------------------------
 
@@ -143,20 +142,21 @@ class _Search:
         self._assign_slot(0)
         return self.solutions
 
-    def _tick(self):
+    def _tick(self, stage: str):
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(
-                f"Kunneth search budget exceeded after {self.nodes} nodes "
-                f"({len(self.solutions)} solutions found so far)")
+                f"Kunneth search budget exceeded in the {stage} stage after "
+                f"{self.nodes} nodes ({self.raw} raw middles, "
+                f"{len(self.solutions)} classes kept)")
 
     def _assign_slot(self, idx: int):
-        if idx == len(_SLOTS):
+        if idx == len(SLOTS):
             self._op_stage()
             return
-        slot = _SLOTS[idx]
+        slot = SLOTS[idx]
         for opt in self.slot_options[slot]:
-            self._tick()
+            self._tick("slot")
             self._slot_choice[slot] = opt
             if self._slots_feasible(idx):
                 self._assign_slot(idx + 1)
@@ -164,16 +164,16 @@ class _Search:
 
     def _slots_feasible(self, idx: int) -> bool:
         """Every op instance with both endpoint slots chosen must be solvable."""
-        assigned = set(_SLOTS[: idx + 1])
+        assigned = set(SLOTS[: idx + 1])
         for name in OP_NAMES:
             if name == "psiT":
                 continue
             src, tgt, shift = OP_SPECS[name]
             for n in range(8):
-                s_src = _slot_of(src, n)
-                s_tgt = _slot_of(tgt, n + shift)
+                s_src = slot_of(src, n)
+                s_tgt = slot_of(tgt, n + shift)
                 if s_src in assigned and s_tgt in assigned and \
-                        (s_src == _SLOTS[idx] or s_tgt == _SLOTS[idx]):
+                        (s_src == SLOTS[idx] or s_tgt == SLOTS[idx]):
                     if not self._instance_candidates(name, n):
                         return False
         return True
@@ -181,13 +181,13 @@ class _Search:
     # -- operation stage ----------------------------------------------------
 
     def _k_group(self, part, n) -> FinAbGroup:
-        return self._slot_choice[_slot_of(part, n)][0]
+        return self._slot_choice[slot_of(part, n)][0]
 
     def _alpha(self, part, n) -> GroupHom:
-        return self._slot_choice[_slot_of(part, n)][1]
+        return self._slot_choice[slot_of(part, n)][1]
 
     def _beta(self, part, n) -> GroupHom:
-        return self._slot_choice[_slot_of(part, n)][2]
+        return self._slot_choice[slot_of(part, n)][2]
 
     def _instance_candidates(self, name: str, n: int) -> list[GroupHom]:
         """All operation matrices satisfying the intertwining constraints."""
@@ -249,11 +249,11 @@ class _Search:
 
         def rec(i: int):
             if i == len(_OP_ORDER):
-                self._finish(ops)
+                yield ops
                 return
             key = _OP_ORDER[i]
             for h in cand[key]:
-                self._tick()
+                self._tick("operation")
                 ops[key] = h
                 if key[0] == "eps":
                     psiT = self._derive_psiT(ops, key[1])
@@ -261,11 +261,14 @@ class _Search:
                         continue
                     ops[("psiT", key[1])] = psiT
                 if all(chk(ops) for chk in checks.get(key, [])):
-                    rec(i + 1)
+                    yield from rec(i + 1)
             ops.pop(key, None)
             ops.pop(("psiT", key[1]), None)
 
-        rec(0)
+        # A generator runs _finish and the node checks off this 56-frame recursion: CPython 3.11
+        # allocates and frees a frame-stack chunk per call in a loop that straddles a chunk edge.
+        for full in rec(0):
+            self._finish(full)
 
     def _derive_psiT(self, ops, n: int) -> Optional[GroupHom]:
         """psiT_n = eps_n r_n zeta_n - 1; also verify its intertwining."""
@@ -350,17 +353,19 @@ class _Search:
         return reg
 
     def _finish(self, ops: dict):
+        self.raw += 1
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}
-        mats = {}
-        for name in OP_NAMES:
-            mats[name] = [ops[(name, n)].matrix for n in range(8)]
+        mats = {name: [ops[(name, n)].matrix for n in range(8)] for name in OP_NAMES}
         try:
             middle = make_module(groups, mats)
         except ValueError:
             return
-        if not verify_relations(middle).ok():
+        # Relations and exactness are CRT-isomorphism invariant: a kept class's copy needs no checks.
+        if any(crt_isomorphic(middle, sol.middle) is not None for sol in self.solutions):
             return
-        if not is_acyclic(middle, check_relations=False).ok():
+        self.checked += 1
+        if not (verify_relations(middle).ok()
+                and is_acyclic(middle, check_relations=False).ok()):
             return
         alpha = {(p, n): self._alpha(p, n) for p in PARTS for n in range(8)}
         beta = {(p, n): self._beta(p, n) for p in PARTS for n in range(8)}
@@ -370,18 +375,17 @@ class _Search:
 def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
-    Raises BudgetExceeded when the node budget runs out; an empty result
-    for a pair the tables cover signals a transcription error upstream.
+    The search keeps the first middle of each class in arrival order and
+    checks relations and acyclicity once per new class.  Raises
+    BudgetExceeded when the node budget runs out; an empty result for a
+    pair the tables cover signals a transcription error upstream.
     """
     search = _Search(p, budget)
-    raw = search.run()
-    kept: list[KunnethSolution] = []
-    for sol in raw:
-        if any(crt_isomorphic(sol.middle, other.middle) is not None for other in kept):
-            continue
-        kept.append(sol)
+    kept = search.run()
     for sol in kept:
         sol.split = split_check(sol, p)
+    log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept",
+              search.nodes, search.raw, search.checked, len(kept))
     return kept
 
 
@@ -446,18 +450,17 @@ class KunnethReport:
 
 def kunneth_pipeline(name_a: str, name_b: str, budget: int = 5_000_000) -> KunnethReport:
     """Catalog pair -> resolution -> tensor/Tor -> middle solutions -> report."""
-    from .catalog import catalog_entry, expected_product
+    from .catalog import catalog_entry, cuntz_module, cuntz_parameter, expected_product
     from .tensor import tensor_and_tor
 
     ent_a = catalog_entry(name_a)
-    ent_b = catalog_entry(name_b)
+    l = cuntz_parameter(name_b)
     if ent_a.resolution is None:
         raise ValueError(f"{name_a} has no resolution in the catalog")
     k = ent_a.params["k"]
-    l = ent_b.params.get("k")
     if l is None:
         raise ValueError(f"{name_b} is not a Cuntz entry")
-    tp = tensor_and_tor(ent_a.resolution, ent_b.module)
+    tp = tensor_and_tor(ent_a.resolution, cuntz_module(l))
     problem = KunnethProblem(tp.tensor, tp.tor)
     solutions = solve_middle(problem, budget=budget)
     expected = expected_product(k, l)

@@ -191,9 +191,6 @@ class TensorModule:
     layouts: dict
     raw_ops: dict
 
-    def describe(self, part: str, n: int) -> str:
-        return " + ".join(f"{s.label}N^{s.n_part}_{s.n_degree}" for s in self.slots[(part, n)])
-
 
 def tensor_free(F: FreeCRT, N: CRTModule, check: bool = True) -> TensorModule:
     """Tensor a free module with N over the provenance slot construction."""

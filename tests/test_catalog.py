@@ -1,6 +1,7 @@
 """Fixture integrity: the Cuntz family, resolutions, and golden tables."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from crtk.catalog import (
     catalog_entry,
     catalog_names,
     cuntz_module,
+    cuntz_parameter,
     cuntz_resolution,
     data_dir,
     expected_product,
@@ -132,6 +134,29 @@ class TestEntriesAndData:
         assert verify_relations(ent.module).ok()
         with pytest.raises(KeyError):
             catalog_entry("X9")
+
+    def test_cuntz_parameter(self):
+        assert [cuntz_parameter(n) for n in ("O2", "O5", "O13", "R", "zero")] == \
+            [1, 4, 12, None, None]
+        for bad in ("O1", "O", "Ox", "O-3", "X9"):
+            with pytest.raises(KeyError):
+                cuntz_parameter(bad)
+
+    def test_work_built_once(self, monkeypatch):
+        import crtk.catalog as catalog
+        from crtk.kunneth import kunneth_pipeline
+        calls = Counter()
+        for name in ("cuntz_module", "cuntz_resolution"):
+            def counted(*args, _fn=getattr(catalog, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(catalog, name, counted)
+        catalog_entry("O4")
+        assert calls == {"cuntz_module": 1, "cuntz_resolution": 1}
+        calls.clear()
+        # B needs its module only, not a resolution
+        kunneth_pipeline("O3", "O3")
+        assert calls == {"cuntz_module": 2, "cuntz_resolution": 1}
 
     @pytest.mark.parametrize("name", ["R", "C", "T"])
     def test_shipped_fixture_matches_tables(self, name):

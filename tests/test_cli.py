@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from crtk.catalog import expected_product
 from crtk.cli import main, render_module
 from crtk.crt_core import crt_isomorphic, module_from_json, module_to_json, zero_module
@@ -70,6 +72,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(["verify", "/nonexistent/mod.json"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["kunneth", "O3", "X9"], ["kunneth", "X9", "O3"],
+                                      ["kunneth", "O3", "O1"], ["catalog", "show", "X9"]])
+    def test_bad_catalog_name_is_usage_error(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_kunneth_non_cuntz_factor(self, capsys):
+        code, _, err = run(["kunneth", "O3", "R"], capsys)
+        assert code == 1
+        assert "R is not a Cuntz entry" in err
 
     def test_bad_json_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

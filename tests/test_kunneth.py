@@ -1,14 +1,15 @@
 """The extension solver, split detection, and the pipeline."""
 
+import logging
+from collections import Counter
 from math import gcd, prod
 
 import pytest
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
-from crtk.crt_core import PARTS, crt_isomorphic
+from crtk.crt_core import PARTS, SLOTS, BudgetExceeded, crt_isomorphic, module_to_json
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
-    _SLOTS,
     KunnethProblem,
     _extension_options,
     classical_complex_kunneth,
@@ -21,11 +22,16 @@ from crtk.tensor import tensor_and_tor
 from crtk.zlinalg import FinAbGroup, Zmod, hom_cokernel, hom_compose, hom_kernel, is_exact_at
 
 from extension_oracle import extension_options, same_extension
+from kunneth_oracle import solve_middle_oracle
+
+
+def make_problem(k, l):
+    tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
+    return KunnethProblem(tp.tensor, tp.tor)
 
 
 def solve(k, l, **kw):
-    tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
-    problem = KunnethProblem(tp.tensor, tp.tor)
+    problem = make_problem(k, l)
     return problem, solve_middle(problem, **kw)
 
 
@@ -55,7 +61,7 @@ def _distinct_slots(pairs):
     for k, l in pairs:
         tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
         problem = KunnethProblem(tp.tensor, tp.tor)
-        slots.update((problem.sub(*slot), problem.quot(*slot)) for slot in _SLOTS)
+        slots.update((problem.sub(*slot), problem.quot(*slot)) for slot in SLOTS)
     return sorted(slots, key=lambda sq: (sq[0].torsion, sq[1].torsion))
 
 
@@ -74,6 +80,44 @@ class TestExtensionOptions:
             assert sum(same_extension(option, other) for other in want) == 1
         for other in want:
             assert sum(same_extension(option, other) for option in got) == 1
+
+
+class TestDedupOnArrival:
+    @pytest.mark.parametrize("k, l", [(2, 2), (2, 4), (2, 6), (3, 6), (5, 5)])
+    def test_agrees_with_check_every_copy(self, k, l):
+        problem, kept = solve(k, l)
+        raw, want = solve_middle_oracle(problem)
+        assert [module_to_json(s.middle) for s in kept] == \
+            [module_to_json(s.middle) for s in want]
+        assert [s.split for s in kept] == [s.split for s in want]
+        for copy in raw:
+            assert any(crt_isomorphic(copy.middle, s.middle) is not None for s in kept)
+
+    def test_checks_once_per_class(self, monkeypatch):
+        import crtk.kunneth as kunneth
+        calls = Counter()
+        for name in ("verify_relations", "is_acyclic"):
+            def counted(*args, _fn=getattr(kunneth, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(kunneth, name, counted)
+        assert kunneth_pipeline("O3", "O5").ok()  # 16 raw middles, one class
+        assert calls == {"verify_relations": 1, "is_acyclic": 1}
+
+    def test_budget_message_names_stage_and_progress(self):
+        problem = make_problem(2, 4)
+        with pytest.raises(BudgetExceeded, match=r"in the slot stage after 2 nodes "
+                           r"\(0 raw middles, 0 classes kept\)"):
+            solve_middle(problem, budget=1)
+        with pytest.raises(BudgetExceeded, match=r"in the operation stage after 301 nodes "
+                           r"\(3 raw middles, 1 classes kept\)"):
+            solve_middle(problem, budget=300)
+
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="crtk"):
+            solve(2, 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "Kunneth search: 627 nodes, 16 raw middles, 1 classes checked, 1 kept"]
 
 
 class TestSolver:
