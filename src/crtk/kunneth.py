@@ -14,8 +14,19 @@ over the finite group Hom(tor_{n-1}, tensor_m), so the aggregate search
 space is small and is pruned further by relation and exactness checks
 as operations fill in.
 
+The operation search is gauge-fixed.  For a slot with extension maps
+alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
+Hom(tor_{n-1}, tensor_n)) fix both maps, so their product G over the
+slots acts on the candidates of every operation by theta -> u_t.theta.u_s^-1
+and maps middles to CRT-isomorphic middles; every pruning check gives
+the same answer on a candidate and on its image.  The search visits a
+candidate only when no element of the stabilizer of the operations
+already assigned maps it to a smaller index ("orderly" search), so it
+reaches exactly the first copy in search order of each G-orbit.
+
 All consistent middles are returned, deduplicated up to CRT-isomorphism
 as they arrive; only the first middle of each class is fully checked.
+The dedup still catches isomorphisms outside G.
 """
 
 from __future__ import annotations
@@ -121,6 +132,22 @@ def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
 _OP_ORDER = [(name, n) for name in ("zeta", "gamma", "psiU", "c", "r", "tau", "eps")
              for n in range(8)]
 _ORDER_INDEX = {key: i for i, key in enumerate(_OP_ORDER)}
+_SLOT_INDEX = {slot: i for i, slot in enumerate(SLOTS)}
+
+
+def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:
+    """(u, u^-1) for the automorphisms u = 1 + alpha.h.beta of K, h in Hom(quot, sub).
+
+    u fixes alpha and beta, and u^-1 = 1 - alpha.h.beta because beta.alpha = 0.
+    Index 0 is the identity (h = 0 comes first).
+    """
+    K, alpha, beta = option
+    one = identity_hom(K)
+    out = [(one, one)]
+    for h in hom_group_elements(quot, sub)[1:]:
+        d = hom_compose(alpha, hom_compose(h, beta))
+        out.append((one + d, one - d))
+    return out
 
 
 class _Search:
@@ -130,6 +157,7 @@ class _Search:
         self.nodes = 0
         self.raw = 0        # middles reaching _finish
         self.checked = 0    # middles that started a new class and were checked
+        self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
@@ -246,14 +274,42 @@ class _Search:
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
         if any(not v for v in cand.values()):
             return
+        gauge = [_slot_gauge(self._slot_choice[slot], self.p.sub(*slot), self.p.quot(*slot))
+                 for slot in SLOTS]
+        index = {key: {h.matrix.entries: j for j, h in enumerate(v)} for key, v in cand.items()}
+        images: dict[tuple, int] = {}
 
-        def rec(i: int):
+        def stabilizer(key, j, H):
+            """The g in H fixing candidate j, or None if some g in H maps it to a smaller index."""
+            name, n = key
+            src, tgt, shift = OP_SPECS[name]
+            s, t = _SLOT_INDEX[slot_of(src, n)], _SLOT_INDEX[slot_of(tgt, n + shift)]
+            fixed = []
+            for g in H:
+                img = images.get((key, j, g[s], g[t]))
+                if img is None:
+                    moved = hom_compose(gauge[t][g[t]][0], hom_compose(cand[key][j], gauge[s][g[s]][1]))
+                    img = index[key].get(moved.matrix.entries)
+                    if img is None:
+                        raise RuntimeError(f"gauge image of a {name}_{n} candidate is not a candidate")
+                    images[(key, j, g[s], g[t])] = img
+                if img < j:
+                    return None
+                if img == j:
+                    fixed.append(g)
+            return fixed
+
+        def rec(i: int, H: list[tuple[int, ...]]):
             if i == len(_OP_ORDER):
                 yield ops
                 return
             key = _OP_ORDER[i]
-            for h in cand[key]:
+            for j, h in enumerate(cand[key]):
                 self._tick("operation")
+                H_next = H if len(H) == 1 else stabilizer(key, j, H)
+                if H_next is None:
+                    self.skipped += 1
+                    continue
                 ops[key] = h
                 if key[0] == "eps":
                     psiT = self._derive_psiT(ops, key[1])
@@ -261,13 +317,13 @@ class _Search:
                         continue
                     ops[("psiT", key[1])] = psiT
                 if all(chk(ops) for chk in checks.get(key, [])):
-                    yield from rec(i + 1)
+                    yield from rec(i + 1, H_next)
             ops.pop(key, None)
             ops.pop(("psiT", key[1]), None)
 
         # A generator runs _finish and the node checks off this 56-frame recursion: CPython 3.11
         # allocates and frees a frame-stack chunk per call in a loop that straddles a chunk edge.
-        for full in rec(0):
+        for full in rec(0, list(itertools.product(*(range(len(g)) for g in gauge)))):
             self._finish(full)
 
     def _derive_psiT(self, ops, n: int) -> Optional[GroupHom]:
@@ -375,8 +431,10 @@ class _Search:
 def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
-    The search keeps the first middle of each class in arrival order and
-    checks relations and acyclicity once per new class.  Raises
+    The operation search visits one copy per orbit of the gauge group
+    (module docstring), the first in search order.  The search keeps the
+    first middle of each class in arrival order and checks relations and
+    acyclicity once per new class.  Raises
     BudgetExceeded when the node budget runs out; an empty result for a
     pair the tables cover signals a transcription error upstream.
     """
@@ -384,8 +442,9 @@ def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolu
     kept = search.run()
     for sol in kept:
         sol.split = split_check(sol, p)
-    log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept",
-              search.nodes, search.raw, search.checked, len(kept))
+    log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept, "
+              "%d non-canonical candidates skipped",
+              search.nodes, search.raw, search.checked, len(kept), search.skipped)
     return kept
 
 

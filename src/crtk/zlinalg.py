@@ -724,24 +724,39 @@ def _annihilated_elements(G: FinAbGroup, d: int) -> list[Vec]:
 _AUT_CACHE: dict[tuple, list[GroupHom]] = {}
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def automorphisms(G: FinAbGroup) -> list[GroupHom]:
-    """All automorphisms of a finite group (enumerated once, cached)."""
+    """All automorphisms of a finite group (enumerated once, cached).
+
+    An endomorphism is onto iff it is onto G/pG for every prime p (the
+    Burnside basis theorem on each Sylow subgroup).  G/pG is free over
+    Z/p on the generators with p | t_i, so the test is a determinant mod p
+    of the matrix block on those generators.
+    """
     if not G.is_finite():
         raise ValueError("automorphism enumeration requires a finite group")
     key = G.torsion
     hit = _AUT_CACHE.get(key)
     if hit is not None:
         return hit
-    order = G.order()
+    blocks = [(p, [i for i, t in enumerate(G.torsion) if t % p == 0])
+              for p in _prime_divisors(max(G.torsion, default=1))]
     out = []
     pools = [_annihilated_elements(G, t) for t in G.torsion]
     for cols in itertools.product(*pools):
-        f = hom_from_cols(G, G, [list(c) for c in cols])
-        seen = set()
-        for v in G.elements():
-            seen.add(f.apply(v))
-        if len(seen) == order:
-            out.append(f)
+        if all(IntMatrix.from_rows([[cols[j][i] for j in idx] for i in idx]).det() % p
+               for p, idx in blocks):
+            out.append(hom_from_cols(G, G, [list(c) for c in cols]))
     _AUT_CACHE[key] = out
     return out
 

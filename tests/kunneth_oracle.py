@@ -1,27 +1,60 @@
-"""Check-every-copy Kunneth search, the oracle for deduplication on arrival.
+"""Unreduced, check-every-copy Kunneth search: the oracle for the solver's shortcuts.
 
-The solver drops a raw middle that is CRT-isomorphic to a class it has
-already kept, before any check, and checks relations and acyclicity only
-for the first middle of each class.  This module keeps the older path:
-every raw middle the search reaches runs both checks, and the survivors
-are deduplicated pairwise up to CRT-isomorphism afterwards.
+The solver visits one operation assignment per gauge orbit, drops a raw
+middle that is CRT-isomorphic to a class it has already kept before any
+check, and checks relations and acyclicity only for the first middle of
+each class.  This module keeps the older path: the operation search
+visits every candidate, every raw middle it reaches runs both checks,
+and the survivors are deduplicated pairwise up to CRT-isomorphism
+afterwards.
 """
 
 from __future__ import annotations
 
 from crtk.crt_core import (
     OP_NAMES,
+    OP_SPECS,
     PARTS,
     crt_isomorphic,
     is_acyclic,
     make_module,
+    slot_of,
     verify_relations,
 )
-from crtk.kunneth import KunnethProblem, KunnethSolution, _Search, split_check
+from crtk.kunneth import _OP_ORDER, KunnethProblem, KunnethSolution, _Search, split_check
+from crtk.zlinalg import GroupHom, IntMatrix, hom_compose, hom_preimage
 
 
 class CheckEveryCopy(_Search):
-    """The solver's search with every raw middle checked and kept."""
+    """The solver's search without gauge fixing, with every raw middle checked and kept."""
+
+    def _op_stage(self):
+        ops = {}
+        checks = self._build_checks()
+        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
+        if any(not v for v in cand.values()):
+            return
+
+        def rec(i):
+            if i == len(_OP_ORDER):
+                yield ops
+                return
+            key = _OP_ORDER[i]
+            for h in cand[key]:
+                self._tick("operation")
+                ops[key] = h
+                if key[0] == "eps":
+                    psiT = self._derive_psiT(ops, key[1])
+                    if psiT is None:
+                        continue
+                    ops[("psiT", key[1])] = psiT
+                if all(chk(ops) for chk in checks.get(key, [])):
+                    yield from rec(i + 1)
+            ops.pop(key, None)
+            ops.pop(("psiT", key[1]), None)
+
+        for full in rec(0):
+            self._finish(full)
 
     def _finish(self, ops: dict):
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}
@@ -50,3 +83,25 @@ def solve_middle_oracle(p: KunnethProblem, budget: int = 5_000_000):
     for sol in kept:
         sol.split = split_check(sol, p)
     return raw, kept
+
+
+def conjugate(M, twist):
+    """M transported along a family of slot automorphisms: op -> u_tgt . op . u_src^-1.
+
+    `twist` maps each slot of `crt_core.SLOTS` to an automorphism of M's
+    group there; inverses are found generator by generator with
+    `hom_preimage`, independently of the solver's gauge formulas.
+    """
+    inverse = {}
+    for slot, u in twist.items():
+        G = u.domain
+        cols = [hom_preimage(u, tuple(int(i == j) for i in range(G.ngens))) for j in range(G.ngens)]
+        inverse[slot] = GroupHom(G, G, IntMatrix.from_cols(cols, rows=G.ngens))
+    groups = {p: [M.group(p, n) for n in range(8)] for p in PARTS}
+    mats = {}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        mats[name] = [hom_compose(twist[slot_of(tgt, n + shift)],
+                                  hom_compose(M.op(name, n), inverse[slot_of(src, n)])).matrix
+                      for n in range(8)]
+    return make_module(groups, mats)

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtk.catalog import cuntz_module, expected_product
 from crtk.crt_core import (
     GradedPart,
     OP_NAMES,
     PARTS,
+    SLOTS,
     crt_isomorphic,
     direct_sum,
     eta_O,
@@ -25,7 +28,6 @@ from crtk.crt_core import (
 )
 from crtk.free_crt import monogenic
 from crtk.zlinalg import (
-    GroupHom,
     IntMatrix,
     ZERO_GROUP,
     Zmod,
@@ -36,6 +38,8 @@ from crtk.zlinalg import (
     hom_scale,
     identity_hom,
 )
+
+from kunneth_oracle import conjugate
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -174,36 +178,22 @@ class TestIsomorphism:
     def test_permuted_copy_found(self):
         M = cuntz_module(3)
         rng = random.Random(5)
-        twists = {}
-        for p in PARTS:
-            period = {"O": 8, "U": 2, "T": 4}[p]
-            for n in range(period):
-                auts = automorphisms(M.group(p, n))
-                twists[(p, n)] = rng.choice(auts)
-        u = {(p, n): twists[(p, n % {"O": 8, "U": 2, "T": 4}[p])]
-             for p in PARTS for n in range(8)}
-        from crtk.crt_core import OP_SPECS
-        groups = {p: [M.group(p, n) for n in range(8)] for p in PARTS}
-        mats = {}
-        for name in OP_NAMES:
-            src, tgt, shift = OP_SPECS[name]
-            fam = []
-            for n in range(8):
-                # conjugated operation u_tgt . op . u_src^{-1}
-                usrc = u[(src, n)]
-                inv_cols = []
-                G = usrc.domain
-                from crtk.zlinalg import hom_preimage
-                for kgen in range(G.ngens):
-                    e = tuple(1 if j == kgen else 0 for j in range(G.ngens))
-                    inv_cols.append(list(hom_preimage(usrc, e)))
-                usrc_inv = GroupHom(G, G, IntMatrix.from_cols(inv_cols, rows=G.ngens))
-                fam.append(hom_compose(u[(tgt, (n + shift) % 8)],
-                                       hom_compose(M.op(name, n), usrc_inv)).matrix)
-            mats[name] = fam
-        M2 = make_module(groups, mats)
+        M2 = conjugate(M, {slot: rng.choice(automorphisms(M.group(*slot))) for slot in SLOTS})
         assert verify_relations(M2).ok()
         assert crt_isomorphic(M2, M) is not None
+
+    @given(st.sampled_from([(2, 2), (2, 4), (3, 6), (4, 4), (5, 5)]), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_conjugated_product_is_isomorphic(self, pair, data):
+        M = expected_product(*pair)
+        twist = {}
+        for slot in SLOTS:
+            auts = automorphisms(M.group(*slot))
+            twist[slot] = auts[data.draw(st.integers(0, len(auts) - 1), label=str(slot))]
+        N = conjugate(M, twist)
+        assert verify_relations(N).ok()
+        assert is_acyclic(N, check_relations=False).ok()
+        assert crt_isomorphic(N, M) is not None
 
     def test_distinguished_products(self):
         # same complexification, different real structure

@@ -1,5 +1,6 @@
 """The extension solver, split detection, and the pipeline."""
 
+import itertools
 import logging
 from collections import Counter
 from math import gcd, prod
@@ -7,11 +8,22 @@ from math import gcd, prod
 import pytest
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
-from crtk.crt_core import PARTS, SLOTS, BudgetExceeded, crt_isomorphic, module_to_json
+from crtk.crt_core import (
+    PARTS,
+    SLOTS,
+    BudgetExceeded,
+    crt_isomorphic,
+    is_acyclic,
+    module_to_json,
+    verify_relations,
+)
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
+    _OP_ORDER,
     KunnethProblem,
     _extension_options,
+    _Search,
+    _slot_gauge,
     classical_complex_kunneth,
     kunneth_pipeline,
     solve_middle,
@@ -22,7 +34,7 @@ from crtk.tensor import tensor_and_tor
 from crtk.zlinalg import FinAbGroup, Zmod, hom_cokernel, hom_compose, hom_kernel, is_exact_at
 
 from extension_oracle import extension_options, same_extension
-from kunneth_oracle import solve_middle_oracle
+from kunneth_oracle import conjugate, solve_middle_oracle
 
 
 def make_problem(k, l):
@@ -83,7 +95,7 @@ class TestExtensionOptions:
 
 
 class TestDedupOnArrival:
-    @pytest.mark.parametrize("k, l", [(2, 2), (2, 4), (2, 6), (3, 6), (5, 5)])
+    @pytest.mark.parametrize("k, l", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 6), (4, 6), (5, 5)])
     def test_agrees_with_check_every_copy(self, k, l):
         problem, kept = solve(k, l)
         raw, want = solve_middle_oracle(problem)
@@ -101,7 +113,7 @@ class TestDedupOnArrival:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(kunneth, name, counted)
-        assert kunneth_pipeline("O3", "O5").ok()  # 16 raw middles, one class
+        assert kunneth_pipeline("O3", "O5").ok()  # one raw middle, one class
         assert calls == {"verify_relations": 1, "is_acyclic": 1}
 
     def test_budget_message_names_stage_and_progress(self):
@@ -110,14 +122,46 @@ class TestDedupOnArrival:
                            r"\(0 raw middles, 0 classes kept\)"):
             solve_middle(problem, budget=1)
         with pytest.raises(BudgetExceeded, match=r"in the operation stage after 301 nodes "
-                           r"\(3 raw middles, 1 classes kept\)"):
+                           r"\(1 raw middles, 1 classes kept\)"):
             solve_middle(problem, budget=300)
 
     def test_one_debug_record_per_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="crtk"):
             solve(2, 4)
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 627 nodes, 16 raw middles, 1 classes checked, 1 kept"]
+            "Kunneth search: 341 nodes, 1 raw middles, 1 classes checked, 1 kept, "
+            "18 non-canonical candidates skipped"]
+
+
+class TestGaugeFixing:
+    @pytest.mark.parametrize("k, l", [(2, 4), (5, 5)])
+    def test_one_raw_middle_per_class(self, k, l):
+        search = _Search(make_problem(k, l), budget=5_000_000)
+        kept = search.run()
+        assert search.raw == len(kept) == 1
+
+    @pytest.mark.parametrize("k, l, order", [(2, 4, 32), (4, 4, 256)])
+    def test_gauge_maps_kept_middle_into_candidates(self, k, l, order):
+        problem = make_problem(k, l)
+        (sol,) = solve_middle(problem)
+        search = _Search(problem, budget=1)
+        search._slot_choice = {slot: (sol.middle.group(*slot), sol.alpha[slot], sol.beta[slot])
+                               for slot in SLOTS}
+        gauge = [_slot_gauge(search._slot_choice[slot], problem.sub(*slot), problem.quot(*slot))
+                 for slot in SLOTS]
+        assert prod(len(g) for g in gauge) == order
+        cand = {key: {h.matrix.entries for h in search._instance_candidates(*key)}
+                for key in _OP_ORDER}
+        seen = {sol.middle}
+        for g in itertools.islice(itertools.product(*gauge), 1, None):
+            moved = conjugate(sol.middle, {slot: u for slot, (u, _) in zip(SLOTS, g)})
+            for key in _OP_ORDER:
+                assert moved.op(*key).matrix.entries in cand[key]
+            if moved not in seen:
+                seen.add(moved)
+                assert verify_relations(moved).ok()
+                assert is_acyclic(moved, check_relations=False).ok()
+        assert len(seen) > 1
 
 
 class TestSolver:
@@ -212,6 +256,22 @@ class TestPipeline:
         classical = classical_complex_kunneth(k, l)
         assert [mid.group("U", n) for n in range(8)] == classical
         assert rep.split is True
+
+    @pytest.mark.slow
+    def test_full_grid(self):
+        """Every k, l in 2..12 against the tables and table-independent invariants."""
+        for k, l in itertools.product(range(2, 13), repeat=2):
+            rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
+            assert rep.ok() and len(rep.solutions) == 1, (k, l)
+            sol = rep.solutions[0]
+            mid = sol.middle
+            assert [mid.group("U", n) for n in range(8)] == classical_complex_kunneth(k, l), (k, l)
+            for p in PARTS:
+                for n in range(8):
+                    assert mid.group(p, n).order() == \
+                        rep.tensor.group(p, n).order() * rep.tor.group(p, n - 1).order(), (k, l, p, n)
+            problem = KunnethProblem(rep.tensor, rep.tor)
+            assert sol.split == (crt_isomorphic(rep.expected, split_model(problem)) is not None), (k, l)
 
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):

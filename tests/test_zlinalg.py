@@ -390,6 +390,18 @@ class TestExtensions:
         assert FinAbGroup((2, 2, 2)) not in got
 
 
+def automorphisms_by_elements(G):
+    """Oracle: the candidate column tuples of `automorphisms` whose map is onto G."""
+    out = []
+    pools = [[x for x in G.elements() if G.reduce(tuple(t * xi for xi in x)) == G.zero()]
+             for t in G.torsion]
+    for cols in itertools.product(*pools):
+        f = hom_from_cols(G, G, [list(c) for c in cols])
+        if len({f.apply(v) for v in G.elements()}) == G.order():
+            out.append(f)
+    return out
+
+
 class TestMisc:
     def test_abelian_groups_of_order_8(self):
         got = abelian_groups_of_order(8)
@@ -404,6 +416,12 @@ class TestMisc:
 
     def test_automorphisms_z2_z2(self):
         assert len(automorphisms(FinAbGroup((2, 2)))) == 6
+
+    @pytest.mark.parametrize("torsion", [(2,), (2, 2), (2, 2, 2), (3, 3), (4, 4), (2, 4), (2, 12),
+                                         (3, 9), (5, 5), (6, 6)], ids=str)
+    def test_automorphisms_match_element_images(self, torsion):
+        G = FinAbGroup(torsion)
+        assert automorphisms(G) == automorphisms_by_elements(G)
 
     def test_tensor_and_tor(self):
         assert fin_ab_tensor(Zmod(4), Zmod(6)) == Zmod(2)
