@@ -6,10 +6,16 @@ modulo 4.  Tables are written for generic parameters and instantiated
 with the conventions Z_1 = 0 (generators with invariant 1 vanish) and
 entries reduced modulo the target invariants.  Every instantiated module
 must pass the relation suite, which doubles as a transcription checksum.
+
+The Cuntz modules, their resolutions and the tables are built and
+checked once per argument in a process (functools.cache) and then
+shared: modules are frozen and nothing mutates a resolution.  A
+CatalogEntry is mutable, so catalog_entry returns a fresh one each call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -84,6 +90,7 @@ def _per2(a, b):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def cuntz_module(k: int) -> CRTModule:
     """United K-theory of the real Cuntz algebra with parameter k."""
     if k < 1:
@@ -140,6 +147,7 @@ def cuntz_module(k: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def cuntz_resolution(k: int) -> FreeResolution:
     """A length-one free resolution of the Cuntz module.
 
@@ -249,6 +257,7 @@ def expected_tor(k: int, l: int) -> CRTModule:
     raise ValueError(f"no printed Tor table for (k, l) = ({k}, {l})")
 
 
+@functools.cache
 def _product_odd(g: int) -> CRTModule:
     Zg = [g]
     groups = {
@@ -269,6 +278,7 @@ def _product_odd(g: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _tensor_odd(g: int) -> CRTModule:
     Zg = [g]
     groups = {
@@ -289,6 +299,7 @@ def _tensor_odd(g: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _product_two_two(g: int) -> CRTModule:
     h = g // 2
     groups = {
@@ -309,6 +320,7 @@ def _product_two_two(g: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _product_zero_zero(k: int, l: int) -> CRTModule:
     g = gcd(k, l)
     p = _params(k, l)
@@ -337,6 +349,7 @@ def _product_zero_zero(k: int, l: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _product_two_zero(g: int) -> CRTModule:
     h = g // 2
     groups = {
@@ -359,6 +372,7 @@ def _product_two_zero(g: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _tensor_zero_zero(k: int, l: int) -> CRTModule:
     g = gcd(k, l)
     k2, l2 = k // 2, l // 2
@@ -381,6 +395,7 @@ def _tensor_zero_zero(k: int, l: int) -> CRTModule:
     return _instantiate(groups, ops)
 
 
+@functools.cache
 def _tor_zero_zero(g: int) -> CRTModule:
     h = g // 2
     groups = {

@@ -26,7 +26,8 @@ reaches exactly the first copy in search order of each G-orbit.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism
 as they arrive; only the first middle of each class is fully checked.
-The dedup still catches isomorphisms outside G.
+The dedup still catches isomorphisms outside G.  Each distinct problem
+is solved once per process (solve_middle).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Optional
 
@@ -428,6 +429,10 @@ class _Search:
         self.solutions.append(KunnethSolution(middle, alpha, beta))
 
 
+# Kept solutions with their split flags, by (tensor, tor, budget); filled by solve_middle.
+_SOLVED: dict[tuple[CRTModule, CRTModule, int], list[KunnethSolution]] = {}
+
+
 def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
@@ -437,15 +442,26 @@ def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolu
     acyclicity once per new class.  Raises
     BudgetExceeded when the node budget runs out; an empty result for a
     pair the tables cover signals a transcription error upstream.
+
+    The search is a deterministic function of (p.tensor, p.tor, budget),
+    so it runs once per distinct value of these in a process; a repeat
+    reuses its result.  Every call returns fresh KunnethSolution objects
+    and logs one DEBUG record.  BudgetExceeded is raised, never stored.
     """
-    search = _Search(p, budget)
-    kept = search.run()
-    for sol in kept:
-        sol.split = split_check(sol, p)
-    log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept, "
-              "%d non-canonical candidates skipped",
-              search.nodes, search.raw, search.checked, len(kept), search.skipped)
-    return kept
+    key = (p.tensor, p.tor, budget)
+    kept = _SOLVED.get(key)
+    if kept is None:
+        search = _Search(p, budget)
+        kept = search.run()
+        for sol in kept:
+            sol.split = split_check(sol, p)
+        _SOLVED[key] = kept
+        log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept, "
+                  "%d non-canonical candidates skipped",
+                  search.nodes, search.raw, search.checked, len(kept), search.skipped)
+    else:
+        log.debug("Kunneth search: reused the solve of an equal problem, %d kept", len(kept))
+    return [replace(sol, alpha=dict(sol.alpha), beta=dict(sol.beta)) for sol in kept]
 
 
 def split_model(p: KunnethProblem) -> CRTModule:

@@ -18,6 +18,7 @@ cokernel of the induced map of a length-one free resolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ from .crt_core import (
     verify_relations,
     xi,
 )
-from .free_crt import Element, FreeCRT, FreeMorphism, _words_for, act, monogenic
+from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act, monogenic
 from .zlinalg import (
     FinAbGroup,
     GroupHom,
@@ -192,8 +193,21 @@ class TensorModule:
     raw_ops: dict
 
 
-def tensor_free(F: FreeCRT, N: CRTModule, check: bool = True) -> TensorModule:
-    """Tensor a free module with N over the provenance slot construction."""
+def tensor_free(F: FreeCRT, N: CRTModule) -> TensorModule:
+    """Tensor a free module with N over the provenance slot construction.
+
+    F is read only through its summands, so the result is built and
+    validated once per distinct (F.summands, N) in a process; a repeat
+    carries the caller's F and N and shares the module, slots, layouts
+    and raw operations, which nothing mutates.
+    """
+    module, slots, layouts, raw_ops = _tensor_parts(F.summands, N)
+    return TensorModule(module, F, N, slots, layouts, raw_ops)
+
+
+@functools.cache
+def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
+    """(module, slots, layouts, raw operations) of tensor_free, validated."""
     slots: dict = {}
     layouts: dict = {}
     groups = {p: [] for p in PARTS}
@@ -202,7 +216,7 @@ def tensor_free(F: FreeCRT, N: CRTModule, check: bool = True) -> TensorModule:
             lst = []
             offset = 0
             comps = []
-            for i, smd in enumerate(F.summands):
+            for i, smd in enumerate(summands):
                 g = smd.generator_degree
                 for label, npart, rel in _SLOTS[smd.kind][p]:
                     d = (m - g + rel) % 8
@@ -220,18 +234,17 @@ def tensor_free(F: FreeCRT, N: CRTModule, check: bool = True) -> TensorModule:
         src, tgt, shift = OP_SPECS[name]
         for m in range(8):
             blocks = [_summand_raw_op(s.kind, s.generator_degree, N, name, m)
-                      for s in F.summands]
+                      for s in summands]
             raw = _stack_diag(blocks)
             raw_ops[(name, m)] = raw
             lay_s = layouts[(src, m)]
             lay_t = layouts[(tgt, (m + shift) % 8)]
             mats[name].append(lay_t.proj * raw * lay_s.reps)
     module = make_module(groups, mats)
-    if check:
-        rep = verify_relations(module)
-        if not rep.ok():
-            raise ValueError(f"assembled tensor fails relations: {rep}")
-    return TensorModule(module, F, N, slots, layouts, raw_ops)
+    rep = verify_relations(module)
+    if not rep.ok():
+        raise ValueError(f"assembled tensor fails relations: {rep}")
+    return module, slots, layouts, raw_ops
 
 
 def _stack_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -248,8 +261,8 @@ def _stack_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix.from_rows(out, cols=cols)
 
 
-def tensor_monogenic(kind: str, k: int, N: CRTModule, check: bool = True) -> TensorModule:
-    return tensor_free(monogenic(kind, k), N, check=check)
+def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
+    return tensor_free(monogenic(kind, k), N)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +381,7 @@ def _find_slot(TT: TensorModule, part: str, m: int, summand: int, label: str) ->
 
 def induced_tensor_map(mor: FreeMorphism, N: CRTModule,
                        src: Optional[TensorModule] = None,
-                       tgt: Optional[TensorModule] = None,
-                       check: bool = True) -> Morphism:
+                       tgt: Optional[TensorModule] = None) -> Morphism:
     """The degreewise family of (mor ⊗ 1) on the provenance construction.
 
     Each slot generator is an operation word applied to a pure tensor, so
@@ -377,9 +389,9 @@ def induced_tensor_map(mor: FreeMorphism, N: CRTModule,
     operations) to the expansion of (generator image) ⊗ n.
     """
     if src is None:
-        src = tensor_free(mor.source, N, check=check)
+        src = tensor_free(mor.source, N)
     if tgt is None:
-        tgt = tensor_free(mor.target, N, check=check)
+        tgt = tensor_free(mor.target, N)
     fam: Morphism = {}
     for part in PARTS:
         for m in range(8):
@@ -396,7 +408,7 @@ def induced_tensor_map(mor: FreeMorphism, N: CRTModule,
             raw = IntMatrix.from_cols(cols, rows=sum(s.width for s in tgt.slots[(part, m)]))
             fam[(part, m)] = GroupHom(src.module.group(part, m), tgt.module.group(part, m),
                                       lay_t.proj * raw * lay_s.reps)
-    if check and not morphism_commutes(src.module, tgt.module, fam):
+    if not morphism_commutes(src.module, tgt.module, fam):
         raise ValueError("induced tensor map fails naturality")
     return fam
 
@@ -549,25 +561,24 @@ class TorPair:
     t1: TensorModule
 
 
-def tensor_and_tor(res: FreeResolution, N: CRTModule, check: bool = True) -> TorPair:
+def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     """Tensor and Tor of the resolved module with N.
 
     The tensor is the degreewise cokernel of mu1 ⊗ 1 with operations
     induced on the quotients; Tor is the degreewise kernel with operations
     restricted.  Both results are validated against the relation suite.
     """
-    t1 = tensor_free(res.F1, N, check=check)
-    t0 = tensor_free(res.F0, N, check=check)
-    ind = induced_tensor_map(res.mu1, N, src=t1, tgt=t0, check=check)
+    t1 = tensor_free(res.F1, N)
+    t0 = tensor_free(res.F0, N)
+    ind = induced_tensor_map(res.mu1, N, src=t1, tgt=t0)
     tensor_mod, proj_fam = quotient_by_image(t0.module, ind)
     tor_mod, incl_fam = restrict_to_kernels(t1.module, ind)
-    if check:
-        rep = verify_relations(tensor_mod)
-        if not rep.ok():
-            raise ValueError(f"tensor fails relations: {rep}")
-        rep = verify_relations(tor_mod)
-        if not rep.ok():
-            raise ValueError(f"Tor fails relations: {rep}")
+    rep = verify_relations(tensor_mod)
+    if not rep.ok():
+        raise ValueError(f"tensor fails relations: {rep}")
+    rep = verify_relations(tor_mod)
+    if not rep.ok():
+        raise ValueError(f"Tor fails relations: {rep}")
     return TorPair(tensor_mod, tor_mod, proj_fam, incl_fam, t0, t1)
 
 

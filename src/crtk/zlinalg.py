@@ -18,6 +18,7 @@ FinAbGroup(torsion=(6,), free_rank=0)
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -444,9 +445,8 @@ class FinAbGroup:
         return o
 
     def relation_matrix(self) -> IntMatrix:
-        """Columns t_j * e_j for the torsion generators."""
-        cols = [tuple(t if i == j else 0 for i in range(self.ngens)) for j, t in enumerate(self.torsion)]
-        return IntMatrix.from_cols(cols, rows=self.ngens)
+        """Columns t_j * e_j for the torsion generators (one shared matrix per group)."""
+        return _relation_matrix(self.torsion, self.free_rank)
 
     def __str__(self) -> str:
         if self.is_trivial():
@@ -508,6 +508,13 @@ def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
     FinAbGroup(torsion=(4,), free_rank=0)
     """
     return _quotient_data(relations.rows, relations)[0]
+
+
+@functools.cache
+def _relation_matrix(torsion: tuple[int, ...], free_rank: int) -> IntMatrix:
+    n = len(torsion) + free_rank
+    cols = [tuple(t if i == j else 0 for i in range(n)) for j, t in enumerate(torsion)]
+    return IntMatrix.from_cols(cols, rows=n)
 
 
 # ---------------------------------------------------------------------------

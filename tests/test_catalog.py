@@ -158,6 +158,20 @@ class TestEntriesAndData:
         kunneth_pipeline("O3", "O3")
         assert calls == {"cuntz_module": 2, "cuntz_resolution": 1}
 
+    def test_fixtures_built_and_checked_once(self, monkeypatch):
+        import crtk.catalog as catalog
+        calls = Counter()
+        def counted(M, _fn=catalog.verify_relations):
+            calls["verify_relations"] += 1
+            return _fn(M)
+        monkeypatch.setattr(catalog, "verify_relations", counted)
+        assert cuntz_resolution(6) is cuntz_resolution(6)
+        assert cuntz_module(6) is cuntz_resolution(6).target
+        assert expected_product(6, 10) is expected_product(10, 6)
+        assert calls == {"verify_relations": 2}  # the module and the product table
+        a, b = catalog_entry("O7"), catalog_entry("O7")
+        assert a is not b and a.resolution is b.resolution
+
     @pytest.mark.parametrize("name", ["R", "C", "T"])
     def test_shipped_fixture_matches_tables(self, name):
         path = data_dir() / f"{name}.json"

@@ -20,6 +20,7 @@ from crtk.crt_core import (
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
     _OP_ORDER,
+    _SOLVED,
     KunnethProblem,
     _extension_options,
     _Search,
@@ -33,6 +34,7 @@ from crtk.kunneth import (
 from crtk.tensor import tensor_and_tor
 from crtk.zlinalg import FinAbGroup, Zmod, hom_cokernel, hom_compose, hom_kernel, is_exact_at
 
+from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
 from kunneth_oracle import conjugate, solve_middle_oracle
 
@@ -131,6 +133,77 @@ class TestDedupOnArrival:
         assert [r.getMessage() for r in caplog.records] == [
             "Kunneth search: 341 nodes, 1 raw middles, 1 classes checked, 1 kept, "
             "18 non-canonical candidates skipped"]
+
+
+def _count_checks(monkeypatch) -> Counter:
+    """Count the final relation and acyclicity checks the solver runs."""
+    import crtk.kunneth as kunneth
+    calls = Counter()
+    for name in ("verify_relations", "is_acyclic"):
+        def counted(*args, _fn=getattr(kunneth, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(kunneth, name, counted)
+    return calls
+
+
+class TestReuse:
+    """Warm caches against the cold path (caches emptied before each pair)."""
+
+    # Six problems: (3,5), (3,7) and (5,3) all pose the zero one.  Swapped pairs
+    # such as (5,10) and (10,5) resolve different factors and pose different ones.
+    PAIRS = [(3, 5), (3, 7), (5, 3), (5, 10), (10, 5), (2, 6), (6, 2), (6, 10)]
+
+    @staticmethod
+    def outcome(k, l):
+        rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
+        return (module_to_json(rep.tensor), module_to_json(rep.tor),
+                [module_to_json(s.middle) for s in rep.solutions],
+                [s.split for s in rep.solutions])
+
+    def test_warm_agrees_with_cold(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="crtk"):
+            warm = [self.outcome(k, l) for k, l in self.PAIRS]
+        reused = [r for r in caplog.records if "reused" in r.getMessage()]
+        assert (len(_SOLVED), len(reused)) == (6, 2)
+        cold = []
+        for k, l in self.PAIRS:
+            clear_caches()
+            cold.append(self.outcome(k, l))
+        assert warm == cold
+
+    def test_warm_repeat_checks_nothing_and_returns_fresh_solutions(self, monkeypatch):
+        first = kunneth_pipeline("O3", "O5")
+        calls = _count_checks(monkeypatch)
+        second = kunneth_pipeline("O3", "O5")
+        assert calls == {}
+        assert second.solutions[0] is not first.solutions[0]
+        want = (second.solutions[0].split, dict(second.solutions[0].alpha))
+        second.solutions[0].split = not second.solutions[0].split
+        second.solutions[0].alpha.clear()
+        third = kunneth_pipeline("O3", "O5")
+        assert (third.solutions[0].split, third.solutions[0].alpha) == want
+        assert calls == {}
+
+    def test_equal_problem_is_reused_but_smaller_budget_still_raises(self, monkeypatch):
+        solve(2, 4)
+        calls = _count_checks(monkeypatch)
+        solve(2, 4)  # a new problem object, equal by value
+        assert calls == {}
+        with pytest.raises(BudgetExceeded, match=r"in the operation stage after 301 nodes "
+                           r"\(1 raw middles, 1 classes kept\)"):
+            solve_middle(make_problem(2, 4), budget=300)
+        with pytest.raises(BudgetExceeded, match=r"after 301 nodes"):
+            solve_middle(make_problem(2, 4), budget=300)
+
+    def test_one_debug_record_per_call(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="crtk"):
+            kunneth_pipeline("O3", "O5")
+            kunneth_pipeline("O3", "O5")
+        assert [r.getMessage() for r in caplog.records] == [
+            "Kunneth search: 341 nodes, 1 raw middles, 1 classes checked, 1 kept, "
+            "18 non-canonical candidates skipped",
+            "Kunneth search: reused the solve of an equal problem, 1 kept"]
 
 
 class TestGaugeFixing:

@@ -85,6 +85,19 @@ class TestTensorFree:
         F = free_module([])
         assert tensor_free(F, cuntz_module(3)).module.is_zero()
 
+    def test_equal_inputs_share_one_checked_build(self, monkeypatch):
+        import crtk.tensor as tensor
+        calls = []
+        def counted(M, _fn=tensor.verify_relations):
+            calls.append(M)
+            return _fn(M)
+        monkeypatch.setattr(tensor, "verify_relations", counted)
+        F, G = monogenic("C", 0), monogenic("C", 0)
+        a, b = tensor_free(F, cuntz_module(4)), tensor_free(G, cuntz_module(4))
+        assert a.free is F and b.free is G
+        assert a.module is b.module and a.raw_ops is b.raw_ops
+        assert len(calls) == 1
+
     def test_block_sum_squares_groups(self):
         N = cuntz_module(3)
         F = free_module([MonogenicKind("R", 0), MonogenicKind("R", 0)])
