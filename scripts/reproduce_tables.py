@@ -11,8 +11,9 @@ the printed product table, and reports the split behaviour.
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.cli import render_module

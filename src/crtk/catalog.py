@@ -30,7 +30,6 @@ from .crt_core import (
     PARTS,
     make_module,
     module_from_json,
-    module_to_json,
     verify_relations,
     zero_module,
 )
@@ -479,16 +478,3 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 def catalog_names() -> list[str]:
     return ["R", "C", "T", "zero"] + [f"O{m}" for m in range(2, 14)]
-
-
-def write_base_fixtures(path: Optional[Path] = None) -> list[Path]:
-    """Serialize the three base modules as versioned JSON fixtures."""
-    path = path or data_dir()
-    path.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name in ("R", "C", "T"):
-        p = path / f"{name}.json"
-        with open(p, "w") as fh:
-            json.dump(module_to_json(monogenic(name, 0).realized), fh, indent=1, sort_keys=True)
-        out.append(p)
-    return out

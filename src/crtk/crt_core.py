@@ -6,7 +6,10 @@ complex part with period 2 and the self-conjugate part with period 4.
 Under this convention every defining relation, including the four
 Bott-commutation constraints, becomes a finite matrix identity between
 stored operation matrices, and the three long exact sequences become 72
-concrete exactness checks.
+concrete exactness checks.  One table, CHECKS, holds the 21 relations and
+the 9 exactness nodes, each instantiated in the eight stored degrees:
+verify_relations and is_acyclic iterate it, and the Kunneth search prunes
+with it.
 
 Operation families (domain part, codomain part, degree shift):
 
@@ -18,7 +21,7 @@ Operation families (domain part, codomain part, degree shift):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .zlinalg import (
     FinAbGroup,
@@ -55,6 +58,7 @@ OP_SPECS: dict[str, tuple[str, str, int]] = {
     "tau": ("T", "O", 1),
 }
 OP_NAMES = tuple(OP_SPECS)
+_OP_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
 
 
 class BudgetExceeded(RuntimeError):
@@ -112,7 +116,7 @@ class CRTModule:
         return self.part(part).group(n)
 
     def op(self, name: str, n: int) -> GroupHom:
-        return self.ops[OP_NAMES.index(name)][n % 8]
+        return self.ops[_OP_INDEX[name]][n % 8]
 
     def is_zero(self) -> bool:
         return all(self.group(p, n).is_trivial() for p in PARTS for n in range(8))
@@ -177,7 +181,7 @@ def one_minus_psiU(M: CRTModule, n: int) -> GroupHom:
 
 
 # ---------------------------------------------------------------------------
-# Relation verification
+# The relation table: every defining relation and every exactness node
 # ---------------------------------------------------------------------------
 
 
@@ -199,77 +203,25 @@ class CheckReport:
         return "; ".join(f"{name}@{n}" for name, n in self.failures)
 
 
+@dataclass(frozen=True)
+class Check:
+    """One relation or exactness node, instantiated at each window degree n.
+
+    holds(M, n) reads the operations (name, n + offset) listed in reads
+    through M.op, and groups through M.group, and nothing else; the
+    Kunneth search therefore evaluates it on a partial assignment too.
+    A failure is reported at degree n + at, unreduced.
+    """
+
+    name: str
+    reads: tuple[tuple[str, int], ...]
+    holds: Callable[[CRTModule, int], bool]
+    at: int = 0
+    node: bool = False  # an exactness node of a long exact sequence
+
+
 def _two_id(G: FinAbGroup) -> GroupHom:
     return hom_scale(identity_hom(G), 2)
-
-
-def verify_relations(M: CRTModule) -> CheckReport:
-    """Check every defining relation in all eight stored degrees.
-
-    All failures are collected rather than failing fast; the report lists
-    (relation, degree) pairs.
-    """
-    rep = CheckReport()
-    for n in range(8):
-        c, r = M.op("c", n), M.op("r", n)
-        eps, zeta = M.op("eps", n), M.op("zeta", n)
-        psiU, psiT = M.op("psiU", n), M.op("psiT", n)
-        gamma, tau = M.op("gamma", n), M.op("tau", n)
-
-        if hom_compose(r, c) != _two_id(M.group("O", n)):
-            rep.add("rc=2", n)
-        if hom_compose(c, r) != identity_hom(M.group("U", n)) + psiU:
-            rep.add("cr=1+psiU", n)
-        if r != hom_compose(M.op("tau", n - 1), gamma):
-            rep.add("r=tau.gamma", n)
-        if c != hom_compose(zeta, eps):
-            rep.add("c=zeta.eps", n)
-        if hom_compose(psiU, psiU) != identity_hom(M.group("U", n)):
-            rep.add("psiU^2=1", n)
-        if hom_compose(psiT, psiT) != identity_hom(M.group("T", n)):
-            rep.add("psiT^2=1", n)
-        if hom_compose(psiT, eps) != eps:
-            rep.add("psiT.eps=eps", n)
-        if not hom_compose(M.op("zeta", n - 1), gamma).is_zero_map():
-            rep.add("zeta.gamma=0", n)
-        if hom_compose(psiU, zeta) != zeta:
-            rep.add("psiU.zeta=zeta", n)
-        if hom_compose(gamma, psiU) != gamma:
-            rep.add("gamma.psiU=gamma", n)
-
-        # Bott commutation under the identity-Bott storage convention.
-        if M.op("psiU", n + 2) != -psiU:
-            rep.add("psiU.betaU=-betaU.psiU", n)
-        if M.op("psiT", n + 4) != psiT:
-            rep.add("psiT.betaT=betaT.psiT", n)
-        if M.op("zeta", n + 4) != zeta:
-            rep.add("zeta.betaT=betaU^2.zeta", n)
-        if M.op("gamma", n + 4) != gamma:
-            rep.add("gamma.betaU^2=betaT.gamma", n)
-
-        if hom_compose(eps, hom_compose(r, zeta)) != identity_hom(M.group("T", n)) + psiT:
-            rep.add("eps.r.zeta=1+psiT", n)
-        if hom_compose(M.op("gamma", n + 1), hom_compose(M.op("c", n + 1), tau)) != \
-                identity_hom(M.group("T", n)) - psiT:
-            rep.add("gamma.c.tau=1-psiT", n)
-        if hom_compose(tau, psiT) != -tau:
-            rep.add("tau.psiT=-tau", n)
-        if not hom_compose(M.op("tau", n + 4), eps).is_zero_map():
-            rep.add("tau.betaT.eps=0", n)
-        if hom_compose(M.op("eps", n + 4), xi(M, n)) != hom_scale(eps, 2):
-            rep.add("eps.xi=2betaT.eps", n)
-        if hom_compose(xi(M, n + 1), tau) != hom_scale(M.op("tau", n + 4), 2):
-            rep.add("xi.tau=2tau.betaT", n)
-        lhs = hom_compose(M.op("eps", n + 1), tau)
-        rhs = hom_compose(M.op("eps", n + 5), M.op("tau", n + 4)) + eta_T(M, n + 4)
-        if lhs != rhs:
-            rep.add("betaT.eps.tau=eps.tau.betaT+etaT.betaT", n)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# Acyclicity: the three long exact sequences
-# ---------------------------------------------------------------------------
 
 
 def _node_ok(f: GroupHom, g: GroupHom) -> bool:
@@ -279,41 +231,115 @@ def _node_ok(f: GroupHom, g: GroupHom) -> bool:
         return False
 
 
-def is_acyclic(M: CRTModule, check_relations: bool = True) -> CheckReport:
-    """Exactness of the U/T, O/U and O/T sequences at every node.
+def _node(name: str, at: int, reads, maps: Callable[[CRTModule, int], tuple[GroupHom, GroupHom]]) -> Check:
+    """Exactness at the middle of the pair of maps (f, g) = maps(M, n)."""
+    return Check(name, reads, lambda M, n: _node_ok(*maps(M, n)), at, node=True)
 
-    Sequence 1:  MU_{n+1} --gamma--> MT_n --zeta--> MU_n --1-psiU--> MU_n
-    Sequence 2:  MO_n --etaO--> MO_{n+1} --c--> MU_{n+1} --r.betaU^-1--> MO_{n-1}
-    Sequence 3:  MO_n --etaO^2--> MO_{n+2} --eps--> MT_{n+2} --tau.betaT^-1--> MO_{n-1}
+
+# Relations first, then the nodes of the three sequences, each in report order.
+CHECKS: tuple[Check, ...] = (
+    Check("rc=2", (("r", 0), ("c", 0)),
+          lambda M, n: hom_compose(M.op("r", n), M.op("c", n)) == _two_id(M.group("O", n))),
+    Check("cr=1+psiU", (("c", 0), ("r", 0), ("psiU", 0)),
+          lambda M, n: hom_compose(M.op("c", n), M.op("r", n))
+          == identity_hom(M.group("U", n)) + M.op("psiU", n)),
+    Check("r=tau.gamma", (("r", 0), ("tau", -1), ("gamma", 0)),
+          lambda M, n: M.op("r", n) == hom_compose(M.op("tau", n - 1), M.op("gamma", n))),
+    Check("c=zeta.eps", (("c", 0), ("zeta", 0), ("eps", 0)),
+          lambda M, n: M.op("c", n) == hom_compose(M.op("zeta", n), M.op("eps", n))),
+    Check("psiU^2=1", (("psiU", 0),),
+          lambda M, n: hom_compose(M.op("psiU", n), M.op("psiU", n)) == identity_hom(M.group("U", n))),
+    Check("psiT^2=1", (("psiT", 0),),
+          lambda M, n: hom_compose(M.op("psiT", n), M.op("psiT", n)) == identity_hom(M.group("T", n))),
+    Check("psiT.eps=eps", (("psiT", 0), ("eps", 0)),
+          lambda M, n: hom_compose(M.op("psiT", n), M.op("eps", n)) == M.op("eps", n)),
+    Check("zeta.gamma=0", (("zeta", -1), ("gamma", 0)),
+          lambda M, n: hom_compose(M.op("zeta", n - 1), M.op("gamma", n)).is_zero_map()),
+    Check("psiU.zeta=zeta", (("psiU", 0), ("zeta", 0)),
+          lambda M, n: hom_compose(M.op("psiU", n), M.op("zeta", n)) == M.op("zeta", n)),
+    Check("gamma.psiU=gamma", (("gamma", 0), ("psiU", 0)),
+          lambda M, n: hom_compose(M.op("gamma", n), M.op("psiU", n)) == M.op("gamma", n)),
+    # Bott commutation under the identity-Bott storage convention.
+    Check("psiU.betaU=-betaU.psiU", (("psiU", 2), ("psiU", 0)),
+          lambda M, n: M.op("psiU", n + 2) == -M.op("psiU", n)),
+    Check("psiT.betaT=betaT.psiT", (("psiT", 4), ("psiT", 0)),
+          lambda M, n: M.op("psiT", n + 4) == M.op("psiT", n)),
+    Check("zeta.betaT=betaU^2.zeta", (("zeta", 4), ("zeta", 0)),
+          lambda M, n: M.op("zeta", n + 4) == M.op("zeta", n)),
+    Check("gamma.betaU^2=betaT.gamma", (("gamma", 4), ("gamma", 0)),
+          lambda M, n: M.op("gamma", n + 4) == M.op("gamma", n)),
+    Check("eps.r.zeta=1+psiT", (("eps", 0), ("r", 0), ("zeta", 0), ("psiT", 0)),
+          lambda M, n: hom_compose(M.op("eps", n), hom_compose(M.op("r", n), M.op("zeta", n)))
+          == identity_hom(M.group("T", n)) + M.op("psiT", n)),
+    Check("gamma.c.tau=1-psiT", (("gamma", 1), ("c", 1), ("tau", 0), ("psiT", 0)),
+          lambda M, n: hom_compose(M.op("gamma", n + 1), hom_compose(M.op("c", n + 1), M.op("tau", n)))
+          == identity_hom(M.group("T", n)) - M.op("psiT", n)),
+    Check("tau.psiT=-tau", (("tau", 0), ("psiT", 0)),
+          lambda M, n: hom_compose(M.op("tau", n), M.op("psiT", n)) == -M.op("tau", n)),
+    Check("tau.betaT.eps=0", (("tau", 4), ("eps", 0)),
+          lambda M, n: hom_compose(M.op("tau", n + 4), M.op("eps", n)).is_zero_map()),
+    Check("eps.xi=2betaT.eps", (("eps", 4), ("r", 4), ("c", 0), ("eps", 0)),
+          lambda M, n: hom_compose(M.op("eps", n + 4), xi(M, n)) == hom_scale(M.op("eps", n), 2)),
+    Check("xi.tau=2tau.betaT", (("r", 5), ("c", 1), ("tau", 0), ("tau", 4)),
+          lambda M, n: hom_compose(xi(M, n + 1), M.op("tau", n)) == hom_scale(M.op("tau", n + 4), 2)),
+    Check("betaT.eps.tau=eps.tau.betaT+etaT.betaT",
+          (("eps", 1), ("tau", 0), ("eps", 5), ("tau", 4), ("gamma", 6), ("zeta", 4)),
+          lambda M, n: hom_compose(M.op("eps", n + 1), M.op("tau", n))
+          == hom_compose(M.op("eps", n + 5), M.op("tau", n + 4)) + eta_T(M, n + 4)),
+    # Sequence 1:  MU_{n+1} --gamma--> MT_n --zeta--> MU_n --1-psiU--> MU_n
+    _node("seq1@T", 0, (("gamma", 1), ("zeta", 0)),
+          lambda M, n: (M.op("gamma", n + 1), M.op("zeta", n))),
+    _node("seq1@U.ker(1-psiU)", 0, (("zeta", 0), ("psiU", 0)),
+          lambda M, n: (M.op("zeta", n), one_minus_psiU(M, n))),
+    _node("seq1@U.ker(gamma)", 0, (("psiU", 0), ("gamma", 0)),
+          lambda M, n: (one_minus_psiU(M, n), M.op("gamma", n))),
+    # Sequence 2:  MO_n --etaO--> MO_{n+1} --c--> MU_{n+1} --r.betaU^-1--> MO_{n-1}
+    # (r.betaU^-1 is the stored r at n-1).
+    _node("seq2@O", 1, (("tau", 0), ("eps", 0), ("c", 1)),
+          lambda M, n: (eta_O(M, n), M.op("c", n + 1))),
+    _node("seq2@U", 1, (("c", 1), ("r", -1)),
+          lambda M, n: (M.op("c", n + 1), M.op("r", n - 1))),
+    _node("seq2@O.ker(etaO)", -1, (("r", -1), ("tau", -1), ("eps", -1)),
+          lambda M, n: (M.op("r", n - 1), eta_O(M, n - 1))),
+    # Sequence 3:  MO_n --etaO^2--> MO_{n+2} --eps--> MT_{n+2} --tau.betaT^-1--> MO_{n-1}
+    # (tau.betaT^-1 is the stored tau at n+6 = n-2).
+    _node("seq3@O", 2, (("tau", 1), ("eps", 1), ("tau", 0), ("eps", 0), ("eps", 2)),
+          lambda M, n: (eta_O_sq(M, n), M.op("eps", n + 2))),
+    _node("seq3@T", 2, (("eps", 2), ("tau", 6)),
+          lambda M, n: (M.op("eps", n + 2), M.op("tau", n + 6))),
+    _node("seq3@O.ker(etaO^2)", -1, (("tau", 6), ("tau", 0), ("eps", 0), ("tau", -1), ("eps", -1)),
+          lambda M, n: (M.op("tau", n + 6), eta_O_sq(M, n - 1))),
+)
+_RELATIONS = tuple(chk for chk in CHECKS if not chk.node)
+_NODES = tuple(chk for chk in CHECKS if chk.node)
+
+
+def _report(M: CRTModule, checks: Sequence[Check]) -> CheckReport:
+    """Every check in every stored degree, failures in (degree, table) order."""
+    rep = CheckReport()
+    for n in range(8):
+        for chk in checks:
+            if not chk.holds(M, n):
+                rep.add(chk.name, n + chk.at)
+    return rep
+
+
+def verify_relations(M: CRTModule) -> CheckReport:
+    """Check every defining relation in all eight stored degrees.
+
+    All failures are collected rather than failing fast; the report lists
+    (relation, degree) pairs.
     """
+    return _report(M, _RELATIONS)
+
+
+def is_acyclic(M: CRTModule, check_relations: bool = True) -> CheckReport:
+    """Exactness of the U/T, O/U and O/T sequences at every node (see CHECKS)."""
     if check_relations:
         rel = verify_relations(M)
         if not rel.ok():
             raise ValueError(f"relations fail: {rel}")
-    rep = CheckReport()
-    for n in range(8):
-        # Sequence 1.
-        if not _node_ok(M.op("gamma", n + 1), M.op("zeta", n)):
-            rep.add("seq1@T", n)
-        if not _node_ok(M.op("zeta", n), one_minus_psiU(M, n)):
-            rep.add("seq1@U.ker(1-psiU)", n)
-        if not _node_ok(one_minus_psiU(M, n), M.op("gamma", n)):
-            rep.add("seq1@U.ker(gamma)", n)
-        # Sequence 2 (r.betaU^-1 is the stored r at n-1).
-        if not _node_ok(eta_O(M, n), M.op("c", n + 1)):
-            rep.add("seq2@O", n + 1)
-        if not _node_ok(M.op("c", n + 1), M.op("r", n - 1)):
-            rep.add("seq2@U", n + 1)
-        if not _node_ok(M.op("r", n - 1), eta_O(M, n - 1)):
-            rep.add("seq2@O.ker(etaO)", n - 1)
-        # Sequence 3 (tau.betaT^-1 is the stored tau at n+6 = n-2).
-        if not _node_ok(eta_O_sq(M, n), M.op("eps", n + 2)):
-            rep.add("seq3@O", n + 2)
-        if not _node_ok(M.op("eps", n + 2), M.op("tau", n + 6)):
-            rep.add("seq3@T", n + 2)
-        if not _node_ok(M.op("tau", n + 6), eta_O_sq(M, n - 1)):
-            rep.add("seq3@O.ker(etaO^2)", n - 1)
-    return rep
+    return _report(M, _NODES)
 
 
 def is_free(M: CRTModule) -> bool:

@@ -11,7 +11,7 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _tables
 from .crt_core import (
@@ -316,15 +316,6 @@ def morphism_realize(m: FreeMorphism, check: bool = True) -> Morphism:
     return realize_morphism(m.source, m.target.realized, m.images, check=check)
 
 
-def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
-    from .zlinalg import hom_compose
-    out = {}
-    for part in PARTS:
-        for n in range(8):
-            out[(part, n)] = hom_compose(g[(part, n)], f[(part, n)])
-    return out
-
-
 def free_to_json(F: FreeCRT) -> dict:
     """Summand list; the realized module is reconstructed on load."""
     return {"summands": [[s.kind, s.shift] for s in F.summands]}
@@ -332,52 +323,3 @@ def free_to_json(F: FreeCRT) -> dict:
 
 def free_from_json(obj: dict) -> FreeCRT:
     return free_module([MonogenicKind(k, s) for k, s in obj["summands"]])
-
-
-def free_morphism_to_json(m: FreeMorphism) -> dict:
-    """Source and target summand lists plus generator image vectors."""
-    return {
-        "source": free_to_json(m.source),
-        "target": free_to_json(m.target),
-        "images": [list(x.vec) for x in m.images],
-    }
-
-
-def free_morphism_from_json(obj: dict) -> FreeMorphism:
-    source = free_from_json(obj["source"])
-    target = free_from_json(obj["target"])
-    images = [Element(s.generator_part, s.generator_degree, tuple(v))
-              for s, v in zip(source.summands, obj["images"])]
-    return FreeMorphism(source, target, images)
-
-
-def find_free_isomorphism(F: FreeCRT, M: CRTModule, bound: int = 2) -> Optional[Morphism]:
-    """Search for an isomorphism from a free module onto M.
-
-    A morphism out of F is a choice of generator images, so candidates are
-    enumerated over small coordinate boxes; this covers modules with free
-    parts, which the generic finite-group isomorphism search refuses.
-    """
-    import itertools
-
-    from .crt_core import morphism_is_iso
-
-    for p in PARTS:
-        for n in range(8):
-            if F.realized.group(p, n) != M.group(p, n):
-                return None
-    boxes = []
-    for i, s in enumerate(F.summands):
-        G = M.group(s.generator_part, s.generator_degree)
-        rng = sorted(range(-bound, bound + 1), key=abs)
-        boxes.append([G.reduce(v) for v in itertools.product(rng, repeat=G.ngens)])
-    for combo in itertools.product(*boxes):
-        images = [Element(s.generator_part, s.generator_degree, v)
-                  for s, v in zip(F.summands, combo)]
-        try:
-            fam = realize_morphism(F, M, images, check=True)
-        except ValueError:
-            continue
-        if morphism_is_iso(fam):
-            return fam
-    return None

@@ -11,8 +11,10 @@ matrices.  For each operation instance the intertwining conditions are
 an affine problem: one particular solution is found by exact linear
 algebra, and the ambiguity is exactly alpha . W . beta for W ranging
 over the finite group Hom(tor_{n-1}, tensor_m), so the aggregate search
-space is small and is pruned further by relation and exactness checks
-as operations fill in.
+space is small.  It is pruned further by every relation and exactness
+node of crt_core.CHECKS, each in each degree, at the operation that
+completes it; a full assignment therefore is an acyclic CRT-module, and
+no final suite runs on it.
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -25,9 +27,8 @@ already assigned maps it to a smaller index ("orderly" search), so it
 reaches exactly the first copy in search order of each G-orbit.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism
-as they arrive; only the first middle of each class is fully checked.
-The dedup still catches isomorphisms outside G.  Each distinct problem
-is solved once per process (solve_middle).
+as they arrive; the dedup still catches isomorphisms outside G.  Each
+distinct problem is solved once per process (solve_middle).
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from math import gcd
 from typing import Callable, Optional
 
 from .crt_core import (
+    CHECKS,
     BudgetExceeded,
     CRTModule,
+    Check,
     Morphism,
     OP_NAMES,
     OP_SPECS,
@@ -49,12 +52,10 @@ from .crt_core import (
     SLOTS,
     crt_isomorphic,
     direct_sum,
-    is_acyclic,
     make_module,
     module_to_json,
     slot_of,
     suspend,
-    verify_relations,
 )
 from .zlinalg import (
     FinAbGroup,
@@ -66,9 +67,7 @@ from .zlinalg import (
     fin_ab_tor,
     hom_compose,
     hom_group_elements,
-    hom_scale,
     identity_hom,
-    is_exact_at,
     solve_matrix_system,
 )
 
@@ -136,6 +135,36 @@ _ORDER_INDEX = {key: i for i, key in enumerate(_OP_ORDER)}
 _SLOT_INDEX = {slot: i for i, slot in enumerate(SLOTS)}
 
 
+def _schedule() -> dict[tuple[str, int], list[tuple[Check, int]]]:
+    """Each (check, degree) of crt_core.CHECKS at the operation that completes it.
+
+    psiT_n is derived when eps_n is assigned, so a read of psiT_n counts as eps_n.
+    """
+    reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in _OP_ORDER}
+    for chk in CHECKS:
+        for n in range(8):
+            keys = [("eps" if name == "psiT" else name, (n + off) % 8) for name, off in chk.reads]
+            reg[max(keys, key=_ORDER_INDEX.__getitem__)].append((chk, n))
+    return reg
+
+
+_SCHEDULE = _schedule()
+
+
+class _Assigned:
+    """A partial operation assignment seen through the two methods CHECKS use."""
+
+    def __init__(self, ops: dict[tuple[str, int], GroupHom], group: Callable[[str, int], FinAbGroup]):
+        self._ops = ops
+        self.group = group
+
+    def op(self, name: str, n: int) -> GroupHom:
+        try:
+            return self._ops[(name, n % 8)]
+        except KeyError:
+            raise LookupError(f"{name}_{n % 8} is not assigned yet") from None
+
+
 def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:
     """(u, u^-1) for the automorphisms u = 1 + alpha.h.beta of K, h in Hom(quot, sub).
 
@@ -157,7 +186,6 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.raw = 0        # middles reaching _finish
-        self.checked = 0    # middles that started a new class and were checked
         self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
@@ -271,7 +299,7 @@ class _Search:
 
     def _op_stage(self):
         ops: dict[tuple[str, int], GroupHom] = {}
-        checks = self._build_checks()
+        view = _Assigned(ops, self._k_group)
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
         if any(not v for v in cand.values()):
             return
@@ -317,7 +345,7 @@ class _Search:
                     if psiT is None:
                         continue
                     ops[("psiT", key[1])] = psiT
-                if all(chk(ops) for chk in checks.get(key, [])):
+                if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1, H_next)
             ops.pop(key, None)
             ops.pop(("psiT", key[1]), None)
@@ -338,77 +366,6 @@ class _Search:
             return None
         return psiT
 
-    def _build_checks(self) -> dict[tuple[str, int], list[Callable]]:
-        """Pruning checks, fired when their last-assigned operation arrives."""
-        reg: dict[tuple[str, int], list[Callable]] = {}
-
-        def at(requires, fn):
-            keyed = [k for k in requires if k[0] != "psiT"]
-            for name, n in requires:
-                if name == "psiT":
-                    keyed.append(("eps", n))
-            trigger = max(keyed, key=lambda k: _ORDER_INDEX[k])
-            reg.setdefault(trigger, []).append(fn)
-
-        def exact(f, g):
-            try:
-                return is_exact_at(f, g)
-            except ValueError:
-                return False
-
-        two = {n: hom_scale(identity_hom(self._k_group("O", n)), 2) for n in range(8)}
-        idU = {n: identity_hom(self._k_group("U", n)) for n in range(8)}
-        idT = {n: identity_hom(self._k_group("T", n)) for n in range(8)}
-
-        for n in range(8):
-            nn = n
-            at([("zeta", (nn - 1) % 8), ("gamma", nn)],
-               lambda o, n=nn: hom_compose(o[("zeta", (n - 1) % 8)], o[("gamma", n)]).is_zero_map())
-            at([("zeta", (nn - 1) % 8), ("gamma", nn)],
-               lambda o, n=nn: exact(o[("gamma", n)], o[("zeta", (n - 1) % 8)]))
-            at([("psiU", nn), ("psiU", (nn + 2) % 8)],
-               lambda o, n=nn: o[("psiU", (n + 2) % 8)] == -o[("psiU", n)])
-            at([("psiU", nn)],
-               lambda o, n=nn: hom_compose(o[("psiU", n)], o[("psiU", n)]) == idU[n])
-            at([("psiU", nn), ("zeta", nn)],
-               lambda o, n=nn: hom_compose(o[("psiU", n)], o[("zeta", n)]) == o[("zeta", n)])
-            at([("psiU", nn), ("gamma", nn)],
-               lambda o, n=nn: hom_compose(o[("gamma", n)], o[("psiU", n)]) == o[("gamma", n)])
-            at([("psiU", nn), ("zeta", nn)],
-               lambda o, n=nn: exact(o[("zeta", n)], idU[n] - o[("psiU", n)]))
-            at([("psiU", nn), ("gamma", nn)],
-               lambda o, n=nn: exact(idU[n] - o[("psiU", n)], o[("gamma", n)]))
-            at([("zeta", (nn + 4) % 8), ("zeta", nn)],
-               lambda o, n=nn: o[("zeta", (n + 4) % 8)] == o[("zeta", n)])
-            at([("gamma", (nn + 4) % 8), ("gamma", nn)],
-               lambda o, n=nn: o[("gamma", (n + 4) % 8)] == o[("gamma", n)])
-            at([("c", nn), ("r", nn), ("psiU", nn)],
-               lambda o, n=nn: hom_compose(o[("c", n)], o[("r", n)]) == idU[n] + o[("psiU", n)])
-            at([("c", nn), ("r", nn)],
-               lambda o, n=nn: hom_compose(o[("r", n)], o[("c", n)]) == two[n])
-            at([("c", (nn + 2) % 8), ("r", nn)],
-               lambda o, n=nn: exact(o[("c", (n + 2) % 8)], o[("r", n)]))
-            at([("r", nn), ("tau", (nn - 1) % 8), ("gamma", nn)],
-               lambda o, n=nn: o[("r", n)] == hom_compose(o[("tau", (n - 1) % 8)], o[("gamma", n)]))
-            at([("c", nn), ("zeta", nn), ("eps", nn)],
-               lambda o, n=nn: o[("c", n)] == hom_compose(o[("zeta", n)], o[("eps", n)]))
-            at([("eps", nn), ("psiT", nn)],
-               lambda o, n=nn: hom_compose(o[("psiT", n)], o[("psiT", n)]) == idT[n])
-            at([("eps", nn), ("psiT", nn)],
-               lambda o, n=nn: hom_compose(o[("psiT", n)], o[("eps", n)]) == o[("eps", n)])
-            at([("tau", nn), ("psiT", nn)],
-               lambda o, n=nn: hom_compose(o[("tau", n)], o[("psiT", n)]) == -o[("tau", n)])
-            at([("gamma", (nn + 1) % 8), ("c", (nn + 1) % 8), ("tau", nn), ("psiT", nn)],
-               lambda o, n=nn: hom_compose(
-                   o[("gamma", (n + 1) % 8)],
-                   hom_compose(o[("c", (n + 1) % 8)], o[("tau", n)])) == idT[n] - o[("psiT", n)])
-            at([("tau", (nn + 4) % 8), ("eps", nn)],
-               lambda o, n=nn: hom_compose(o[("tau", (n + 4) % 8)], o[("eps", n)]).is_zero_map())
-            # exactness of the eta_O sequence nodes once eps arrives
-            at([("eps", nn), ("tau", nn), ("c", (nn + 1) % 8)],
-               lambda o, n=nn: exact(hom_compose(o[("tau", n)], o[("eps", n)]), o[("c", (n + 1) % 8)]))
-        return reg
-
     def _finish(self, ops: dict):
         self.raw += 1
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}
@@ -417,12 +374,7 @@ class _Search:
             middle = make_module(groups, mats)
         except ValueError:
             return
-        # Relations and exactness are CRT-isomorphism invariant: a kept class's copy needs no checks.
         if any(crt_isomorphic(middle, sol.middle) is not None for sol in self.solutions):
-            return
-        self.checked += 1
-        if not (verify_relations(middle).ok()
-                and is_acyclic(middle, check_relations=False).ok()):
             return
         alpha = {(p, n): self._alpha(p, n) for p in PARTS for n in range(8)}
         beta = {(p, n): self._beta(p, n) for p in PARTS for n in range(8)}
@@ -437,11 +389,10 @@ def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolu
     """All middles K for the extension problem, up to CRT-isomorphism.
 
     The operation search visits one copy per orbit of the gauge group
-    (module docstring), the first in search order.  The search keeps the
-    first middle of each class in arrival order and checks relations and
-    acyclicity once per new class.  Raises
-    BudgetExceeded when the node budget runs out; an empty result for a
-    pair the tables cover signals a transcription error upstream.
+    (module docstring), the first in search order, and keeps the first
+    middle of each class in arrival order.  Raises BudgetExceeded when
+    the node budget runs out; an empty result for a pair the tables
+    cover signals a transcription error upstream.
 
     The search is a deterministic function of (p.tensor, p.tor, budget),
     so it runs once per distinct value of these in a process; a repeat
@@ -456,9 +407,9 @@ def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolu
         for sol in kept:
             sol.split = split_check(sol, p)
         _SOLVED[key] = kept
-        log.debug("Kunneth search: %d nodes, %d raw middles, %d classes checked, %d kept, "
+        log.debug("Kunneth search: %d nodes, %d raw middles, %d kept, "
                   "%d non-canonical candidates skipped",
-                  search.nodes, search.raw, search.checked, len(kept), search.skipped)
+                  search.nodes, search.raw, len(kept), search.skipped)
     else:
         log.debug("Kunneth search: reused the solve of an equal problem, %d kept", len(kept))
     return [replace(sol, alpha=dict(sol.alpha), beta=dict(sol.beta)) for sol in kept]

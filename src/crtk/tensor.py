@@ -28,7 +28,6 @@ from .crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
-    crt_isomorphic,
     eta_O,
     eta_T,
     make_module,
@@ -38,15 +37,11 @@ from .crt_core import (
     verify_relations,
     xi,
 )
-from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act, monogenic
+from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act
 from .zlinalg import (
-    FinAbGroup,
     GroupHom,
     IntMatrix,
     cokernel_data,
-    fin_ab_tensor,
-    fin_ab_tor,
-    group_from_invariants,
     hom_compose,
     hom_kernel,
     hom_preimage,
@@ -259,10 +254,6 @@ def _stack_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
         r0 += b.rows
         c0 += b.cols
     return IntMatrix.from_rows(out, cols=cols)
-
-
-def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
-    return tensor_free(monogenic(kind, k), N)
 
 
 # ---------------------------------------------------------------------------
@@ -580,38 +571,3 @@ def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     if not rep.ok():
         raise ValueError(f"Tor fails relations: {rep}")
     return TorPair(tensor_mod, tor_mod, proj_fam, incl_fam, t0, t1)
-
-
-def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,
-                           budget: int = 2_000_000) -> bool:
-    """tensor(M, N) isomorphic to tensor(N, M) for resolved M, N."""
-    mn = tensor_and_tor(res_m, res_n.target)
-    nm = tensor_and_tor(res_n, res_m.target)
-    if mn.tensor.is_zero() and nm.tensor.is_zero():
-        return True
-    return crt_isomorphic(mn.tensor, nm.tensor, budget=budget) is not None
-
-
-# ---------------------------------------------------------------------------
-# Complex-part cross-check
-# ---------------------------------------------------------------------------
-
-
-def complex_tensor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
-    """(M^U ⊗ N^U)_n over the Laurent coefficient ring, per window degree."""
-    out = []
-    for n in range(8):
-        parts = [fin_ab_tensor(M.group("U", 0), N.group("U", n)),
-                 fin_ab_tensor(M.group("U", 1), N.group("U", n - 1))]
-        out.append(group_from_invariants([i for G in parts for i in G.invariants]))
-    return out
-
-
-def complex_tor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
-    """Tor of the complex parts over the Laurent ring, per window degree."""
-    out = []
-    for n in range(8):
-        parts = [fin_ab_tor(M.group("U", 0), N.group("U", n)),
-                 fin_ab_tor(M.group("U", 1), N.group("U", n - 1))]
-        out.append(group_from_invariants([i for G in parts for i in G.invariants]))
-    return out

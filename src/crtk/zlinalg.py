@@ -435,15 +435,6 @@ class FinAbGroup:
             raise ValueError("cannot enumerate an infinite group")
         yield from itertools.product(*(range(t) for t in self.torsion))
 
-    def element_order(self, v: Sequence[int]) -> int:
-        if not self.is_finite():
-            raise ValueError("element order only for finite groups")
-        o = 1
-        for x, t in zip(v, self.torsion):
-            ox = t // gcd(x, t)
-            o = o * ox // gcd(o, ox)
-        return o
-
     def relation_matrix(self) -> IntMatrix:
         """Columns t_j * e_j for the torsion generators (one shared matrix per group)."""
         return _relation_matrix(self.torsion, self.free_rank)
@@ -582,10 +573,6 @@ def identity_hom(G: FinAbGroup) -> GroupHom:
     return GroupHom(G, G, IntMatrix.identity(G.ngens))
 
 
-def zero_hom(domain: FinAbGroup, codomain: FinAbGroup) -> GroupHom:
-    return GroupHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
-
-
 def hom_from_cols(domain: FinAbGroup, codomain: FinAbGroup, cols: Sequence[Sequence[int]]) -> GroupHom:
     return GroupHom(domain, codomain, IntMatrix.from_cols(cols, rows=codomain.ngens))
 
@@ -652,12 +639,6 @@ def _subquotient(L: IntMatrix, ambient: FinAbGroup) -> tuple[FinAbGroup, GroupHo
     return K, incl
 
 
-def subgroup_contains(incl: GroupHom, x: Sequence[int]) -> bool:
-    """Is x (in ambient coordinates) inside the image of the inclusion?"""
-    L = incl.matrix.hstack(incl.codomain.relation_matrix())
-    return lattice_contains(L, x)
-
-
 def hom_preimage(f: GroupHom, y: Sequence[int]) -> Optional[Vec]:
     """Some x with f(x) = y, or None."""
     A = f.matrix.hstack(f.codomain.relation_matrix())
@@ -691,31 +672,6 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     _, im = hom_image(f)
     _, ker = hom_kernel(g)
     return subgroups_equal(im, ker)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle (relies only on element arithmetic)
-# ---------------------------------------------------------------------------
-
-ORACLE_BOUND = 4096
-
-
-def oracle_enumerate(f: GroupHom) -> tuple[list[Vec], list[Vec]]:
-    """Exhaustive (kernel elements, image elements) for small finite groups."""
-    od, oc = f.domain.order(), f.codomain.order()
-    if od is None or oc is None:
-        raise ValueError("oracle requires finite groups")
-    if od > ORACLE_BOUND or oc > ORACLE_BOUND:
-        raise ValueError(f"oracle bound {ORACLE_BOUND} exceeded")
-    kernel = []
-    image = set()
-    for v in f.domain.elements():
-        w = tuple(sum(row[j] * v[j] for j in range(len(v))) % t
-                  for row, t in zip(f.matrix.entries, f.codomain.invariants))
-        image.add(w)
-        if all(x == 0 for x in w):
-            kernel.append(v)
-    return kernel, sorted(image)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Unreduced, check-every-copy Kunneth search: the oracle for the solver's shortcuts.
 
-The solver visits one operation assignment per gauge orbit, drops a raw
-middle that is CRT-isomorphic to a class it has already kept before any
-check, and checks relations and acyclicity only for the first middle of
-each class.  This module keeps the older path: the operation search
-visits every candidate, every raw middle it reaches runs both checks,
-and the survivors are deduplicated pairwise up to CRT-isomorphism
-afterwards.
+The solver visits one operation assignment per gauge orbit, prunes with
+every entry of crt_core.CHECKS and runs no final suite, and drops a raw
+middle that is CRT-isomorphic to a class it has already kept.  This
+module keeps the older path: the operation search visits every
+candidate (pruned by the same schedule), every raw middle it reaches
+runs the full relation and acyclicity suites, and the survivors are
+deduplicated pairwise up to CRT-isomorphism afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ from crtk.crt_core import (
     slot_of,
     verify_relations,
 )
-from crtk.kunneth import _OP_ORDER, KunnethProblem, KunnethSolution, _Search, split_check
+from crtk.kunneth import (
+    _OP_ORDER,
+    _SCHEDULE,
+    KunnethProblem,
+    KunnethSolution,
+    _Assigned,
+    _Search,
+    split_check,
+)
 from crtk.zlinalg import GroupHom, IntMatrix, hom_compose, hom_preimage
 
 
@@ -30,7 +38,7 @@ class CheckEveryCopy(_Search):
 
     def _op_stage(self):
         ops = {}
-        checks = self._build_checks()
+        view = _Assigned(ops, self._k_group)
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
         if any(not v for v in cand.values()):
             return
@@ -48,7 +56,7 @@ class CheckEveryCopy(_Search):
                     if psiT is None:
                         continue
                     ops[("psiT", key[1])] = psiT
-                if all(chk(ops) for chk in checks.get(key, [])):
+                if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1)
             ops.pop(key, None)
             ops.pop(("psiT", key[1]), None)

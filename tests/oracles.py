@@ -1,0 +1,156 @@
+"""Brute-force oracles and test-only helpers for zlinalg, free_crt, tensor and catalog.
+
+Nothing in the package calls these; the tests use them to cross-check
+the package's own constructions by independent, simpler routes.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+from typing import Optional, Sequence
+
+from crtk.catalog import data_dir
+from crtk.crt_core import PARTS, CRTModule, Morphism, crt_isomorphic, module_to_json, morphism_is_iso
+from crtk.free_crt import Element, FreeCRT, monogenic, realize_morphism
+from crtk.tensor import FreeResolution, TensorModule, tensor_and_tor, tensor_free
+from crtk.zlinalg import (
+    FinAbGroup,
+    GroupHom,
+    IntMatrix,
+    Vec,
+    fin_ab_tensor,
+    fin_ab_tor,
+    group_from_invariants,
+    hom_compose,
+    lattice_contains,
+)
+
+# ---------------------------------------------------------------------------
+# zlinalg
+# ---------------------------------------------------------------------------
+
+ORACLE_BOUND = 4096
+
+
+def oracle_enumerate(f: GroupHom) -> tuple[list[Vec], list[Vec]]:
+    """Exhaustive (kernel elements, image elements) for small finite groups."""
+    od, oc = f.domain.order(), f.codomain.order()
+    if od is None or oc is None:
+        raise ValueError("oracle requires finite groups")
+    if od > ORACLE_BOUND or oc > ORACLE_BOUND:
+        raise ValueError(f"oracle bound {ORACLE_BOUND} exceeded")
+    kernel = []
+    image = set()
+    for v in f.domain.elements():
+        w = tuple(sum(row[j] * v[j] for j in range(len(v))) % t
+                  for row, t in zip(f.matrix.entries, f.codomain.invariants))
+        image.add(w)
+        if all(x == 0 for x in w):
+            kernel.append(v)
+    return kernel, sorted(image)
+
+
+def subgroup_contains(incl: GroupHom, x: Sequence[int]) -> bool:
+    """Is x (in ambient coordinates) inside the image of the inclusion?"""
+    L = incl.matrix.hstack(incl.codomain.relation_matrix())
+    return lattice_contains(L, x)
+
+
+def zero_hom(domain: FinAbGroup, codomain: FinAbGroup) -> GroupHom:
+    return GroupHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
+
+
+# ---------------------------------------------------------------------------
+# free_crt
+# ---------------------------------------------------------------------------
+
+
+def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
+    return {(part, n): hom_compose(g[(part, n)], f[(part, n)]) for part in PARTS for n in range(8)}
+
+
+def find_free_isomorphism(F: FreeCRT, M: CRTModule, bound: int = 2) -> Optional[Morphism]:
+    """Search for an isomorphism from a free module onto M.
+
+    A morphism out of F is a choice of generator images, so candidates are
+    enumerated over small coordinate boxes; this covers modules with free
+    parts, which the generic finite-group isomorphism search refuses.
+    """
+    for p in PARTS:
+        for n in range(8):
+            if F.realized.group(p, n) != M.group(p, n):
+                return None
+    boxes = []
+    for s in F.summands:
+        G = M.group(s.generator_part, s.generator_degree)
+        rng = sorted(range(-bound, bound + 1), key=abs)
+        boxes.append([G.reduce(v) for v in itertools.product(rng, repeat=G.ngens)])
+    for combo in itertools.product(*boxes):
+        images = [Element(s.generator_part, s.generator_degree, v)
+                  for s, v in zip(F.summands, combo)]
+        try:
+            fam = realize_morphism(F, M, images, check=True)
+        except ValueError:
+            continue
+        if morphism_is_iso(fam):
+            return fam
+    return None
+
+
+# ---------------------------------------------------------------------------
+# tensor
+# ---------------------------------------------------------------------------
+
+
+def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
+    return tensor_free(monogenic(kind, k), N)
+
+
+def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,
+                           budget: int = 2_000_000) -> bool:
+    """tensor(M, N) isomorphic to tensor(N, M) for resolved M, N."""
+    mn = tensor_and_tor(res_m, res_n.target)
+    nm = tensor_and_tor(res_n, res_m.target)
+    if mn.tensor.is_zero() and nm.tensor.is_zero():
+        return True
+    return crt_isomorphic(mn.tensor, nm.tensor, budget=budget) is not None
+
+
+def complex_tensor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
+    """(M^U ⊗ N^U)_n over the Laurent coefficient ring, per window degree."""
+    out = []
+    for n in range(8):
+        parts = [fin_ab_tensor(M.group("U", 0), N.group("U", n)),
+                 fin_ab_tensor(M.group("U", 1), N.group("U", n - 1))]
+        out.append(group_from_invariants([i for G in parts for i in G.invariants]))
+    return out
+
+
+def complex_tor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
+    """Tor of the complex parts over the Laurent ring, per window degree."""
+    out = []
+    for n in range(8):
+        parts = [fin_ab_tor(M.group("U", 0), N.group("U", n)),
+                 fin_ab_tor(M.group("U", 1), N.group("U", n - 1))]
+        out.append(group_from_invariants([i for G in parts for i in G.invariants]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# catalog
+# ---------------------------------------------------------------------------
+
+
+def write_base_fixtures(path: Optional[Path] = None) -> list[Path]:
+    """Serialize the three base modules as versioned JSON fixtures."""
+    path = path or data_dir()
+    path.mkdir(parents=True, exist_ok=True)
+    out = []
+    for name in ("R", "C", "T"):
+        p = path / f"{name}.json"
+        with open(p, "w") as fh:
+            json.dump(module_to_json(monogenic(name, 0).realized), fh, indent=1, sort_keys=True)
+        out.append(p)
+    return out

@@ -27,7 +27,7 @@ from crtk.crt_core import (
 )
 from crtk.free_crt import MonogenicKind, free_module, monogenic
 from crtk.kunneth import KunnethProblem, classical_complex_kunneth, solve_middle, split_model
-from crtk.tensor import tensor_and_tor, tensor_free, tensor_monogenic
+from crtk.tensor import tensor_and_tor, tensor_free
 from crtk.zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -36,11 +36,11 @@ from crtk.zlinalg import (
     hom_from_cols,
     hom_image,
     hom_kernel,
-    oracle_enumerate,
     smith_normal_form,
 )
 
 from extension_oracle import abelian_groups_of_order
+from oracles import oracle_enumerate, tensor_monogenic
 
 _SOLVED = {}
 

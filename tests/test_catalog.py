@@ -183,7 +183,7 @@ class TestEntriesAndData:
         assert is_acyclic(M, check_relations=False).ok()
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
-        from crtk.catalog import write_base_fixtures
+        from oracles import write_base_fixtures
         write_base_fixtures(tmp_path)
         monkeypatch.setenv("CRT_DATA_DIR", str(tmp_path))
         ent = catalog_entry("T")

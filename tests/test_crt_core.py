@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crtk.catalog import cuntz_module, expected_product
 from crtk.crt_core import (
+    CHECKS,
     GradedPart,
     OP_NAMES,
     PARTS,
@@ -93,6 +94,25 @@ class TestRelationFailures:
         assert is_acyclic(Z).ok()
         assert is_free(Z)
 
+    def test_reports_pin_names_degrees_and_order(self):
+        groups = {p: [R.group(p, n) for n in range(8)] for p in PARTS}
+        mats = {name: [R.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
+        mats["psiU"] = [(-m if n == 0 else m) for n, m in enumerate(mats["psiU"])]
+        assert verify_relations(make_module(groups, mats)).failures == [
+            ("cr=1+psiU", 0), ("psiU.zeta=zeta", 0), ("gamma.psiU=gamma", 0),
+            ("psiU.betaU=-betaU.psiU", 0), ("psiU.betaU=-betaU.psiU", 6)]
+        # Exactness nodes report at their node's degree, unreduced (8, not 0).
+        assert is_acyclic(lone_O_module(), check_relations=False).failures == [
+            ("seq2@O.ker(etaO)", 0), ("seq3@O.ker(etaO^2)", 0), ("seq3@O", 8), ("seq2@O", 8)]
+        M = cuntz_module(2)
+        groups = {p: [M.group(p, n) for n in range(8)] for p in PARTS}
+        mats = {name: [M.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
+        mats["eps"] = [(IntMatrix.zeros(m.rows, m.cols) if n == 1 else m)
+                       for n, m in enumerate(mats["eps"])]
+        assert verify_relations(make_module(groups, mats)).failures == [
+            ("betaT.eps.tau=eps.tau.betaT+etaT.betaT", 0),
+            ("betaT.eps.tau=eps.tau.betaT+etaT.betaT", 4)]
+
     def test_is_acyclic_requires_relations(self):
         groups = {p: [R.group(p, n) for n in range(8)] for p in PARTS}
         mats = {name: [R.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
@@ -100,6 +120,35 @@ class TestRelationFailures:
         M = make_module(groups, mats)
         with pytest.raises(ValueError):
             is_acyclic(M)
+
+
+class _RecordingView:
+    """A module seen through op and group, recording the operations read."""
+
+    def __init__(self, M):
+        self.M = M
+        self.read = set()
+
+    def op(self, name, n):
+        self.read.add((name, n % 8))
+        return self.M.op(name, n)
+
+    def group(self, part, n):
+        return self.M.group(part, n)
+
+
+class TestCheckTable:
+    def test_thirty_uniquely_named_entries(self):
+        assert len({chk.name for chk in CHECKS}) == len(CHECKS) == 30
+        assert sum(chk.node for chk in CHECKS) == 9
+
+    def test_each_check_reads_exactly_its_declared_keys(self):
+        M = expected_product(4, 4)
+        for chk in CHECKS:
+            for n in range(8):
+                view = _RecordingView(M)
+                assert chk.holds(view, n), (chk.name, n)
+                assert view.read == {(name, (n + off) % 8) for name, off in chk.reads}, (chk.name, n)
 
 
 def lone_O_module():

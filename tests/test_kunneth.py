@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 from collections import Counter
 from math import gcd, prod
 
@@ -9,6 +10,7 @@ import pytest
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import (
+    CHECKS,
     PARTS,
     SLOTS,
     BudgetExceeded,
@@ -20,6 +22,7 @@ from crtk.crt_core import (
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
     _OP_ORDER,
+    _SCHEDULE,
     _SOLVED,
     KunnethProblem,
     _extension_options,
@@ -97,7 +100,8 @@ class TestExtensionOptions:
 
 
 class TestDedupOnArrival:
-    @pytest.mark.parametrize("k, l", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 6), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("k, l", [(2, 2), (2, 4), (2, 6), (2, 10), (3, 3), (3, 6), (4, 6),
+                                      (5, 5), (6, 10)])
     def test_agrees_with_check_every_copy(self, k, l):
         problem, kept = solve(k, l)
         raw, want = solve_middle_oracle(problem)
@@ -105,18 +109,30 @@ class TestDedupOnArrival:
             [module_to_json(s.middle) for s in want]
         assert [s.split for s in kept] == [s.split for s in want]
         for copy in raw:
+            assert verify_relations(copy.middle).ok()
+            assert is_acyclic(copy.middle, check_relations=False).ok()
             assert any(crt_isomorphic(copy.middle, s.middle) is not None for s in kept)
 
-    def test_checks_once_per_class(self, monkeypatch):
+    def test_runs_no_final_suite(self, monkeypatch):
+        """The search prunes with every check, so each raw middle already passes the suite."""
+        import crtk.crt_core as crt_core
         import crtk.kunneth as kunneth
-        calls = Counter()
-        for name in ("verify_relations", "is_acyclic"):
-            def counted(*args, _fn=getattr(kunneth, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(kunneth, name, counted)
-        assert kunneth_pipeline("O3", "O5").ok()  # one raw middle, one class
-        assert calls == {"verify_relations": 1, "is_acyclic": 1}
+        for k, l in [(2, 2), (2, 6), (6, 10)]:
+            problem = make_problem(k, l)
+            suites, middles = Counter(), []
+
+            def recorded(*args, _fn=kunneth.make_module):
+                middles.append(_fn(*args))
+                return middles[-1]
+            with monkeypatch.context() as m:
+                m.setattr(crt_core, "_report", lambda *args: suites.update(["suite"]))
+                m.setattr(kunneth, "make_module", recorded)
+                kept = solve_middle(problem)
+            assert suites == {}, (k, l)
+            assert len(middles) == len(kept) == 1, (k, l)
+            for middle in middles:
+                assert verify_relations(middle).ok(), (k, l)
+                assert is_acyclic(middle, check_relations=False).ok(), (k, l)
 
     def test_budget_message_names_stage_and_progress(self):
         problem = make_problem(2, 4)
@@ -131,19 +147,18 @@ class TestDedupOnArrival:
         with caplog.at_level(logging.DEBUG, logger="crtk"):
             solve(2, 4)
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 341 nodes, 1 raw middles, 1 classes checked, 1 kept, "
-            "18 non-canonical candidates skipped"]
+            "Kunneth search: 323 nodes, 1 raw middles, 1 kept, "
+            "12 non-canonical candidates skipped"]
 
 
-def _count_checks(monkeypatch) -> Counter:
-    """Count the final relation and acyclicity checks the solver runs."""
-    import crtk.kunneth as kunneth
+def _count_searches(monkeypatch) -> Counter:
+    """Count the Kunneth searches the solver runs."""
     calls = Counter()
-    for name in ("verify_relations", "is_acyclic"):
-        def counted(*args, _fn=getattr(kunneth, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(kunneth, name, counted)
+
+    def counted(self, _fn=_Search.run):
+        calls["search"] += 1
+        return _fn(self)
+    monkeypatch.setattr(_Search, "run", counted)
     return calls
 
 
@@ -174,7 +189,7 @@ class TestReuse:
 
     def test_warm_repeat_checks_nothing_and_returns_fresh_solutions(self, monkeypatch):
         first = kunneth_pipeline("O3", "O5")
-        calls = _count_checks(monkeypatch)
+        calls = _count_searches(monkeypatch)
         second = kunneth_pipeline("O3", "O5")
         assert calls == {}
         assert second.solutions[0] is not first.solutions[0]
@@ -187,7 +202,7 @@ class TestReuse:
 
     def test_equal_problem_is_reused_but_smaller_budget_still_raises(self, monkeypatch):
         solve(2, 4)
-        calls = _count_checks(monkeypatch)
+        calls = _count_searches(monkeypatch)
         solve(2, 4)  # a new problem object, equal by value
         assert calls == {}
         with pytest.raises(BudgetExceeded, match=r"in the operation stage after 301 nodes "
@@ -201,9 +216,24 @@ class TestReuse:
             kunneth_pipeline("O3", "O5")
             kunneth_pipeline("O3", "O5")
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 341 nodes, 1 raw middles, 1 classes checked, 1 kept, "
-            "18 non-canonical candidates skipped",
+            "Kunneth search: 323 nodes, 1 raw middles, 1 kept, "
+            "12 non-canonical candidates skipped",
             "Kunneth search: reused the solve of an equal problem, 1 kept"]
+
+
+class TestCheckSchedule:
+    def test_every_check_is_registered_once_where_it_completes(self):
+        order = {key: i for i, key in enumerate(_OP_ORDER)}
+        registered = Counter()
+        for key, entries in _SCHEDULE.items():
+            for chk, n in entries:
+                registered[(chk.name, n)] += 1
+                # psiT_n is derived when eps_n is assigned.
+                reads = {("eps" if name == "psiT" else name, (n + off) % 8) for name, off in chk.reads}
+                assert key in reads, (chk.name, n, key)
+                assert all(order[read] <= order[key] for read in reads), (chk.name, n, key)
+        assert len(CHECKS) == 30
+        assert registered == Counter({(chk.name, n): 1 for chk in CHECKS for n in range(8)})
 
 
 class TestGaugeFixing:
@@ -331,8 +361,9 @@ class TestPipeline:
         assert rep.split is True
 
     @pytest.mark.slow
-    def test_full_grid(self):
+    def test_full_grid(self, caplog):
         """Every k, l in 2..12 against the tables and table-independent invariants."""
+        caplog.set_level(logging.DEBUG, logger="crtk")
         for k, l in itertools.product(range(2, 13), repeat=2):
             rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
             assert rep.ok() and len(rep.solutions) == 1, (k, l)
@@ -345,6 +376,12 @@ class TestPipeline:
                         rep.tensor.group(p, n).order() * rep.tor.group(p, n - 1).order(), (k, l, p, n)
             problem = KunnethProblem(rep.tensor, rep.tor)
             assert sol.split == (crt_isomorphic(rep.expected, split_model(problem)) is not None), (k, l)
+        # The 121 pairs pose 27 distinct problems; no solve reaches a middle it then drops.
+        solves = [re.fullmatch(r"Kunneth search: \d+ nodes, (\d+) raw middles, (\d+) kept, .*",
+                               r.getMessage()) for r in caplog.records]
+        counts = [m.groups() for m in solves if m]
+        assert len(counts) == 27
+        assert all(raw == kept for raw, kept in counts), counts
 
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):

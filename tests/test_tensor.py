@@ -19,21 +19,20 @@ from crtk.crt_core import (
 from crtk.free_crt import (
     FreeMorphism,
     MonogenicKind,
-    find_free_isomorphism,
     free_module,
     monogenic,
     scale_element,
 )
-from crtk.tensor import (
+from crtk.tensor import induced_tensor_map, tensor_and_tor, tensor_free
+from crtk.zlinalg import hom_scale, identity_hom
+
+from oracles import (
     complex_tensor_groups,
     complex_tor_groups,
-    induced_tensor_map,
-    tensor_and_tor,
-    tensor_free,
+    find_free_isomorphism,
     tensor_monogenic,
     tensor_symmetric_check,
 )
-from crtk.zlinalg import hom_scale, identity_hom
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -143,7 +142,7 @@ class TestInducedMaps:
 
     def test_functoriality_through_a_resolution_map(self):
         # compose the even resolution map with multiplication by 3
-        from crtk.free_crt import compose_morphisms
+        from oracles import compose_morphisms
         res = cuntz_resolution(4)
         N = cuntz_module(4)
         f = res.mu1
