@@ -9,7 +9,8 @@ stored operation matrices, and the three long exact sequences become 72
 concrete exactness checks.  One table, CHECKS, holds the 21 relations and
 the 9 exactness nodes, each instantiated in the eight stored degrees:
 verify_relations and is_acyclic iterate it, and the Kunneth search prunes
-with it.
+with it.  Each suite runs once per distinct module value in a process
+(failures cached by module and suite); every call gets a fresh report.
 
 Operation families (domain part, codomain part, degree shift):
 
@@ -20,6 +21,7 @@ Operation families (domain part, codomain part, degree shift):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -194,9 +196,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def add(self, name: str, degree: int):
-        self.failures.append((name, degree))
-
     def __str__(self) -> str:
         if self.ok():
             return "pass"
@@ -310,27 +309,28 @@ CHECKS: tuple[Check, ...] = (
     _node("seq3@O.ker(etaO^2)", -1, (("tau", 6), ("tau", 0), ("eps", 0), ("tau", -1), ("eps", -1)),
           lambda M, n: (M.op("tau", n + 6), eta_O_sq(M, n - 1))),
 )
-_RELATIONS = tuple(chk for chk in CHECKS if not chk.node)
-_NODES = tuple(chk for chk in CHECKS if chk.node)
+_SUITES = {"relations": tuple(chk for chk in CHECKS if not chk.node),
+           "nodes": tuple(chk for chk in CHECKS if chk.node)}
 
 
-def _report(M: CRTModule, checks: Sequence[Check]) -> CheckReport:
+def _report(M: CRTModule, checks: Sequence[Check]) -> tuple[tuple[str, int], ...]:
     """Every check in every stored degree, failures in (degree, table) order."""
-    rep = CheckReport()
-    for n in range(8):
-        for chk in checks:
-            if not chk.holds(M, n):
-                rep.add(chk.name, n + chk.at)
-    return rep
+    return tuple((chk.name, n + chk.at) for n in range(8) for chk in checks if not chk.holds(M, n))
+
+
+@functools.cache
+def _failures(M: CRTModule, suite: str) -> tuple[tuple[str, int], ...]:
+    """The failures of one suite on M, run once per distinct module value."""
+    return _report(M, _SUITES[suite])
 
 
 def verify_relations(M: CRTModule) -> CheckReport:
     """Check every defining relation in all eight stored degrees.
 
     All failures are collected rather than failing fast; the report lists
-    (relation, degree) pairs.
+    (relation, degree) pairs.  Each call returns a fresh report.
     """
-    return _report(M, _RELATIONS)
+    return CheckReport(list(_failures(M, "relations")))
 
 
 def is_acyclic(M: CRTModule, check_relations: bool = True) -> CheckReport:
@@ -339,7 +339,7 @@ def is_acyclic(M: CRTModule, check_relations: bool = True) -> CheckReport:
         rel = verify_relations(M)
         if not rel.ok():
             raise ValueError(f"relations fail: {rel}")
-    return _report(M, _NODES)
+    return CheckReport(list(_failures(M, "nodes")))
 
 
 def is_free(M: CRTModule) -> bool:

@@ -314,12 +314,3 @@ def realize_morphism(source: FreeCRT, target_module: CRTModule,
 
 def morphism_realize(m: FreeMorphism, check: bool = True) -> Morphism:
     return realize_morphism(m.source, m.target.realized, m.images, check=check)
-
-
-def free_to_json(F: FreeCRT) -> dict:
-    """Summand list; the realized module is reconstructed on load."""
-    return {"summands": [[s.kind, s.shift] for s in F.summands]}
-
-
-def free_from_json(obj: dict) -> FreeCRT:
-    return free_module([MonogenicKind(k, s) for k, s in obj["summands"]])

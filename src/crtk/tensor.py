@@ -557,7 +557,8 @@ def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
 
     The tensor is the degreewise cokernel of mu1 ⊗ 1 with operations
     induced on the quotients; Tor is the degreewise kernel with operations
-    restricted.  Both results are validated against the relation suite.
+    restricted.  Both results are validated against the relation suite,
+    once per distinct value (verify_relations caches its failures).
     """
     t1 = tensor_free(res.F1, N)
     t0 = tensor_free(res.F0, N)

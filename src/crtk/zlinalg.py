@@ -22,6 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -49,8 +50,10 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged matrix")
+        cols = self.cols
+        for row in self.entries:
+            if len(row) != cols:
+                raise ValueError("ragged matrix")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -103,10 +106,12 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().entries
+        if other.rows == 0:
+            return IntMatrix.zeros(self.rows, other.cols)
+        ot = tuple(zip(*other.entries))
         return IntMatrix(
             self.rows, other.cols,
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries),
+            tuple(tuple([sum(map(mul, row, col)) for col in ot]) for row in self.entries),
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -533,22 +538,19 @@ class GroupHom:
                 f"matrix shape {m.rows}x{m.cols} does not match "
                 f"{self.codomain.ngens}x{self.domain.ngens}")
         dom_inv = self.domain.invariants
-        cod_inv = self.codomain.invariants
         reduced = []
-        for i, row in enumerate(m.entries):
-            e = cod_inv[i]
-            new_row = []
-            for j, x in enumerate(row):
-                d = dom_inv[j]
-                if e == 0:
-                    if x * d != 0:
+        # x*d vanishes mod e for every x when d = 0 or e | d: test only the other columns.
+        for i, (row, e) in enumerate(zip(m.entries, self.codomain.invariants)):
+            if e == 0:
+                for j, d in enumerate(dom_inv):
+                    if d and row[j]:
                         raise ValueError(f"entry ({i},{j}) not well-defined: torsion into free")
-                    new_row.append(x)
-                else:
-                    if (x * d) % e != 0:
-                        raise ValueError(f"entry ({i},{j})={x} not well-defined mod {e}")
-                    new_row.append(x % e)
-            reduced.append(tuple(new_row))
+                reduced.append(tuple(row))
+                continue
+            for j, d in enumerate(dom_inv):
+                if d % e and (row[j] * d) % e:
+                    raise ValueError(f"entry ({i},{j})={row[j]} not well-defined mod {e}")
+            reduced.append(tuple([x % e for x in row]))
         object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, tuple(reduced)))
 
     def apply(self, v: Sequence[int]) -> Vec:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from crtk.catalog import data_dir
 from crtk.crt_core import PARTS, CRTModule, Morphism, crt_isomorphic, module_to_json, morphism_is_iso
-from crtk.free_crt import Element, FreeCRT, monogenic, realize_morphism
+from crtk.free_crt import Element, FreeCRT, MonogenicKind, free_module, monogenic, realize_morphism
 from crtk.tensor import FreeResolution, TensorModule, tensor_and_tor, tensor_free
 from crtk.zlinalg import (
     FinAbGroup,
@@ -32,6 +32,39 @@ from crtk.zlinalg import (
 # ---------------------------------------------------------------------------
 
 ORACLE_BOUND = 4096
+
+
+def matmul_via_transpose(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A*B through a validated transpose of B: the product before the zip kernel."""
+    if A.cols != B.rows:
+        raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    bt = B.transpose().entries
+    return IntMatrix(
+        A.rows, B.cols,
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.entries),
+    )
+
+
+def reduce_hom_matrix(domain: FinAbGroup, codomain: FinAbGroup, m: IntMatrix) -> IntMatrix:
+    """GroupHom's reduction entry by entry, testing every entry for well-definedness."""
+    dom_inv = domain.invariants
+    cod_inv = codomain.invariants
+    reduced = []
+    for i, row in enumerate(m.entries):
+        e = cod_inv[i]
+        new_row = []
+        for j, x in enumerate(row):
+            d = dom_inv[j]
+            if e == 0:
+                if x * d != 0:
+                    raise ValueError(f"entry ({i},{j}) not well-defined: torsion into free")
+                new_row.append(x)
+            else:
+                if (x * d) % e != 0:
+                    raise ValueError(f"entry ({i},{j})={x} not well-defined mod {e}")
+                new_row.append(x % e)
+        reduced.append(tuple(new_row))
+    return IntMatrix(m.rows, m.cols, tuple(reduced))
 
 
 def oracle_enumerate(f: GroupHom) -> tuple[list[Vec], list[Vec]]:
@@ -97,6 +130,15 @@ def find_free_isomorphism(F: FreeCRT, M: CRTModule, bound: int = 2) -> Optional[
         if morphism_is_iso(fam):
             return fam
     return None
+
+
+def free_to_json(F: FreeCRT) -> dict:
+    """Summand list; the realized module is reconstructed on load."""
+    return {"summands": [[s.kind, s.shift] for s in F.summands]}
+
+
+def free_from_json(obj: dict) -> FreeCRT:
+    return free_module([MonogenicKind(k, s) for k, s in obj["summands"]])
 
 
 # ---------------------------------------------------------------------------

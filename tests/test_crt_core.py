@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtk import crt_core
 from crtk.catalog import cuntz_module, expected_product
 from crtk.crt_core import (
     CHECKS,
@@ -28,6 +29,7 @@ from crtk.crt_core import (
     zero_module,
 )
 from crtk.free_crt import monogenic
+from crtk.kunneth import kunneth_pipeline
 from crtk.zlinalg import (
     IntMatrix,
     ZERO_GROUP,
@@ -40,6 +42,7 @@ from crtk.zlinalg import (
     identity_hom,
 )
 
+from cold_path import clear_caches
 from kunneth_oracle import conjugate
 
 R = monogenic("R", 0).realized
@@ -120,6 +123,55 @@ class TestRelationFailures:
         M = make_module(groups, mats)
         with pytest.raises(ValueError):
             is_acyclic(M)
+
+
+class TestSuiteCache:
+    """Each suite runs once per distinct module value; every call gets a fresh report."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(module, suite) of every suite that actually runs."""
+        runs = []
+
+        def counted(M, checks, _fn=crt_core._report):
+            runs.append((M, "nodes" if checks is crt_core._SUITES["nodes"] else "relations"))
+            return _fn(M, checks)
+        monkeypatch.setattr(crt_core, "_report", counted)
+        return runs
+
+    def test_equal_copy_runs_each_suite_once(self, runs):
+        M = expected_product(4, 4)
+        copy = module_from_json(module_to_json(M))
+        assert copy == M and copy is not M
+        clear_caches()
+        runs.clear()
+        for N in (M, copy):
+            assert verify_relations(N).ok()
+            assert is_acyclic(N).ok()
+        assert [suite for _, suite in runs] == ["relations", "nodes"]
+
+    def test_pinned_reports_same_warm_and_cold(self, runs):
+        pinned = TestRelationFailures().test_reports_pin_names_degrees_and_order
+        pinned()
+        cold = len(runs)
+        assert cold >= 3
+        pinned()  # rebuilds equal modules: every suite is a cache hit
+        assert len(runs) == cold
+        clear_caches()
+        pinned()
+        assert len(runs) == 2 * cold
+
+    def test_reports_are_fresh(self):
+        Z = zero_module()
+        for check in (verify_relations, lambda M: is_acyclic(M, check_relations=False)):
+            check(Z).failures.append(("tampered", 0))
+            assert check(Z).failures == []
+
+    def test_zero_module_checked_once_across_pairs(self, runs):
+        # gcd 1: tensor and Tor of both pairs are the zero module (five suite runs uncached).
+        kunneth_pipeline("O3", "O4")
+        kunneth_pipeline("O3", "O6")
+        assert [suite for M, suite in runs if M.is_zero()] == ["relations"]
 
 
 class _RecordingView:

@@ -195,7 +195,7 @@ class TestMorphisms:
 class TestSerialization:
     def test_free_module_round_trip(self):
         F = free_module([MonogenicKind("R", 0), MonogenicKind("C", 2), MonogenicKind("T", 5)])
-        from crtk.free_crt import free_from_json, free_to_json
+        from oracles import free_from_json, free_to_json
         G = free_from_json(free_to_json(F))
         assert G.summands == F.summands
         assert G.realized == F.realized

@@ -36,7 +36,7 @@ from crtk.zlinalg import (
 )
 
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import oracle_enumerate, subgroup_contains, zero_hom
+from oracles import matmul_via_transpose, oracle_enumerate, reduce_hom_matrix, subgroup_contains, zero_hom
 
 
 def minors_gcd(A, k):
@@ -126,6 +126,75 @@ class TestSmithNormalForm:
     @settings(max_examples=80, deadline=None)
     def test_snf_properties(self, rows):
         check_snf(IntMatrix.from_rows(rows))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-12, 12), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda r: IntMatrix.from_rows(r, cols=cols))
+
+
+@st.composite
+def mixed_groups(draw):
+    """Torsion chains (possibly empty) followed by a free rank of 0, 1 or 2."""
+    torsion = []
+    for step in draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=3)):
+        torsion.append(torsion[-1] * step if torsion else step + 1)
+    return FinAbGroup(tuple(torsion), draw(st.integers(0, 2)))
+
+
+class TestKernelsVsOracle:
+    """The matrix product and GroupHom's reduction against their earlier, plainer forms."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_transpose_product(self, data):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        inner = data.draw(st.sampled_from([k, k, k, k + 1]))
+        A = data.draw(int_matrices(r, k))
+        B = data.draw(int_matrices(inner, c))
+        assert outcome(A.__mul__, B) == outcome(matmul_via_transpose, A, B)
+
+    def test_product_with_empty_inner_dimension(self):
+        for r, c in [(0, 0), (0, 3), (2, 0), (2, 3)]:
+            A, B = IntMatrix.zeros(r, 0), IntMatrix.zeros(0, c)
+            assert A * B == matmul_via_transpose(A, B) == IntMatrix.zeros(r, c)
+
+    @given(mixed_groups(), mixed_groups(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_matches_entrywise_reduction(self, dom, cod, data):
+        m = data.draw(int_matrices(cod.ngens, dom.ngens))
+        if data.draw(st.booleans()):
+            # Scale each entry onto a well-defined value, leaving it unreduced.
+            m = IntMatrix.from_rows(
+                [[0 if e == 0 and d else x * (e // gcd(e, d)) if e and d else x
+                  for x, d in zip(row, dom.invariants)]
+                 for row, e in zip(m.entries, cod.invariants)], cols=dom.ngens)
+        new = outcome(lambda: GroupHom(dom, cod, m).matrix)
+        assert new == outcome(reduce_hom_matrix, dom, cod, m)
+
+    def test_ill_defined_entries_raise_like_the_oracle(self):
+        dom, cod = FinAbGroup((2, 4)), FinAbGroup((8,), 1)
+        cases = [
+            (Zmod(2), Z, [[1]], "entry (0,0) not well-defined: torsion into free"),
+            (Zmod(2), Zmod(4), [[1]], "entry (0,0)=1 not well-defined mod 4"),
+            # Offenders at (0,1) and (1,0): the first in row-major order is reported.
+            (dom, cod, [[0, 1], [1, 0]], "entry (0,1)=1 not well-defined mod 8"),
+            (dom, cod, [[4, 2], [1, 0]], "entry (1,0) not well-defined: torsion into free"),
+        ]
+        for dom_, cod_, rows, message in cases:
+            m = IntMatrix.from_rows(rows, cols=dom_.ngens)
+            with pytest.raises(ValueError) as exc:
+                GroupHom(dom_, cod_, m)
+            assert str(exc.value) == message
+            assert outcome(reduce_hom_matrix, dom_, cod_, m) == (ValueError, message)
 
 
 class TestSolve:
