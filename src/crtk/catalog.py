@@ -16,35 +16,23 @@ CatalogEntry is mutable, so catalog_entry returns a fresh one each call.
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import dataclass, field
 from math import gcd
-from pathlib import Path
 from typing import Optional
 
-from .crt_core import (
-    CRTModule,
-    OP_NAMES,
-    OP_SPECS,
-    PARTS,
-    make_module,
-    module_from_json,
-    verify_relations,
-    zero_module,
-)
+from .crt_core import CRTModule, verify_relations, zero_module
 from .free_crt import (
     Element,
     FreeMorphism,
     MonogenicKind,
     act,
     add_elements,
+    base_module,
     free_module,
     monogenic,
     realize_morphism,
     scale_element,
-    table_group,
-    table_matrix,
+    table_module,
 )
 from .tensor import FreeResolution, restrict_to_kernels
 
@@ -58,18 +46,8 @@ FIXTURE_FLAGS = {
 
 
 def _instantiate(groups_listed: dict, ops_listed: dict) -> CRTModule:
-    """Build a module from listed invariants and raw table entries."""
-    groups = {p: [table_group(invs) for invs in groups_listed[p]] for p in PARTS}
-    mats = {}
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        fam = []
-        for n in range(8):
-            dom = groups_listed[src][n]
-            cod = groups_listed[tgt][(n + shift) % 8]
-            fam.append(table_matrix(ops_listed[name][n], dom, cod))
-        mats[name] = fam
-    M = make_module(groups, mats)
+    """Build a module from listed invariants and raw table entries, and check it."""
+    M = table_module(groups_listed, ops_listed)
     rep = verify_relations(M)
     if not rep.ok():
         raise ValueError(f"table instantiation fails relations: {rep}")
@@ -435,24 +413,6 @@ def cuntz(k: int) -> CatalogEntry:
     return CatalogEntry(f"O{k + 1}", res.target, {"k": k}, res)
 
 
-_DATA_DIR_ENV = "CRT_DATA_DIR"
-
-
-def data_dir() -> Path:
-    override = os.environ.get(_DATA_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
-
-
-def _load_base(name: str) -> CRTModule:
-    path = data_dir() / f"{name}.json"
-    if path.exists():
-        with open(path) as fh:
-            return module_from_json(json.load(fh))
-    return monogenic(name, 0).realized
-
-
 def cuntz_parameter(name: str) -> Optional[int]:
     """k for the catalog name O<k+1>, None for R, C, T and zero; KeyError otherwise."""
     if name in ("R", "C", "T", "zero"):
@@ -467,13 +427,17 @@ def cuntz_parameter(name: str) -> Optional[int]:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    """Look up R, C, T, zero, or O<k+1>."""
+    """Look up R, C, T, zero, or O<k+1>.
+
+    R, C and T are free_crt.base_module, the modules every free module is
+    built from.
+    """
     k = cuntz_parameter(name)
     if k is not None:
         return cuntz(k)
     if name == "zero":
         return CatalogEntry("zero", zero_module())
-    return CatalogEntry(name, _load_base(name))
+    return CatalogEntry(name, base_module(name))
 
 
 def catalog_names() -> list[str]:

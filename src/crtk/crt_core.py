@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .zlinalg import (
     FinAbGroup,
@@ -61,6 +61,43 @@ OP_SPECS: dict[str, tuple[str, str, int]] = {
 }
 OP_NAMES = tuple(OP_SPECS)
 _OP_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
+
+
+def _slot_ops() -> dict[tuple[str, int], list[tuple[str, int]]]:
+    """Each (op, degree) instance at the later, in SLOTS order, of its two endpoint slots."""
+    out: dict[tuple[str, int], list[tuple[str, int]]] = {slot: [] for slot in SLOTS}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            out[max(slot_of(src, n), slot_of(tgt, n + shift), key=SLOTS.index)].append((name, n))
+    return out
+
+
+SLOT_OPS = _slot_ops()
+
+
+def search_slots(options: Callable[[tuple[str, int]], Iterable], fits: Callable[[str, int], bool],
+                 choice: dict, tick: Callable[[], None]) -> Iterator[dict]:
+    """Backtrack over SLOTS, assigning choice[slot] from options(slot) in order.
+
+    tick() runs once per candidate tried.  The search descends past a slot
+    only when fits(name, n) holds for every instance of SLOT_OPS[slot], so
+    fits may read choice at both endpoint slots.  The generator yields
+    choice itself, once per full assignment.
+    """
+    def rec(k: int) -> Iterator[dict]:
+        if k == len(SLOTS):
+            yield choice
+            return
+        slot = SLOTS[k]
+        for opt in options(slot):
+            tick()
+            choice[slot] = opt
+            if all(fits(name, n) for name, n in SLOT_OPS[slot]):
+                yield from rec(k + 1)
+        choice.pop(slot, None)
+
+    return rec(0)
 
 
 class BudgetExceeded(RuntimeError):
@@ -467,65 +504,35 @@ def morphism_is_iso(phi: Morphism) -> bool:
 def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
     """Search for a CRT-isomorphism between modules with finite parts.
 
-    Backtracking over degreewise group automorphisms; an isomorphism in
-    our storage convention repeats with the period of each part, so there
-    are 14 free slots (8 real, 2 complex, 4 self-conjugate).  Operation
-    commutation is checked as soon as both endpoint slots are assigned.
+    An isomorphism in our storage convention repeats with the period of
+    each part, so it is one automorphism of each of the 14 slot groups.
+    search_slots tries them in automorphisms order, and it checks each
+    operation instance for commutation as soon as its later slot is
+    assigned.  Each automorphism tried counts one node against budget.
     """
     if not (M.all_finite() and N.all_finite()):
         raise ValueError("crt_isomorphic requires finite parts")
     for p, n in SLOTS:
         if M.group(p, n) != N.group(p, n):
             return None
-
-    # (op, degree) checks become available once their two slots are known.
-    checks_by_slot: dict[tuple[str, int], list[tuple[str, int, tuple[str, int]]]] = {s: [] for s in SLOTS}
-    slot_index = {s: i for i, s in enumerate(SLOTS)}
-
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        for n in range(8):
-            s_src = slot_of(src, n)
-            s_tgt = slot_of(tgt, n + shift)
-            later = s_src if slot_index[s_src] >= slot_index[s_tgt] else s_tgt
-            other = s_tgt if later == s_src else s_src
-            checks_by_slot[later].append((name, n, other))
-
-    assignment: dict[tuple[str, int], GroupHom] = {}
     nodes = 0
 
-    def ok_after(slot) -> bool:
-        part, _ = slot
-        for name, n, _other in checks_by_slot[slot]:
-            src, tgt, shift = OP_SPECS[name]
-            pu = assignment.get(slot_of(src, n))
-            pv = assignment.get(slot_of(tgt, n + shift))
-            if pu is None or pv is None:
-                continue
-            if hom_compose(pv, M.op(name, n)) != hom_compose(N.op(name, n), pu):
-                return False
-        return True
-
-    def rec(k: int) -> bool:
+    def tick():
         nonlocal nodes
-        if k == len(SLOTS):
-            return True
-        slot = SLOTS[k]
-        G = M.group(*slot)
-        for u in automorphisms(G):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("isomorphism search budget exceeded")
-            assignment[slot] = u
-            if ok_after(slot) and rec(k + 1):
-                return True
-            del assignment[slot]
-        return False
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("isomorphism search budget exceeded")
 
-    if not rec(0):
+    def commutes(name: str, n: int) -> bool:
+        src, tgt, shift = OP_SPECS[name]
+        return hom_compose(choice[slot_of(tgt, n + shift)], M.op(name, n)) \
+            == hom_compose(N.op(name, n), choice[slot_of(src, n)])
+
+    choice: dict[tuple[str, int], GroupHom] = {}
+    found = search_slots(lambda slot: automorphisms(M.group(*slot)), commutes, choice, tick)
+    if next(found, None) is None:
         return None
-    phi = {(p, n): assignment[slot_of(p, n)] for p in PARTS for n in range(8)}
-    return phi
+    return {(p, n): choice[slot_of(p, n)] for p in PARTS for n in range(8)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ failure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,25 +166,22 @@ def table_matrix(value, dom_invs: Sequence[int], cod_invs: Sequence[int]) -> Int
     return IntMatrix.from_rows(out, cols=len(pc))
 
 
-def _base_module(kind: str) -> CRTModule:
-    if kind not in _BASE_CACHE:
-        table = _tables.BASE_TABLES[kind]
-        inv_lists = table["groups"]
-        groups = {p: [table_group(invs) for invs in inv_lists[p]] for p in PARTS}
-        mats = {}
-        for name in OP_NAMES:
-            src, tgt, shift = OP_SPECS[name]
-            fam = []
-            for n in range(8):
-                dom_invs = inv_lists[src][n]
-                cod_invs = inv_lists[tgt][(n + shift) % 8]
-                fam.append(table_matrix(table["ops"][name][n], dom_invs, cod_invs))
-            mats[name] = fam
-        _BASE_CACHE[kind] = make_module(groups, mats)
-    return _BASE_CACHE[kind]
+def table_module(groups_listed: dict, ops_listed: dict) -> CRTModule:
+    """A module from listed invariants per part and raw table entries per operation."""
+    groups = {p: [table_group(invs) for invs in groups_listed[p]] for p in PARTS}
+    mats = {}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        mats[name] = [table_matrix(ops_listed[name][n], groups_listed[src][n],
+                                   groups_listed[tgt][(n + shift) % 8]) for n in range(8)]
+    return make_module(groups, mats)
 
 
-_BASE_CACHE: dict[str, CRTModule] = {}
+@functools.cache
+def base_module(kind: str) -> CRTModule:
+    """The monogenic module of kind R, C or T, read from _tables.BASE_TABLES."""
+    table = _tables.BASE_TABLES[kind]
+    return table_module(table["groups"], table["ops"])
 
 
 def _shape(value, rows: int, cols: int) -> IntMatrix:
@@ -257,7 +255,7 @@ def monogenic(kind: str, n: int = 0) -> FreeCRT:
 def free_module(summands: Sequence[MonogenicKind]) -> FreeCRT:
     summands = tuple(summands)
     realized, layouts = direct_sum_with_layout(
-        [suspend(_base_module(s.kind), s.shift) for s in summands])
+        [suspend(base_module(s.kind), s.shift) for s in summands])
     return FreeCRT(summands, realized, layouts)
 
 
@@ -286,12 +284,12 @@ class FreeMorphism:
 
 
 def realize_morphism(source: FreeCRT, target_module: CRTModule,
-                     images: Sequence[Element], check: bool = True) -> Morphism:
+                     images: Sequence[Element]) -> Morphism:
     """Degreewise homomorphism family sending each basis word w(b_i) to w(image_i).
 
-    The target may be any CRT-module.  With check=True the family is
-    verified to commute with all eight operations; a failure signals a
-    transcription error in the tables or an invalid image.
+    The target may be any CRT-module.  The family is verified to commute
+    with all eight operations; a failure signals a transcription error in
+    the tables or an invalid image.
     """
     fam: Morphism = {}
     for part in PARTS:
@@ -307,10 +305,10 @@ def realize_morphism(source: FreeCRT, target_module: CRTModule,
             raw = IntMatrix.from_cols(cols, rows=tgt_group.ngens)
             lay = source.layouts[(part, n)]
             fam[(part, n)] = GroupHom(src_group, tgt_group, raw * lay.reps)
-    if check and not morphism_commutes(source.realized, target_module, fam):
+    if not morphism_commutes(source.realized, target_module, fam):
         raise ValueError("realized family does not commute with the operations")
     return fam
 
 
-def morphism_realize(m: FreeMorphism, check: bool = True) -> Morphism:
-    return realize_morphism(m.source, m.target.realized, m.images, check=check)
+def morphism_realize(m: FreeMorphism) -> Morphism:
+    return realize_morphism(m.source, m.target.realized, m.images)

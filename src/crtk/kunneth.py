@@ -54,6 +54,7 @@ from .crt_core import (
     direct_sum,
     make_module,
     module_to_json,
+    search_slots,
     slot_of,
     suspend,
 )
@@ -181,6 +182,14 @@ def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHo
 
 
 class _Search:
+    """One Kunneth solve: a slot stage, then an operation stage per full slot choice.
+
+    The slot stage runs crt_core.search_slots over the extension options
+    of each slot, and it prunes a choice as soon as some operation
+    instance between assigned slots has no candidate.  Each full choice
+    goes to _op_stage.  Both stages count their nodes against one budget.
+    """
+
     def __init__(self, p: KunnethProblem, budget: int):
         self.p = p
         self.budget = budget
@@ -196,8 +205,14 @@ class _Search:
 
     def run(self):
         self._slot_choice = {}
-        self._assign_slot(0)
+        for _ in search_slots(self.slot_options.__getitem__, self._solvable, self._slot_choice,
+                              lambda: self._tick("slot")):
+            self._op_stage()
         return self.solutions
+
+    def _solvable(self, name: str, n: int) -> bool:
+        """Slot-stage pruning: the instance has a candidate (psiT is derived, not searched)."""
+        return name == "psiT" or bool(self._instance_candidates(name, n))
 
     def _tick(self, stage: str):
         self.nodes += 1
@@ -206,34 +221,6 @@ class _Search:
                 f"Kunneth search budget exceeded in the {stage} stage after "
                 f"{self.nodes} nodes ({self.raw} raw middles, "
                 f"{len(self.solutions)} classes kept)")
-
-    def _assign_slot(self, idx: int):
-        if idx == len(SLOTS):
-            self._op_stage()
-            return
-        slot = SLOTS[idx]
-        for opt in self.slot_options[slot]:
-            self._tick("slot")
-            self._slot_choice[slot] = opt
-            if self._slots_feasible(idx):
-                self._assign_slot(idx + 1)
-        self._slot_choice.pop(slot, None)
-
-    def _slots_feasible(self, idx: int) -> bool:
-        """Every op instance with both endpoint slots chosen must be solvable."""
-        assigned = set(SLOTS[: idx + 1])
-        for name in OP_NAMES:
-            if name == "psiT":
-                continue
-            src, tgt, shift = OP_SPECS[name]
-            for n in range(8):
-                s_src = slot_of(src, n)
-                s_tgt = slot_of(tgt, n + shift)
-                if s_src in assigned and s_tgt in assigned and \
-                        (s_src == SLOTS[idx] or s_tgt == SLOTS[idx]):
-                    if not self._instance_candidates(name, n):
-                        return False
-        return True
 
     # -- operation stage ----------------------------------------------------
 
@@ -422,14 +409,7 @@ def split_model(p: KunnethProblem) -> CRTModule:
 
 def split_check(sol: KunnethSolution, p: KunnethProblem) -> bool:
     """Does the middle agree with tensor ⊕ shifted Tor up to isomorphism?"""
-    model = split_model(p)
-    if sol.middle.is_zero() and model.is_zero():
-        return True
-    for part in PARTS:
-        for n in range(8):
-            if sol.middle.group(part, n) != model.group(part, n):
-                return False
-    return crt_isomorphic(sol.middle, model) is not None
+    return crt_isomorphic(sol.middle, split_model(p)) is not None
 
 
 def classical_complex_kunneth(k: int, l: int) -> list[FinAbGroup]:

@@ -28,6 +28,7 @@ from .crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
+    _block_diag,
     eta_O,
     eta_T,
     make_module,
@@ -230,7 +231,7 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
         for m in range(8):
             blocks = [_summand_raw_op(s.kind, s.generator_degree, N, name, m)
                       for s in summands]
-            raw = _stack_diag(blocks)
+            raw = _block_diag(blocks)
             raw_ops[(name, m)] = raw
             lay_s = layouts[(src, m)]
             lay_t = layouts[(tgt, (m + shift) % 8)]
@@ -240,20 +241,6 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
     if not rep.ok():
         raise ValueError(f"assembled tensor fails relations: {rep}")
     return module, slots, layouts, raw_ops
-
-
-def _stack_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i, row in enumerate(b.entries):
-            for j, x in enumerate(row):
-                out[r0 + i][c0 + j] = x
-        r0 += b.rows
-        c0 += b.cols
-    return IntMatrix.from_rows(out, cols=cols)
 
 
 # ---------------------------------------------------------------------------

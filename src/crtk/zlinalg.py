@@ -686,9 +686,6 @@ def _annihilated_elements(G: FinAbGroup, d: int) -> list[Vec]:
     return [x for x in G.elements() if all((d * xi) % t == 0 for xi, t in zip(x, G.torsion))]
 
 
-_AUT_CACHE: dict[tuple, list[GroupHom]] = {}
-
-
 def _prime_divisors(n: int) -> list[int]:
     out, p = [], 2
     while p * p <= n:
@@ -700,8 +697,9 @@ def _prime_divisors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+@functools.cache
 def automorphisms(G: FinAbGroup) -> list[GroupHom]:
-    """All automorphisms of a finite group (enumerated once, cached).
+    """All automorphisms of a finite group (enumerated once per group in a process).
 
     An endomorphism is onto iff it is onto G/pG for every prime p (the
     Burnside basis theorem on each Sylow subgroup).  G/pG is free over
@@ -710,10 +708,6 @@ def automorphisms(G: FinAbGroup) -> list[GroupHom]:
     """
     if not G.is_finite():
         raise ValueError("automorphism enumeration requires a finite group")
-    key = G.torsion
-    hit = _AUT_CACHE.get(key)
-    if hit is not None:
-        return hit
     blocks = [(p, [i for i, t in enumerate(G.torsion) if t % p == 0])
               for p in _prime_divisors(max(G.torsion, default=1))]
     out = []
@@ -722,7 +716,6 @@ def automorphisms(G: FinAbGroup) -> list[GroupHom]:
         if all(IntMatrix.from_rows([[cols[j][i] for j in idx] for i in idx]).det() % p
                for p, idx in blocks):
             out.append(hom_from_cols(G, G, [list(c) for c in cols]))
-    _AUT_CACHE[key] = out
     return out
 
 

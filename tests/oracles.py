@@ -1,4 +1,4 @@
-"""Brute-force oracles and test-only helpers for zlinalg, free_crt, tensor and catalog.
+"""Brute-force oracles and test-only helpers for zlinalg, crt_core, free_crt and tensor.
 
 Nothing in the package calls these; the tests use them to cross-check
 the package's own constructions by independent, simpler routes.
@@ -7,12 +7,20 @@ the package's own constructions by independent, simpler routes.
 from __future__ import annotations
 
 import itertools
-import json
-from pathlib import Path
 from typing import Optional, Sequence
 
-from crtk.catalog import data_dir
-from crtk.crt_core import PARTS, CRTModule, Morphism, crt_isomorphic, module_to_json, morphism_is_iso
+from crtk.crt_core import (
+    BudgetExceeded,
+    CRTModule,
+    Morphism,
+    OP_NAMES,
+    OP_SPECS,
+    PARTS,
+    SLOTS,
+    crt_isomorphic,
+    morphism_is_iso,
+    slot_of,
+)
 from crtk.free_crt import Element, FreeCRT, MonogenicKind, free_module, monogenic, realize_morphism
 from crtk.tensor import FreeResolution, TensorModule, tensor_and_tor, tensor_free
 from crtk.zlinalg import (
@@ -20,6 +28,7 @@ from crtk.zlinalg import (
     GroupHom,
     IntMatrix,
     Vec,
+    automorphisms,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -96,6 +105,73 @@ def zero_hom(domain: FinAbGroup, codomain: FinAbGroup) -> GroupHom:
 
 
 # ---------------------------------------------------------------------------
+# crt_core
+# ---------------------------------------------------------------------------
+
+
+def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
+    """crt_core.crt_isomorphic with its own recursion and check schedule.
+
+    Backtracking over degreewise group automorphisms of the 14 slots;
+    operation commutation is checked as soon as both endpoint slots are
+    assigned.  Same visiting order and node count as the package's
+    search_slots, built independently of SLOT_OPS.
+    """
+    if not (M.all_finite() and N.all_finite()):
+        raise ValueError("crt_isomorphic requires finite parts")
+    for p, n in SLOTS:
+        if M.group(p, n) != N.group(p, n):
+            return None
+
+    # (op, degree) checks become available once their two slots are known.
+    checks_by_slot: dict[tuple[str, int], list[tuple[str, int, tuple[str, int]]]] = {s: [] for s in SLOTS}
+    slot_index = {s: i for i, s in enumerate(SLOTS)}
+
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            s_src = slot_of(src, n)
+            s_tgt = slot_of(tgt, n + shift)
+            later = s_src if slot_index[s_src] >= slot_index[s_tgt] else s_tgt
+            other = s_tgt if later == s_src else s_src
+            checks_by_slot[later].append((name, n, other))
+
+    assignment: dict[tuple[str, int], GroupHom] = {}
+    nodes = 0
+
+    def ok_after(slot) -> bool:
+        for name, n, _other in checks_by_slot[slot]:
+            src, tgt, shift = OP_SPECS[name]
+            pu = assignment.get(slot_of(src, n))
+            pv = assignment.get(slot_of(tgt, n + shift))
+            if pu is None or pv is None:
+                continue
+            if hom_compose(pv, M.op(name, n)) != hom_compose(N.op(name, n), pu):
+                return False
+        return True
+
+    def rec(k: int) -> bool:
+        nonlocal nodes
+        if k == len(SLOTS):
+            return True
+        slot = SLOTS[k]
+        G = M.group(*slot)
+        for u in automorphisms(G):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded("isomorphism search budget exceeded")
+            assignment[slot] = u
+            if ok_after(slot) and rec(k + 1):
+                return True
+            del assignment[slot]
+        return False
+
+    if not rec(0):
+        return None
+    return {(p, n): assignment[slot_of(p, n)] for p in PARTS for n in range(8)}
+
+
+# ---------------------------------------------------------------------------
 # free_crt
 # ---------------------------------------------------------------------------
 
@@ -124,7 +200,7 @@ def find_free_isomorphism(F: FreeCRT, M: CRTModule, bound: int = 2) -> Optional[
         images = [Element(s.generator_part, s.generator_degree, v)
                   for s, v in zip(F.summands, combo)]
         try:
-            fam = realize_morphism(F, M, images, check=True)
+            fam = realize_morphism(F, M, images)
         except ValueError:
             continue
         if morphism_is_iso(fam):
@@ -177,22 +253,4 @@ def complex_tor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
         parts = [fin_ab_tor(M.group("U", 0), N.group("U", n)),
                  fin_ab_tor(M.group("U", 1), N.group("U", n - 1))]
         out.append(group_from_invariants([i for G in parts for i in G.invariants]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# catalog
-# ---------------------------------------------------------------------------
-
-
-def write_base_fixtures(path: Optional[Path] = None) -> list[Path]:
-    """Serialize the three base modules as versioned JSON fixtures."""
-    path = path or data_dir()
-    path.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name in ("R", "C", "T"):
-        p = path / f"{name}.json"
-        with open(p, "w") as fh:
-            json.dump(module_to_json(monogenic(name, 0).realized), fh, indent=1, sort_keys=True)
-        out.append(p)
     return out

@@ -1,6 +1,5 @@
 """Fixture integrity: the Cuntz family, resolutions, and golden tables."""
 
-import json
 from collections import Counter
 
 import pytest
@@ -12,18 +11,11 @@ from crtk.catalog import (
     cuntz_module,
     cuntz_parameter,
     cuntz_resolution,
-    data_dir,
     expected_product,
     expected_tensor,
     expected_tor,
 )
-from crtk.crt_core import (
-    OP_NAMES,
-    PARTS,
-    is_acyclic,
-    module_from_json,
-    verify_relations,
-)
+from crtk.crt_core import OP_NAMES, PARTS, is_acyclic, verify_relations
 from crtk.free_crt import monogenic
 from crtk.zlinalg import FinAbGroup, Zmod
 
@@ -174,17 +166,7 @@ class TestEntriesAndData:
 
     @pytest.mark.parametrize("name", ["R", "C", "T"])
     def test_shipped_fixture_matches_tables(self, name):
-        path = data_dir() / f"{name}.json"
-        assert path.exists()
-        with open(path) as fh:
-            M = module_from_json(json.load(fh))
+        M = catalog_entry(name).module
         assert M == monogenic(name, 0).realized
         assert verify_relations(M).ok()
         assert is_acyclic(M, check_relations=False).ok()
-
-    def test_data_dir_override(self, tmp_path, monkeypatch):
-        from oracles import write_base_fixtures
-        write_base_fixtures(tmp_path)
-        monkeypatch.setenv("CRT_DATA_DIR", str(tmp_path))
-        ent = catalog_entry("T")
-        assert ent.module == monogenic("T", 0).realized

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from crtk import crt_core
 from crtk.catalog import cuntz_module, expected_product
 from crtk.crt_core import (
+    BudgetExceeded,
     CHECKS,
     GradedPart,
     OP_NAMES,
+    OP_SPECS,
     PARTS,
     SLOTS,
+    SLOT_OPS,
     crt_isomorphic,
     direct_sum,
     eta_O,
@@ -24,6 +27,7 @@ from crtk.crt_core import (
     module_to_json,
     morphism_commutes,
     morphism_is_iso,
+    slot_of,
     suspend,
     verify_relations,
     zero_module,
@@ -44,6 +48,7 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
+from oracles import crt_isomorphic_oracle
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -306,6 +311,73 @@ class TestIsomorphism:
     def test_refuses_infinite(self):
         with pytest.raises(ValueError):
             crt_isomorphic(R, R)
+
+
+def _zeroed(M, name, n):
+    """M with the single operation instance name_n replaced by the zero map."""
+    groups = {p: [M.group(p, d) for d in range(8)] for p in PARTS}
+    mats = {o: [M.op(o, d).matrix for d in range(8)] for o in OP_NAMES}
+    mats[name][n] = IntMatrix.zeros(mats[name][n].rows, mats[name][n].cols)
+    return make_module(groups, mats)
+
+
+def _twisted(M, seed):
+    rng = random.Random(seed)
+    return conjugate(M, {slot: rng.choice(automorphisms(M.group(*slot))) for slot in SLOTS})
+
+
+class TestSlotEngine:
+    """crt_isomorphic on search_slots against the enumerating oracle in tests/oracles.py."""
+
+    @staticmethod
+    def outcome(search, M, N, budget=2_000_000):
+        try:
+            return search(M, N, budget=budget)
+        except BudgetExceeded:
+            return "budget exceeded"
+
+    def agree(self, M, N, budget=2_000_000):
+        got = self.outcome(crt_isomorphic, M, N, budget)
+        assert got == self.outcome(crt_isomorphic_oracle, M, N, budget)
+        return got
+
+    def test_slot_ops_pins_each_instance_at_its_later_slot(self):
+        listed = [inst for slot in SLOTS for inst in SLOT_OPS[slot]]
+        assert sorted(listed) == sorted((name, n) for name in OP_NAMES for n in range(8))
+        assert len(listed) == 64
+        for slot in SLOTS:
+            for name, n in SLOT_OPS[slot]:
+                src, tgt, shift = OP_SPECS[name]
+                ends = (slot_of(src, n), slot_of(tgt, n + shift))
+                assert slot == max(ends, key=SLOTS.index)
+            assert SLOT_OPS[slot] == sorted(SLOT_OPS[slot], key=lambda i: (OP_NAMES.index(i[0]), i[1]))
+
+    def test_self_and_conjugated(self):
+        M = cuntz_module(3)
+        assert self.agree(M, M) is not None
+        assert self.agree(_twisted(M, 5), M) is not None
+        for seed, pair in enumerate([(2, 2), (2, 4), (3, 6), (4, 4), (5, 5)]):
+            P = expected_product(*pair)
+            assert self.agree(_twisted(P, seed), P) is not None
+
+    @pytest.mark.parametrize("k,l", [(2, 4), (3, 6), (4, 6)])
+    def test_swapped_pair_middles(self, k, l):
+        a = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}").solutions[0].middle
+        b = kunneth_pipeline(f"O{l + 1}", f"O{k + 1}").solutions[0].middle
+        assert self.agree(a, b) is not None
+
+    @pytest.mark.parametrize("a,b", [((2, 2), (2, 4)), ((6, 6), (6, 12))])
+    def test_distinguished_products(self, a, b):
+        assert self.agree(expected_product(*a), expected_product(*b)) is None
+
+    def test_exhausted_search_and_budget(self):
+        # Same groups as the product, so the search runs until every branch is pruned.
+        M = expected_product(4, 4)
+        Z = _zeroed(M, "c", 1)
+        assert self.agree(Z, M) is None
+        assert self.agree(Z, M, budget=1190) is None
+        assert self.agree(Z, M, budget=1189) == "budget exceeded"
+        assert self.agree(_twisted(M, 3), M, budget=3) == "budget exceeded"
 
 
 class TestRigidity:
