@@ -34,7 +34,7 @@ from .free_crt import (
     scale_element,
     table_module,
 )
-from .tensor import FreeResolution, restrict_to_kernels
+from .tensor import FreeResolution
 
 # Anomalies in the printed tables, kept as metadata rather than silently
 # normalized.  The c_3 entry of the product table for k = l = 0 mod 4 prints
@@ -130,10 +130,9 @@ def cuntz_resolution(k: int) -> FreeResolution:
 
     Odd k: multiplication by k on the real monogenic module.  Even k: the
     complex monogenic module maps onto the kernel of the two-generator
-    surjection; for k = 0 mod 4 the generator image is fixed directly (the
-    first coordinate carries a k/2 multiplier, forced by exactness), and
-    for k = 2 mod 4 the image is found by the kernel-matching search and
-    validated, not assumed.
+    surjection, its generator going to (k/2)·c(b0) ± betaU^-1·c(b2), with
+    + for k = 0 mod 4 and - for k = 2 mod 4 (the k/2 multiplier is forced
+    by exactness).  FreeResolution validates the image.
     """
     target = cuntz_module(k)
     if k % 2 == 1:
@@ -147,46 +146,12 @@ def cuntz_resolution(k: int) -> FreeResolution:
     x0 = Element("O", 0, (1,))
     x2 = Element("O", 2, (1,) if k % 4 == 2 else (0, 1))
     mu0 = realize_morphism(F0, target, [x0, x2])
+    b0, b2 = F0.generator(0), F0.generator(1)
+    y = add_elements(F0.realized,
+                     scale_element(act(F0.realized, ["c"], b0), k // 2),
+                     scale_element(act(F0.realized, ["betaU_inv", "c"], b2), 1 if k % 4 == 0 else -1))
     F1 = monogenic("C", 0)
-
-    def attempt(y: Element) -> Optional[FreeResolution]:
-        try:
-            mu1 = FreeMorphism(F1, F0, [y])
-            return FreeResolution(F1, mu1, F0, target, mu0)
-        except ValueError:
-            return None
-
-    if k % 4 == 0:
-        b0 = F0.generator(0)
-        b2 = F0.generator(1)
-        y = add_elements(F0.realized,
-                         scale_element(act(F0.realized, ["c"], b0), k // 2),
-                         act(F0.realized, ["betaU_inv", "c"], b2))
-        res = attempt(y)
-        if res is None:
-            raise ValueError(f"resolution for k={k} failed exactness")
-        return res
-
-    # k = 2 mod 4: search the kernel of mu0 for a complex generator.
-    ker_mod, incl = restrict_to_kernels(F0.realized, mu0)
-    from .crt_core import is_free as _is_free
-    if not _is_free(ker_mod):
-        raise ValueError(f"kernel of mu0 is not free for k={k}")
-    K = ker_mod.group("U", 0)
-    emb = incl[("U", 0)]
-    for coeffs in _small_vectors(K.ngens, 3):
-        y = Element("U", 0, emb.apply(K.reduce(coeffs)))
-        res = attempt(y)
-        if res is not None:
-            return res
-    raise ValueError(f"no free generator found in ker(mu0) for k={k}; "
-                     f"kernel U-part {K}")
-
-
-def _small_vectors(n: int, bound: int):
-    import itertools
-    rng = sorted(range(-bound, bound + 1), key=abs)
-    yield from itertools.product(rng, repeat=n)
+    return FreeResolution(F1, FreeMorphism(F1, F0, [y]), F0, target, mu0)
 
 
 # ---------------------------------------------------------------------------

@@ -509,7 +509,16 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
     search_slots tries them in automorphisms order, and it checks each
     operation instance for commutation as soon as its later slot is
     assigned.  Each automorphism tried counts one node against budget.
+
+    The search runs once per distinct (M, N, budget) in a process; every
+    call returns a fresh dict.  BudgetExceeded is raised, never stored.
     """
+    phi = _isomorphism(M, N, budget)
+    return None if phi is None else dict(phi)
+
+
+@functools.cache
+def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
     if not (M.all_finite() and N.all_finite()):
         raise ValueError("crt_isomorphic requires finite parts")
     for p, n in SLOTS:

@@ -12,6 +12,12 @@ divisibility order, followed by the free rank.  Two groups are equal iff
 their fields are equal, and two homomorphisms are equal iff their reduced
 matrices are equal.
 
+Values are frozen, so the primitives are memoised by value for the life
+of the process (functools.cache): the Smith form of each matrix, and the
+kernel, image, cokernel, preimages and exactness verdicts of each map,
+are computed once per distinct argument.  Errors, such as is_exact_at's
+nonzero composite, are raised on every call and never stored.
+
 >>> group_from_presentation(IntMatrix.diag([2, 3]))
 FinAbGroup(torsion=(6,), free_rank=0)
 """
@@ -299,28 +305,18 @@ class _SnfWorker:
             self._eliminate(bad)
 
 
-_SNF_CACHE: dict[tuple, tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]] = {}
-
-
+@functools.cache
 def _snf_full(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """(U, Uinv, D, V, Vinv) with U*A*V = D; cached, deterministic."""
-    key = (A.rows, A.cols, A.entries)
-    hit = _SNF_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """(U, Uinv, D, V, Vinv) with U*A*V = D; deterministic, computed once per matrix."""
     w = _SnfWorker(A)
     w.run()
-    out = (
+    return (
         IntMatrix.from_rows(w.U, cols=A.rows),
         IntMatrix.from_rows(w.Ui, cols=A.rows),
         IntMatrix.from_rows(w.M, cols=A.cols),
         IntMatrix.from_rows(w.V, cols=A.cols),
         IntMatrix.from_rows(w.Vi, cols=A.cols),
     )
-    if len(_SNF_CACHE) > 200000:
-        _SNF_CACHE.clear()
-    _SNF_CACHE[key] = out
-    return out
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -590,6 +586,7 @@ def hom_scale(f: GroupHom, k: int) -> GroupHom:
     return GroupHom(f.domain, f.codomain, f.matrix.scale(k))
 
 
+@functools.cache
 def hom_kernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     """Kernel subgroup K with its inclusion into the domain."""
     n = f.domain.ngens
@@ -601,6 +598,7 @@ def hom_kernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     return _subquotient(L, f.domain)
 
 
+@functools.cache
 def hom_image(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     """Image subgroup with its inclusion into the codomain."""
     L = f.matrix.hstack(f.codomain.relation_matrix())
@@ -609,11 +607,10 @@ def hom_image(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
 
 def hom_cokernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
     """Cokernel with the projection from the codomain."""
-    rels = f.matrix.hstack(f.codomain.relation_matrix())
-    Q, proj, _ = _quotient_data(f.codomain.ngens, rels)
-    return Q, GroupHom(f.codomain, Q, proj)
+    return cokernel_data(f)[:2]
 
 
+@functools.cache
 def cokernel_data(f: GroupHom) -> tuple[FinAbGroup, GroupHom, IntMatrix]:
     """Cokernel, projection, and a lift matrix for the canonical generators."""
     rels = f.matrix.hstack(f.codomain.relation_matrix())
@@ -643,6 +640,11 @@ def _subquotient(L: IntMatrix, ambient: FinAbGroup) -> tuple[FinAbGroup, GroupHo
 
 def hom_preimage(f: GroupHom, y: Sequence[int]) -> Optional[Vec]:
     """Some x with f(x) = y, or None."""
+    return _preimage(f, tuple(y))
+
+
+@functools.cache
+def _preimage(f: GroupHom, y: Vec) -> Optional[Vec]:
     A = f.matrix.hstack(f.codomain.relation_matrix())
     sol = solve_int(A, y)
     if sol is None:
@@ -661,6 +663,7 @@ def subgroups_equal(incl_a: GroupHom, incl_b: GroupHom) -> bool:
             and all(lattice_contains(La, incl_b.matrix.col(j)) for j in range(incl_b.matrix.cols)))
 
 
+@functools.cache
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness at the middle of  . --f--> . --g--> .
 

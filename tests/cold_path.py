@@ -1,7 +1,9 @@
 """The cold path: crtk with its per-process caches emptied.
 
 The pipeline memoises its pure stages by value (fixtures, the tensor of
-a free module, Kunneth solves).  After `clear_caches` the next call
+a free module, Kunneth solves, isomorphism searches) and the linear
+algebra under them (Smith forms, kernels, images, cokernels, preimages,
+exactness verdicts).  After `clear_caches` the next call
 builds, checks and solves everything again: the oracle for reuse.
 """
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
+from crtk.catalog import cuntz_module
 from crtk.crt_core import (
     BudgetExceeded,
     CRTModule,
@@ -18,11 +19,20 @@ from crtk.crt_core import (
     PARTS,
     SLOTS,
     crt_isomorphic,
+    is_free,
     morphism_is_iso,
     slot_of,
 )
-from crtk.free_crt import Element, FreeCRT, MonogenicKind, free_module, monogenic, realize_morphism
-from crtk.tensor import FreeResolution, TensorModule, tensor_and_tor, tensor_free
+from crtk.free_crt import (
+    Element,
+    FreeCRT,
+    FreeMorphism,
+    MonogenicKind,
+    free_module,
+    monogenic,
+    realize_morphism,
+)
+from crtk.tensor import FreeResolution, TensorModule, restrict_to_kernels, tensor_and_tor, tensor_free
 from crtk.zlinalg import (
     FinAbGroup,
     GroupHom,
@@ -254,3 +264,39 @@ def complex_tor_groups(M: CRTModule, N: CRTModule) -> list[FinAbGroup]:
                  fin_ab_tor(M.group("U", 1), N.group("U", n - 1))]
         out.append(group_from_invariants([i for G in parts for i in G.invariants]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# catalog
+# ---------------------------------------------------------------------------
+
+
+def cuntz_resolution_by_search(k: int, bound: int = 3) -> FreeResolution:
+    """The resolution of the even Cuntz module k, its generator image found by search.
+
+    The kernel of mu0 is restricted to a CRT-module, checked free, and its
+    complex part in degree 0 is searched over coefficient vectors with
+    entries in -bound..bound, smallest absolute values first; the first
+    image that FreeResolution accepts wins.  For k = 2 mod 4 this is the
+    image catalog.cuntz_resolution writes in closed form.
+    """
+    if k % 2:
+        raise ValueError("the search covers even k only")
+    target = cuntz_module(k)
+    F0 = free_module([MonogenicKind("R", 0), MonogenicKind("R", 2)])
+    x2 = Element("O", 2, (1,) if k % 4 == 2 else (0, 1))
+    mu0 = realize_morphism(F0, target, [Element("O", 0, (1,)), x2])
+    F1 = monogenic("C", 0)
+    ker_mod, incl = restrict_to_kernels(F0.realized, mu0)
+    if not is_free(ker_mod):
+        raise ValueError(f"kernel of mu0 is not free for k={k}")
+    K = ker_mod.group("U", 0)
+    emb = incl[("U", 0)]
+    rng = sorted(range(-bound, bound + 1), key=abs)
+    for coeffs in itertools.product(rng, repeat=K.ngens):
+        y = Element("U", 0, emb.apply(K.reduce(coeffs)))
+        try:
+            return FreeResolution(F1, FreeMorphism(F1, F0, [y]), F0, target, mu0)
+        except ValueError:
+            continue
+    raise ValueError(f"no free generator found in ker(mu0) for k={k}; kernel U-part {K}")

@@ -16,8 +16,10 @@ from crtk.catalog import (
     expected_tor,
 )
 from crtk.crt_core import OP_NAMES, PARTS, is_acyclic, verify_relations
-from crtk.free_crt import monogenic
-from crtk.zlinalg import FinAbGroup, Zmod
+from crtk.free_crt import monogenic, morphism_realize
+from crtk.zlinalg import FinAbGroup, Zmod, hom_image, subgroups_equal
+
+from oracles import cuntz_resolution_by_search
 
 ZERO = FinAbGroup()
 
@@ -62,9 +64,24 @@ class TestResolutions:
 
     def test_odd_is_multiplication(self):
         res = cuntz_resolution(3)
-        from crtk.free_crt import morphism_realize
         fam = morphism_realize(res.mu1)
         assert fam[("O", 0)].matrix.entries == ((3,),)
+
+    @pytest.mark.parametrize("k", range(2, 31, 2))
+    def test_closed_form_matches_kernel_search(self, k):
+        """The even generator image in closed form against the search of ker(mu0).
+
+        For k = 2 mod 4 the search finds the closed form's image itself.  For
+        k = 0 mod 4 it finds (k/2, -1) where the closed form keeps (k/2, 1);
+        both generate ker(mu0), so the two mu1 have equal images degreewise.
+        """
+        res, found = cuntz_resolution(k), cuntz_resolution_by_search(k)
+        assert [x.vec for x in res.mu1.images] == [(k // 2, 1 if k % 4 == 0 else -1)]
+        if k % 4 == 2:
+            assert res.mu1.images == found.mu1.images
+        fam, fam_found = morphism_realize(res.mu1), morphism_realize(found.mu1)
+        for key, f in fam.items():
+            assert subgroups_equal(hom_image(f)[1], hom_image(fam_found[key])[1]), key
 
 
 class TestExpectedTables:

@@ -380,6 +380,40 @@ class TestSlotEngine:
         assert self.agree(_twisted(M, 3), M, budget=3) == "budget exceeded"
 
 
+class TestIsomorphismCache:
+    """crt_isomorphic searches once per (M, N, budget); every call gets its own map."""
+
+    @given(st.sampled_from([(2, 2), (2, 4), (3, 6), (4, 4)]), st.integers(0, 3),
+           st.sampled_from([3, 40, 2_000_000]), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_cached_equals_uncached(self, pair, seed, budget, other):
+        clear_caches()
+        M = expected_product(*pair)
+        N = expected_product(2, 2 if pair == (2, 4) else 4) if other else _twisted(M, seed)
+        expected = TestSlotEngine.outcome(crt_core._isomorphism.__wrapped__, N, M, budget)
+        for _ in range(2):  # cold, then warm
+            assert TestSlotEngine.outcome(crt_isomorphic, N, M, budget) == expected
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self):
+        M = expected_product(4, 4)
+        N = _twisted(M, 3)
+        phi = crt_isomorphic(N, M)
+        kept = dict(phi)
+        phi.clear()
+        again = crt_isomorphic(N, M)
+        assert again == kept and again is not phi
+        assert crt_core._isomorphism.cache_info().hits == 1
+
+    def test_budget_exceeded_is_never_stored(self):
+        M = expected_product(4, 4)
+        N = _twisted(M, 3)
+        assert crt_isomorphic(N, M) is not None
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                crt_isomorphic(N, M, budget=3)
+        assert crt_core._isomorphism.cache_info().currsize == 1
+
+
 class TestRigidity:
     def test_scalar_endomorphisms(self):
         # a morphism of acyclic modules with invertible complex part is

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtk import zlinalg
 from crtk.zlinalg import (
     CompositionError,
     FinAbGroup,
@@ -17,6 +18,7 @@ from crtk.zlinalg import (
     ZERO_GROUP,
     Zmod,
     automorphisms,
+    cokernel_data,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -35,6 +37,7 @@ from crtk.zlinalg import (
     solve_matrix_system,
 )
 
+from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
 from oracles import matmul_via_transpose, oracle_enumerate, reduce_hom_matrix, subgroup_contains, zero_hom
 
@@ -150,6 +153,19 @@ def mixed_groups(draw):
     return FinAbGroup(tuple(torsion), draw(st.integers(0, 2)))
 
 
+def well_defined_matrix(m, dom, cod):
+    """m with each entry scaled onto a well-defined value, left unreduced."""
+    return IntMatrix.from_rows(
+        [[0 if e == 0 and d else x * (e // gcd(e, d)) if e and d else x
+          for x, d in zip(row, dom.invariants)]
+         for row, e in zip(m.entries, cod.invariants)], cols=dom.ngens)
+
+
+@st.composite
+def group_homs(draw, dom, cod):
+    return GroupHom(dom, cod, well_defined_matrix(draw(int_matrices(cod.ngens, dom.ngens)), dom, cod))
+
+
 class TestKernelsVsOracle:
     """The matrix product and GroupHom's reduction against their earlier, plainer forms."""
 
@@ -172,11 +188,7 @@ class TestKernelsVsOracle:
     def test_reduction_matches_entrywise_reduction(self, dom, cod, data):
         m = data.draw(int_matrices(cod.ngens, dom.ngens))
         if data.draw(st.booleans()):
-            # Scale each entry onto a well-defined value, leaving it unreduced.
-            m = IntMatrix.from_rows(
-                [[0 if e == 0 and d else x * (e // gcd(e, d)) if e and d else x
-                  for x, d in zip(row, dom.invariants)]
-                 for row, e in zip(m.entries, cod.invariants)], cols=dom.ngens)
+            m = well_defined_matrix(m, dom, cod)
         new = outcome(lambda: GroupHom(dom, cod, m).matrix)
         assert new == outcome(reduce_hom_matrix, dom, cod, m)
 
@@ -344,6 +356,55 @@ class TestExactness:
         g = GroupHom(Z, Zmod(2), IntMatrix.from_rows([[1]]))
         with pytest.raises(ValueError):
             is_exact_at(f, g)
+
+
+class TestCachedPrimitives:
+    """The memoised primitives against their uncached bodies (__wrapped__), cold and warm."""
+
+    @given(mixed_groups(), mixed_groups(), mixed_groups(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cached_equals_uncached(self, A, B, C, data):
+        clear_caches()
+        f = data.draw(group_homs(A, B))
+        g = data.draw(group_homs(B, C))
+        if data.draw(st.booleans()):
+            g = GroupHom(B, C, IntMatrix.zeros(C.ngens, B.ngens))  # a composable pair
+        y = tuple(data.draw(st.lists(st.integers(-12, 12), min_size=B.ngens, max_size=B.ngens)))
+        calls = [
+            (zlinalg._snf_full, (f.matrix,)),
+            (hom_kernel, (f,)),
+            (hom_image, (f,)),
+            (cokernel_data, (f,)),
+            (zlinalg._preimage, (f, y)),
+            (is_exact_at, (f, g)),
+        ]
+        for fn, args in calls:
+            expected = outcome(fn.__wrapped__, *args)
+            cold = outcome(fn, *args)
+            # An equal but distinct argument reaches the stored value.
+            warm = outcome(fn, *(GroupHom(a.domain, a.codomain, a.matrix) if isinstance(a, GroupHom)
+                                 else a for a in args))
+            assert cold == warm == expected, fn.__name__
+        assert hom_preimage(f, list(y)) == zlinalg._preimage.__wrapped__(f, y)
+        assert hom_cokernel(f) == cokernel_data.__wrapped__(f)[:2]
+
+    def test_equal_arguments_share_one_computation(self):
+        f = GroupHom(Zmod(4), Zmod(8), IntMatrix.from_rows([[2]]))
+        twin = GroupHom(Zmod(4), Zmod(8), IntMatrix.from_rows([[10]]))
+        assert twin == f and twin is not f
+        assert hom_kernel(twin) is hom_kernel(f)
+        assert hom_cokernel(twin)[1] is cokernel_data(f)[1]
+        assert hom_preimage(twin, [4]) is hom_preimage(f, (4,))
+
+    def test_nonzero_composite_raises_on_every_call(self):
+        f = identity_hom(Z)
+        g = GroupHom(Z, Zmod(2), IntMatrix.from_rows([[1]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonzero"):
+                is_exact_at(f, g)
+        with pytest.raises(CompositionError):
+            is_exact_at(g, g)
+        assert is_exact_at.cache_info().currsize == 0
 
 
 class TestOracle:
