@@ -130,9 +130,8 @@ def cuntz_resolution(k: int) -> FreeResolution:
 
     Odd k: multiplication by k on the real monogenic module.  Even k: the
     complex monogenic module maps onto the kernel of the two-generator
-    surjection, its generator going to (k/2)·c(b0) ± betaU^-1·c(b2), with
-    + for k = 0 mod 4 and - for k = 2 mod 4 (the k/2 multiplier is forced
-    by exactness).  FreeResolution validates the image.
+    surjection, its generator going to (k/2)·c(b0) - betaU^-1·c(b2) (the
+    k/2 multiplier is forced by exactness).  FreeResolution validates the image.
     """
     target = cuntz_module(k)
     if k % 2 == 1:
@@ -149,7 +148,7 @@ def cuntz_resolution(k: int) -> FreeResolution:
     b0, b2 = F0.generator(0), F0.generator(1)
     y = add_elements(F0.realized,
                      scale_element(act(F0.realized, ["c"], b0), k // 2),
-                     scale_element(act(F0.realized, ["betaU_inv", "c"], b2), 1 if k % 4 == 0 else -1))
+                     scale_element(act(F0.realized, ["betaU_inv", "c"], b2), -1))
     F1 = monogenic("C", 0)
     return FreeResolution(F1, FreeMorphism(F1, F0, [y]), F0, target, mu0)
 

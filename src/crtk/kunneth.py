@@ -19,12 +19,13 @@ no final suite runs on it.
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
 Hom(tor_{n-1}, tensor_n)) fix both maps, so their product G over the
-slots acts on the candidates of every operation by theta -> u_t.theta.u_s^-1
-and maps middles to CRT-isomorphic middles; every pruning check gives
-the same answer on a candidate and on its image.  The search visits a
-candidate only when no element of the stabilizer of the operations
-already assigned maps it to a smaller index ("orderly" search), so it
-reaches exactly the first copy in search order of each G-orbit.
+slots maps middles to CRT-isomorphic middles, and every pruning check
+gives the same answer on a candidate and on its image.  As beta.alpha = 0,
+u_t.theta.u_s^-1 moves the candidate at W to the one at W + h_t.Q - P.h_s
+(P, Q the tensor and Tor operations) for every slot choice.  One table
+per problem (_gauge_table) lists the candidates first in their orbit
+under the stabilizer of the operations before; the search visits only
+those ("orderly" search) and reaches the first copy of each G-orbit.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism
 as they arrive; the dedup still catches isomorphisms outside G.  Each
@@ -67,8 +68,10 @@ from .zlinalg import (
     fin_ab_tensor,
     fin_ab_tor,
     hom_compose,
+    hom_coords,
     hom_group_elements,
     identity_hom,
+    kernel_lattice,
     solve_matrix_system,
 )
 
@@ -133,7 +136,6 @@ def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
 _OP_ORDER = [(name, n) for name in ("zeta", "gamma", "psiU", "c", "r", "tau", "eps")
              for n in range(8)]
 _ORDER_INDEX = {key: i for i, key in enumerate(_OP_ORDER)}
-_SLOT_INDEX = {slot: i for i, slot in enumerate(SLOTS)}
 
 
 def _schedule() -> dict[tuple[str, int], list[tuple[Check, int]]]:
@@ -143,6 +145,8 @@ def _schedule() -> dict[tuple[str, int], list[tuple[Check, int]]]:
     """
     reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in _OP_ORDER}
     for chk in CHECKS:
+        if chk.name == "eps.r.zeta=1+psiT":
+            continue  # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so it always holds
         for n in range(8):
             keys = [("eps" if name == "psiT" else name, (n + off) % 8) for name, off in chk.reads]
             reg[max(keys, key=_ORDER_INDEX.__getitem__)].append((chk, n))
@@ -166,28 +170,60 @@ class _Assigned:
             raise LookupError(f"{name}_{n % 8} is not assigned yet") from None
 
 
-def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:
-    """(u, u^-1) for the automorphisms u = 1 + alpha.h.beta of K, h in Hom(quot, sub).
+def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[int]]]:
+    """For each key of _OP_ORDER, the candidate indices the orderly search visits.
 
-    u fixes alpha and beta, and u^-1 = 1 - alpha.h.beta because beta.alpha = 0.
-    Index 0 is the identity (h = 0 comes first).
+    L spans the stabilizer of the keys before in gauge coordinates (the
+    hom_coords of each slot's Hom(quot, sub)).  Candidate j is visited iff
+    W_j is least (index order is lexicographic) in W_j + D(L), where
+    D(h) = h_t.Q - P.h_s; None if D(L) = 0, so all are visited.
     """
-    K, alpha, beta = option
-    one = identity_hom(K)
-    out = [(one, one)]
-    for h in hom_group_elements(quot, sub)[1:]:
-        d = hom_compose(alpha, hom_compose(h, beta))
-        out.append((one + d, one - d))
-    return out
+    gauge = [(slot, c) for slot in SLOTS for c in hom_coords(p.quot(*slot), p.sub(*slot))]
+    L = IntMatrix.identity(len(gauge))
+    table = dict.fromkeys(_OP_ORDER)
+    for name, n in _OP_ORDER:
+        src, tgt, shift = OP_SPECS[name]
+        s, t = slot_of(src, n), slot_of(tgt, n + shift)
+        P, Q = p.tensor.op(name, n).matrix.entries, p.tor.op(name, n - 1).matrix.entries
+        coords = hom_coords(p.tor.group(src, n - 1), p.tensor.group(tgt, n + shift))
+        orders = [order for *_, order in coords]
+        # M = D.L, where D at the gauge coordinate h = step at (row, col) reads
+        # h.Q = step.Q[col] in row `row` and P.h = step.P[:, row] in column `col`.
+        M = IntMatrix.from_cols(
+            [[((step * Q[col][c] if slot == t and r == row else 0)
+               - (step * P[r][row] if slot == s and c == col else 0)) // st
+              for r, c, st, _ in coords] for slot, (row, col, step, _) in gauge], rows=len(coords)) * L
+
+        def add(a, b):
+            return tuple((x + y) % o for x, y, o in zip(a, b, orders))
+
+        shifts = {(0,) * len(orders)}
+        for v in M.columns():
+            while (more := {add(w, v) for w in shifts}) - shifts:
+                shifts |= more
+        if len(shifts) == 1:
+            continue
+        visit, covered = set(), set()
+        for j, w in enumerate(itertools.product(*map(range, orders))):
+            if w not in covered:
+                visit.add(j)
+                covered.update(add(w, v) for v in shifts)
+        table[(name, n)] = frozenset(visit)
+        K = kernel_lattice(M.hstack(IntMatrix.diag(orders)))
+        L = L * IntMatrix.from_rows(K.entries[:L.cols], cols=K.cols)
+        # Entries modulo the gauge orders: D kills those multiples, and L stays small.
+        L = IntMatrix.from_rows([[x % c[3] for x in row] for row, (_, c) in zip(L.entries, gauge)],
+                                cols=L.cols)
+    return table
 
 
 class _Search:
     """One Kunneth solve: a slot stage, then an operation stage per full slot choice.
 
     The slot stage runs crt_core.search_slots over the extension options
-    of each slot, and it prunes a choice as soon as some operation
-    instance between assigned slots has no candidate.  Each full choice
-    goes to _op_stage.  Both stages count their nodes against one budget.
+    of each slot and prunes a choice as soon as some operation instance
+    between assigned slots has no candidate; every instance of a full
+    choice thus has one.  Both stages count their nodes against one budget.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
@@ -198,6 +234,7 @@ class _Search:
         self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
+        self.gauge: Optional[dict[tuple[str, int], Optional[frozenset[int]]]] = None  # _gauge_table(p)
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
                              for slot in SLOTS}
 
@@ -224,23 +261,19 @@ class _Search:
 
     # -- operation stage ----------------------------------------------------
 
+    def _option(self, part, n) -> tuple[FinAbGroup, GroupHom, GroupHom]:
+        """(K, alpha, beta) of the chosen extension at (part, n)."""
+        return self._slot_choice[slot_of(part, n)]
+
     def _k_group(self, part, n) -> FinAbGroup:
-        return self._slot_choice[slot_of(part, n)][0]
-
-    def _alpha(self, part, n) -> GroupHom:
-        return self._slot_choice[slot_of(part, n)][1]
-
-    def _beta(self, part, n) -> GroupHom:
-        return self._slot_choice[slot_of(part, n)][2]
+        return self._option(part, n)[0]
 
     def _instance_candidates(self, name: str, n: int) -> list[GroupHom]:
         """All operation matrices satisfying the intertwining constraints."""
         src, tgt, shift = OP_SPECS[name]
         m = (n + shift) % 8
-        Ks = self._k_group(src, n)
-        Kt = self._k_group(tgt, m)
-        a_s, b_s = self._alpha(src, n), self._beta(src, n)
-        a_t, b_t = self._alpha(tgt, m), self._beta(tgt, m)
+        Ks, a_s, b_s = self._option(src, n)
+        Kt, a_t, b_t = self._option(tgt, m)
         P = self.p.tensor.op(name, n)
         Q = self.p.tor.op(name, n - 1)
         cache_key = (name, n, Ks, Kt, a_s.matrix.entries, b_s.matrix.entries,
@@ -269,18 +302,10 @@ class _Search:
                 coeffs = {(q, j): C.entries[i][q] for q in range(rows) if C.entries[i][q]}
                 eqs.append((coeffs, D.entries[i][j], f))
         theta0 = solve_matrix_system(rows, cols, eqs)
-        if theta0 is None:
-            self._cand_cache[cache_key] = []
-            return []
-        base = GroupHom(Ks, Kt, theta0)
-        out = []
-        seen = set()
-        for W in hom_group_elements(self.p.tor.group(src, n - 1), self.p.tensor.group(tgt, m)):
-            mat = theta0 + a_t.matrix * W.matrix * b_s.matrix
-            h = GroupHom(Ks, Kt, mat)
-            if h.matrix.entries not in seen:
-                seen.add(h.matrix.entries)
-                out.append(h)
+        # W -> alpha_t.W.beta_s is injective (alpha_t is, and beta_s is onto): no repeats.
+        out = [] if theta0 is None else [
+            GroupHom(Ks, Kt, theta0 + a_t.matrix * W.matrix * b_s.matrix)
+            for W in hom_group_elements(self.p.tor.group(src, n - 1), self.p.tensor.group(tgt, m))]
         self._cand_cache[cache_key] = out
         return out
 
@@ -288,42 +313,18 @@ class _Search:
         ops: dict[tuple[str, int], GroupHom] = {}
         view = _Assigned(ops, self._k_group)
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
-        if any(not v for v in cand.values()):
-            return
-        gauge = [_slot_gauge(self._slot_choice[slot], self.p.sub(*slot), self.p.quot(*slot))
-                 for slot in SLOTS]
-        index = {key: {h.matrix.entries: j for j, h in enumerate(v)} for key, v in cand.items()}
-        images: dict[tuple, int] = {}
+        if self.gauge is None:
+            self.gauge = _gauge_table(self.p)
 
-        def stabilizer(key, j, H):
-            """The g in H fixing candidate j, or None if some g in H maps it to a smaller index."""
-            name, n = key
-            src, tgt, shift = OP_SPECS[name]
-            s, t = _SLOT_INDEX[slot_of(src, n)], _SLOT_INDEX[slot_of(tgt, n + shift)]
-            fixed = []
-            for g in H:
-                img = images.get((key, j, g[s], g[t]))
-                if img is None:
-                    moved = hom_compose(gauge[t][g[t]][0], hom_compose(cand[key][j], gauge[s][g[s]][1]))
-                    img = index[key].get(moved.matrix.entries)
-                    if img is None:
-                        raise RuntimeError(f"gauge image of a {name}_{n} candidate is not a candidate")
-                    images[(key, j, g[s], g[t])] = img
-                if img < j:
-                    return None
-                if img == j:
-                    fixed.append(g)
-            return fixed
-
-        def rec(i: int, H: list[tuple[int, ...]]):
+        def rec(i: int):
             if i == len(_OP_ORDER):
                 yield ops
                 return
             key = _OP_ORDER[i]
+            visit = self.gauge[key]
             for j, h in enumerate(cand[key]):
                 self._tick("operation")
-                H_next = H if len(H) == 1 else stabilizer(key, j, H)
-                if H_next is None:
+                if visit is not None and j not in visit:
                     self.skipped += 1
                     continue
                 ops[key] = h
@@ -333,20 +334,20 @@ class _Search:
                         continue
                     ops[("psiT", key[1])] = psiT
                 if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
-                    yield from rec(i + 1, H_next)
+                    yield from rec(i + 1)
             ops.pop(key, None)
             ops.pop(("psiT", key[1]), None)
 
         # A generator runs _finish and the node checks off this 56-frame recursion: CPython 3.11
         # allocates and frees a frame-stack chunk per call in a loop that straddles a chunk edge.
-        for full in rec(0, list(itertools.product(*(range(len(g)) for g in gauge)))):
+        for full in rec(0):
             self._finish(full)
 
     def _derive_psiT(self, ops, n: int) -> Optional[GroupHom]:
         """psiT_n = eps_n r_n zeta_n - 1; also verify its intertwining."""
         h = hom_compose(ops[("eps", n)], hom_compose(ops[("r", n)], ops[("zeta", n)]))
-        psiT = h - identity_hom(self._k_group("T", n))
-        a, b = self._alpha("T", n), self._beta("T", n)
+        K, a, b = self._option("T", n)
+        psiT = h - identity_hom(K)
         if hom_compose(psiT, a) != hom_compose(a, self.p.tensor.op("psiT", n)):
             return None
         if hom_compose(b, psiT) != hom_compose(self.p.tor.op("psiT", n - 1), b):
@@ -357,14 +358,11 @@ class _Search:
         self.raw += 1
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}
         mats = {name: [ops[(name, n)].matrix for n in range(8)] for name in OP_NAMES}
-        try:
-            middle = make_module(groups, mats)
-        except ValueError:
-            return
+        middle = make_module(groups, mats)
         if any(crt_isomorphic(middle, sol.middle) is not None for sol in self.solutions):
             return
-        alpha = {(p, n): self._alpha(p, n) for p in PARTS for n in range(8)}
-        beta = {(p, n): self._beta(p, n) for p in PARTS for n in range(8)}
+        alpha = {(p, n): self._option(p, n)[1] for p in PARTS for n in range(8)}
+        beta = {(p, n): self._option(p, n)[2] for p in PARTS for n in range(8)}
         self.solutions.append(KunnethSolution(middle, alpha, beta))
 
 
@@ -375,8 +373,8 @@ _SOLVED: dict[tuple[CRTModule, CRTModule, int], list[KunnethSolution]] = {}
 def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
-    The operation search visits one copy per orbit of the gauge group
-    (module docstring), the first in search order, and keeps the first
+    The operation search visits the first copy of each gauge orbit, as the
+    problem's gauge table says (module docstring), and keeps the first
     middle of each class in arrival order.  Raises BudgetExceeded when
     the node budget runs out; an empty result for a pair the tables
     cover signals a transcription error upstream.

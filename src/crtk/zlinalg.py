@@ -722,12 +722,27 @@ def automorphisms(G: FinAbGroup) -> list[GroupHom]:
     return out
 
 
-def hom_group_elements(A: FinAbGroup, B: FinAbGroup) -> list[GroupHom]:
-    """All homomorphisms A -> B; both groups must be finite."""
+def hom_coords(A: FinAbGroup, B: FinAbGroup) -> list[tuple[int, int, int, int]]:
+    """Coordinates (row, col, step, order) of Hom(A, B), A and B finite, column-major.
+
+    Entry (row, col) of a hom is x * step with 0 <= x < order = gcd of the invariants.
+    """
     if not (A.is_finite() and B.is_finite()):
         raise ValueError("hom enumeration requires finite groups")
-    pools = [_annihilated_elements(B, d) for d in A.torsion]
-    return [hom_from_cols(A, B, [list(c) for c in cols]) for cols in itertools.product(*pools)]
+    return [(row, col, t // gcd(d, t), gcd(d, t)) for col, d in enumerate(A.torsion)
+            for row, t in enumerate(B.torsion) if gcd(d, t) > 1]
+
+
+def hom_group_elements(A: FinAbGroup, B: FinAbGroup) -> list[GroupHom]:
+    """All homomorphisms A -> B, in lexicographic order of their hom_coords."""
+    coords = hom_coords(A, B)
+    out = []
+    for xs in itertools.product(*(range(order) for *_, order in coords)):
+        rows = [[0] * A.ngens for _ in range(B.ngens)]
+        for (row, col, step, _), x in zip(coords, xs):
+            rows[row][col] = x * step
+        out.append(GroupHom(A, B, IntMatrix.from_rows(rows, cols=A.ngens)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unreduced, check-every-copy Kunneth search: the oracle for the solver's shortcuts.
+"""Unreduced and enumerated Kunneth searches: the oracles for the solver's shortcuts.
 
 The solver visits one operation assignment per gauge orbit, prunes with
 every entry of crt_core.CHECKS and runs no final suite, and drops a raw
@@ -7,14 +7,23 @@ module keeps the older path: the operation search visits every
 candidate (pruned by the same schedule), every raw middle it reaches
 runs the full relation and acyclicity suites, and the survivors are
 deduplicated pairwise up to CRT-isomorphism afterwards.
+
+EnumeratedGauge keeps the gauge fixing as it was first written: the
+gauge group is a list of index tuples into the per-slot automorphism
+lists of _slot_gauge, and each candidate filters the stabilizer of the
+operations before it element by element.  The solver reads the same
+verdicts from one table per problem (kunneth._gauge_table).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from crtk.crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
+    SLOTS,
     crt_isomorphic,
     is_acyclic,
     make_module,
@@ -30,39 +39,23 @@ from crtk.kunneth import (
     _Search,
     split_check,
 )
-from crtk.zlinalg import GroupHom, IntMatrix, hom_compose, hom_preimage
+from crtk.zlinalg import (
+    FinAbGroup,
+    GroupHom,
+    IntMatrix,
+    hom_compose,
+    hom_group_elements,
+    hom_preimage,
+    identity_hom,
+)
 
 
 class CheckEveryCopy(_Search):
     """The solver's search without gauge fixing, with every raw middle checked and kept."""
 
-    def _op_stage(self):
-        ops = {}
-        view = _Assigned(ops, self._k_group)
-        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
-        if any(not v for v in cand.values()):
-            return
-
-        def rec(i):
-            if i == len(_OP_ORDER):
-                yield ops
-                return
-            key = _OP_ORDER[i]
-            for h in cand[key]:
-                self._tick("operation")
-                ops[key] = h
-                if key[0] == "eps":
-                    psiT = self._derive_psiT(ops, key[1])
-                    if psiT is None:
-                        continue
-                    ops[("psiT", key[1])] = psiT
-                if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
-                    yield from rec(i + 1)
-            ops.pop(key, None)
-            ops.pop(("psiT", key[1]), None)
-
-        for full in rec(0):
-            self._finish(full)
+    def __init__(self, p: KunnethProblem, budget: int):
+        super().__init__(p, budget)
+        self.gauge = dict.fromkeys(_OP_ORDER)  # the gauge table that visits every candidate
 
     def _finish(self, ops: dict):
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}
@@ -75,9 +68,85 @@ class CheckEveryCopy(_Search):
             return
         if not is_acyclic(middle, check_relations=False).ok():
             return
-        alpha = {(p, n): self._alpha(p, n) for p in PARTS for n in range(8)}
-        beta = {(p, n): self._beta(p, n) for p in PARTS for n in range(8)}
+        alpha = {(p, n): self._option(p, n)[1] for p in PARTS for n in range(8)}
+        beta = {(p, n): self._option(p, n)[2] for p in PARTS for n in range(8)}
         self.solutions.append(KunnethSolution(middle, alpha, beta))
+
+
+def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:
+    """(u, u^-1) for the automorphisms u = 1 + alpha.h.beta of K, h in Hom(quot, sub).
+
+    u fixes alpha and beta, and u^-1 = 1 - alpha.h.beta because beta.alpha = 0.
+    Index i is the i-th element of hom_group_elements(quot, sub); index 0 is the identity.
+    """
+    K, alpha, beta = option
+    one = identity_hom(K)
+    out = [(one, one)]
+    for h in hom_group_elements(quot, sub)[1:]:
+        d = hom_compose(alpha, hom_compose(h, beta))
+        out.append((one + d, one - d))
+    return out
+
+
+class EnumeratedGauge(_Search):
+    """The solver with its gauge group listed and each stabilizer filtered element by element."""
+
+    def _op_stage(self):
+        ops = {}
+        view = _Assigned(ops, self._k_group)
+        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
+        if any(not v for v in cand.values()):
+            return
+        gauge = [_slot_gauge(self._slot_choice[slot], self.p.sub(*slot), self.p.quot(*slot))
+                 for slot in SLOTS]
+        slot_index = {slot: i for i, slot in enumerate(SLOTS)}
+        index = {key: {h.matrix.entries: j for j, h in enumerate(v)} for key, v in cand.items()}
+        images = {}
+
+        def stabilizer(key, j, H):
+            """The g in H fixing candidate j, or None if some g in H maps it to a smaller index."""
+            name, n = key
+            src, tgt, shift = OP_SPECS[name]
+            s, t = slot_index[slot_of(src, n)], slot_index[slot_of(tgt, n + shift)]
+            fixed = []
+            for g in H:
+                img = images.get((key, j, g[s], g[t]))
+                if img is None:
+                    moved = hom_compose(gauge[t][g[t]][0], hom_compose(cand[key][j], gauge[s][g[s]][1]))
+                    img = index[key].get(moved.matrix.entries)
+                    if img is None:
+                        raise RuntimeError(f"gauge image of a {name}_{n} candidate is not a candidate")
+                    images[(key, j, g[s], g[t])] = img
+                if img < j:
+                    return None
+                if img == j:
+                    fixed.append(g)
+            return fixed
+
+        def rec(i, H):
+            if i == len(_OP_ORDER):
+                yield ops
+                return
+            key = _OP_ORDER[i]
+            for j, h in enumerate(cand[key]):
+                self._tick("operation")
+                H_next = H if len(H) == 1 else stabilizer(key, j, H)
+                if H_next is None:
+                    self.skipped += 1
+                    continue
+                ops[key] = h
+                if key[0] == "eps":
+                    psiT = self._derive_psiT(ops, key[1])
+                    if psiT is None:
+                        continue
+                    ops[("psiT", key[1])] = psiT
+                if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
+                    yield from rec(i + 1, H_next)
+            ops.pop(key, None)
+            ops.pop(("psiT", key[1]), None)
+
+        for full in rec(0, list(itertools.product(*(range(len(g)) for g in gauge)))):
+            self._finish(full)
 
 
 def solve_middle_oracle(p: KunnethProblem, budget: int = 5_000_000):

@@ -277,7 +277,7 @@ def cuntz_resolution_by_search(k: int, bound: int = 3) -> FreeResolution:
     The kernel of mu0 is restricted to a CRT-module, checked free, and its
     complex part in degree 0 is searched over coefficient vectors with
     entries in -bound..bound, smallest absolute values first; the first
-    image that FreeResolution accepts wins.  For k = 2 mod 4 this is the
+    image that FreeResolution accepts wins.  For every even k this is the
     image catalog.cuntz_resolution writes in closed form.
     """
     if k % 2:

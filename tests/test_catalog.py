@@ -71,14 +71,12 @@ class TestResolutions:
     def test_closed_form_matches_kernel_search(self, k):
         """The even generator image in closed form against the search of ker(mu0).
 
-        For k = 2 mod 4 the search finds the closed form's image itself.  For
-        k = 0 mod 4 it finds (k/2, -1) where the closed form keeps (k/2, 1);
-        both generate ker(mu0), so the two mu1 have equal images degreewise.
+        The search finds the closed form's image (k/2, -1) itself for every
+        even k, and the two mu1 have equal images degreewise.
         """
         res, found = cuntz_resolution(k), cuntz_resolution_by_search(k)
-        assert [x.vec for x in res.mu1.images] == [(k // 2, 1 if k % 4 == 0 else -1)]
-        if k % 4 == 2:
-            assert res.mu1.images == found.mu1.images
+        assert [x.vec for x in res.mu1.images] == [(k // 2, -1)]
+        assert res.mu1.images == found.mu1.images
         fam, fam_found = morphism_realize(res.mu1), morphism_realize(found.mu1)
         for key, f in fam.items():
             assert subgroups_equal(hom_image(f)[1], hom_image(fam_found[key])[1]), key

@@ -173,14 +173,15 @@ class TestMorphisms:
             FreeMorphism(F, F, [Element("U", 0, (1,))])
 
     def test_even_resolution_map_by_hand(self):
-        # complex generator -> (k/2) c(b0) + betaU^{-1} c(b1); expanding the
-        # two complex basis vectors by hand gives the columns below
+        # complex generator -> (k/2) c(b0) - betaU^{-1} c(b1); expanding the
+        # two complex basis vectors by hand gives the columns below (the
+        # second row, from the b1 summand, carries the minus sign)
         from crtk.catalog import cuntz_resolution
         k = 4
         res = cuntz_resolution(k)
         fam = morphism_realize(res.mu1)
         u0 = fam[("U", 0)]
-        assert u0.matrix == IntMatrix.from_rows([[2, 2], [1, -1]])
+        assert u0.matrix == IntMatrix.from_rows([[2, 2], [-1, 1]])
         # the real part of the target at degree 0 comes from the first
         # summand only, and r(c(b0)) = 2 b0 picks up the k/2 multiplier
         o0 = fam[("O", 0)]

@@ -1,8 +1,11 @@
 """The extension solver, split detection, and the pipeline."""
 
+import hashlib
 import itertools
+import json
 import logging
 import re
+import tracemalloc
 from collections import Counter
 from math import gcd, prod
 
@@ -11,12 +14,14 @@ import pytest
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import (
     CHECKS,
+    OP_SPECS,
     PARTS,
     SLOTS,
     BudgetExceeded,
     crt_isomorphic,
     is_acyclic,
     module_to_json,
+    slot_of,
     verify_relations,
 )
 from crtk.free_crt import monogenic
@@ -26,8 +31,8 @@ from crtk.kunneth import (
     _SOLVED,
     KunnethProblem,
     _extension_options,
+    _gauge_table,
     _Search,
-    _slot_gauge,
     classical_complex_kunneth,
     kunneth_pipeline,
     solve_middle,
@@ -35,11 +40,24 @@ from crtk.kunneth import (
     split_model,
 )
 from crtk.tensor import tensor_and_tor
-from crtk.zlinalg import FinAbGroup, Zmod, hom_cokernel, hom_compose, hom_kernel, is_exact_at
+from crtk.zlinalg import (
+    FinAbGroup,
+    Zmod,
+    hom_cokernel,
+    hom_compose,
+    hom_coords,
+    hom_group_elements,
+    hom_kernel,
+    is_exact_at,
+)
 
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
-from kunneth_oracle import conjugate, solve_middle_oracle
+from kunneth_oracle import EnumeratedGauge, _slot_gauge, conjugate, solve_middle_oracle
+
+# _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
+# search and is not scheduled there; it stays in CHECKS and so in the relation suite.
+TAUTOLOGY = "eps.r.zeta=1+psiT"
 
 
 def make_problem(k, l):
@@ -54,7 +72,6 @@ def solve(k, l, **kw):
 
 def check_solution_contract(problem, sol):
     """Exactness, commutation of alpha and beta, and order balance."""
-    from crtk.crt_core import OP_SPECS
     for p in PARTS:
         for n in range(8):
             a, b = sol.alpha[(p, n)], sol.beta[(p, n)]
@@ -233,7 +250,12 @@ class TestCheckSchedule:
                 assert key in reads, (chk.name, n, key)
                 assert all(order[read] <= order[key] for read in reads), (chk.name, n, key)
         assert len(CHECKS) == 30
-        assert registered == Counter({(chk.name, n): 1 for chk in CHECKS for n in range(8)})
+        assert registered == Counter({(chk.name, n): 1 for chk in CHECKS for n in range(8)
+                                      if chk.name != TAUTOLOGY})
+
+    def test_derived_psiT_relation_is_not_scheduled(self):
+        assert TAUTOLOGY in {chk.name for chk in CHECKS}
+        assert all(chk.name != TAUTOLOGY for entries in _SCHEDULE.values() for chk, _ in entries)
 
 
 class TestGaugeFixing:
@@ -245,6 +267,7 @@ class TestGaugeFixing:
 
     @pytest.mark.parametrize("k, l, order", [(2, 4, 32), (4, 4, 256)])
     def test_gauge_maps_kept_middle_into_candidates(self, k, l, order):
+        """u = 1 + alpha.h.beta moves the candidate at W to the one at W + h_t.Q - P.h_s."""
         problem = make_problem(k, l)
         (sol,) = solve_middle(problem)
         search = _Search(problem, budget=1)
@@ -252,19 +275,57 @@ class TestGaugeFixing:
                                for slot in SLOTS}
         gauge = [_slot_gauge(search._slot_choice[slot], problem.sub(*slot), problem.quot(*slot))
                  for slot in SLOTS]
+        hs = {slot: hom_group_elements(problem.quot(*slot), problem.sub(*slot)) for slot in SLOTS}
         assert prod(len(g) for g in gauge) == order
-        cand = {key: {h.matrix.entries for h in search._instance_candidates(*key)}
-                for key in _OP_ORDER}
+        cand = {key: search._instance_candidates(*key) for key in _OP_ORDER}
+        instance = {}  # key -> (W of every candidate, W of the kept middle's op, P, Q, slots)
+        for key, v in cand.items():
+            assert len({h.matrix.entries for h in v}) == len(v), key
+            name, n = key
+            src, tgt, shift = OP_SPECS[name]
+            Ws = hom_group_elements(problem.tor.group(src, n - 1), problem.tensor.group(tgt, n + shift))
+            assert len(Ws) == len(v), key
+            instance[key] = (Ws, Ws[v.index(sol.middle.op(*key))], problem.tensor.op(name, n),
+                             problem.tor.op(name, n - 1), SLOTS.index(slot_of(src, n)),
+                             SLOTS.index(slot_of(tgt, n + shift)))
         seen = {sol.middle}
-        for g in itertools.islice(itertools.product(*gauge), 1, None):
-            moved = conjugate(sol.middle, {slot: u for slot, (u, _) in zip(SLOTS, g)})
+        for g in itertools.islice(itertools.product(*(range(len(x)) for x in gauge)), 1, None):
+            moved = conjugate(sol.middle, {slot: gauge[i][g[i]][0] for i, slot in enumerate(SLOTS)})
             for key in _OP_ORDER:
-                assert moved.op(*key).matrix.entries in cand[key]
+                Ws, W, P, Q, s, t = instance[key]
+                h_s, h_t = hs[SLOTS[s]][g[s]], hs[SLOTS[t]][g[t]]
+                shifted = W + hom_compose(h_t, Q) - hom_compose(P, h_s)
+                assert moved.op(*key) == cand[key][Ws.index(shifted)], key
             if moved not in seen:
                 seen.add(moved)
                 assert verify_relations(moved).ok()
                 assert is_acyclic(moved, check_relations=False).ok()
         assert len(seen) > 1
+
+    @pytest.mark.parametrize("k, l", [(2, 4), (4, 4), (5, 5), (6, 6), (4, 8)])
+    def test_table_agrees_with_enumerated_gauge(self, k, l):
+        problem = make_problem(k, l)
+        got, want = _Search(problem, 5_000_000), EnumeratedGauge(problem, 5_000_000)
+        assert [s.middle for s in got.run()] == [s.middle for s in want.run()]
+        assert (got.nodes, got.raw, got.skipped) == (want.nodes, want.raw, want.skipped)
+        assert got.skipped > 0
+
+    def test_triple_table_builds(self):
+        """O5 x O5 x O5: the gauge group has order 2^43, far past any list of its elements."""
+        (sol,) = solve_middle(make_problem(4, 4))
+        tp = tensor_and_tor(cuntz_resolution(4), sol.middle)
+        problem = KunnethProblem(tp.tensor, tp.tor)
+        orders = [c[3] for slot in SLOTS for c in hom_coords(problem.quot(*slot), problem.sub(*slot))]
+        assert prod(orders) == 2 ** 43
+        tracemalloc.start()
+        try:
+            table = _gauge_table(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(table) == _OP_ORDER
+        assert any(v is not None for v in table.values())
+        assert peak < 20 * 2 ** 20, peak
 
 
 class TestSolver:
@@ -364,11 +425,15 @@ class TestPipeline:
     def test_full_grid(self, caplog):
         """Every k, l in 2..12 against the tables and table-independent invariants."""
         caplog.set_level(logging.DEBUG, logger="crtk")
+        (tautology,) = [chk for chk in CHECKS if chk.name == TAUTOLOGY]
+        digest = hashlib.sha256()
         for k, l in itertools.product(range(2, 13), repeat=2):
             rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
             assert rep.ok() and len(rep.solutions) == 1, (k, l)
             sol = rep.solutions[0]
             mid = sol.middle
+            digest.update(json.dumps([module_to_json(mid), sol.split]).encode())
+            assert all(tautology.holds(mid, n) for n in range(8)), (k, l)
             assert [mid.group("U", n) for n in range(8)] == classical_complex_kunneth(k, l), (k, l)
             for p in PARTS:
                 for n in range(8):
@@ -382,6 +447,9 @@ class TestPipeline:
         counts = [m.groups() for m in solves if m]
         assert len(counts) == 27
         assert all(raw == kept for raw, kept in counts), counts
+        # The middles, split flags and DEBUG records (search nodes and skips included), pinned.
+        digest.update("\n".join(r.getMessage() for r in caplog.records if r.name == "crtk").encode())
+        assert digest.hexdigest() == "c0419a34da1726642ba045618670e16ed5fa9afaaf81b970a760aef84d361d7c"
 
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):

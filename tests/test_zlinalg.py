@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,9 @@ from crtk.zlinalg import (
     group_from_presentation,
     hom_cokernel,
     hom_compose,
+    hom_coords,
     hom_from_cols,
+    hom_group_elements,
     hom_image,
     hom_kernel,
     hom_preimage,
@@ -333,6 +335,18 @@ class TestHoms:
         f = GroupHom(Z, Zmod(4), IntMatrix.from_rows([[2]]))
         assert f.apply(hom_preimage(f, (2,))) == (2,)
         assert hom_preimage(f, (1,)) is None
+
+
+    def test_hom_group_elements_in_column_pool_order(self):
+        """Hom(A, B) is listed as the product of its columns, each in element order of B."""
+        groups = [(), (2,), (4,), (2, 2), (2, 4), (6,), (3, 9)]
+        for a, b in itertools.product(groups, repeat=2):
+            A, B = FinAbGroup(a), FinAbGroup(b)
+            pools = [[x for x in B.elements() if all((d * xi) % t == 0 for xi, t in zip(x, B.torsion))]
+                     for d in A.torsion]
+            want = [hom_from_cols(A, B, [list(c) for c in cols]) for cols in itertools.product(*pools)]
+            assert hom_group_elements(A, B) == want, (a, b)
+            assert prod(order for *_, order in hom_coords(A, B)) == len(want), (a, b)
 
 
 class TestExactness:
