@@ -36,15 +36,6 @@ from .free_crt import (
 )
 from .tensor import FreeResolution
 
-# Anomalies in the printed tables, kept as metadata rather than silently
-# normalized.  The c_3 entry of the product table for k = l = 0 mod 4 prints
-# a symbol d defined nowhere; it is read as g, the value forced by the
-# relation c = zeta.eps at degree 3.
-FIXTURE_FLAGS = {
-    "product_0mod4.c_3": "printed d/2 read as g/2 (forced by c = zeta.eps)",
-}
-
-
 def _instantiate(groups_listed: dict, ops_listed: dict) -> CRTModule:
     """Build a module from listed invariants and raw table entries, and check it."""
     M = table_module(groups_listed, ops_listed)
@@ -181,9 +172,12 @@ def expected_product(k: int, l: int) -> CRTModule:
 
 
 def expected_tensor(k: int, l: int) -> CRTModule:
-    """Tensor table where the source prints one (k odd, or both 0 mod 4)."""
+    """Tensor table where the source prints one (k odd, or both 0 mod 4).
+
+    The table printed for an odd gcd g is the Cuntz module of g.
+    """
     if k % 2 == 1 or l % 2 == 1:
-        return _tensor_odd(gcd(k, l))
+        return cuntz_module(gcd(k, l))
     if k % 4 == 0 and l % 4 == 0:
         return _tensor_zero_zero(k, l)
     raise ValueError(f"no printed tensor table for (k, l) = ({k}, {l})")
@@ -192,7 +186,7 @@ def expected_tensor(k: int, l: int) -> CRTModule:
 def expected_tor(k: int, l: int) -> CRTModule:
     if k % 2 == 1 or l % 2 == 1:
         # same groups and operations as the tensor in the odd case
-        return _tensor_odd(gcd(k, l))
+        return cuntz_module(gcd(k, l))
     if k % 4 == 0 and l % 4 == 0:
         return _tor_zero_zero(gcd(k, l))
     raise ValueError(f"no printed Tor table for (k, l) = ({k}, {l})")
@@ -215,27 +209,6 @@ def _product_odd(g: int) -> CRTModule:
         "psiT":  _per4([[1, 0], [0, -1]], 1, 0, -1),
         "gamma": _per4(1, [[0], [1]], 0, 0),
         "tau":   [[[0, 2]], 0, 0, 1, [[0, 1]], 0, 0, 2],
-    }
-    return _instantiate(groups, ops)
-
-
-@functools.cache
-def _tensor_odd(g: int) -> CRTModule:
-    Zg = [g]
-    groups = {
-        "O": [Zg, [], [], [], Zg, [], [], []],
-        "U": _per2(Zg, []),
-        "T": _per4(Zg, [], [], Zg),
-    }
-    ops = {
-        "c":     [1, 0, 0, 0, 2, 0, 0, 0],
-        "r":     [2, 0, 0, 0, 1, 0, 0, 0],
-        "eps":   [1, 0, 0, 0, 2, 0, 0, 0],
-        "zeta":  [1, 0, 0, 0, 1, 0, 0, 0],
-        "psiU":  _per4(1, 0, -1, 0),
-        "psiT":  _per4(1, 0, 0, -1),
-        "gamma": [1, 0, 0, 0, 1, 0, 0, 0],
-        "tau":   [0, 0, 0, 1, 0, 0, 0, 2],
     }
     return _instantiate(groups, ops)
 
@@ -368,7 +341,6 @@ class CatalogEntry:
     module: CRTModule
     params: dict = field(default_factory=dict)
     resolution: Optional[FreeResolution] = None
-    flags: dict = field(default_factory=dict)
 
 
 def cuntz(k: int) -> CatalogEntry:

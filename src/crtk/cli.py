@@ -34,10 +34,6 @@ from .kunneth import kunneth_pipeline
 from .tensor import tensor_and_tor, tensor_free
 from .zlinalg import GroupHom
 
-_OP_LABELS = {"c": "c_n", "r": "r_n", "eps": "eps_n", "zeta": "zeta_n",
-              "psiU": "psiU_n", "psiT": "psiT_n", "gamma": "gamma_n", "tau": "tau_n"}
-
-
 class UsageError(Exception):
     pass
 
@@ -84,7 +80,7 @@ def render_module(M: CRTModule, window: int = 8) -> str:
     for part, label in (("O", "KO_n"), ("U", "KU_n"), ("T", "KT_n")):
         rows.append([label] + [str(M.group(part, n % 8)) for n in cols])
     for name in OP_NAMES:
-        rows.append([_OP_LABELS[name]] + [_fmt_matrix(M.op(name, n % 8)) for n in cols])
+        rows.append([f"{name}_n"] + [_fmt_matrix(M.op(name, n % 8)) for n in cols])
     widths = [max(len(r[i]) for r in rows) for i in range(len(cols) + 1)]
     lines = []
     for i, r in enumerate(rows):
@@ -138,19 +134,11 @@ def _tensor_tor(args) -> tuple[CRTModule, CRTModule]:
     return tensor_free(monogenic(a, 0), B).module, zero_module()
 
 
-def cmd_tensor(args) -> int:
-    tensor, _ = _tensor_tor(args)
+def cmd_tensor_or_tor(args) -> int:
+    M = _tensor_tor(args)[args.verb == "tor"]
     if args.json:
-        _write_json(module_to_json(tensor), args.json)
-    print(render_module(tensor, args.period_window))
-    return 0
-
-
-def cmd_tor(args) -> int:
-    _, tor = _tensor_tor(args)
-    if args.json:
-        _write_json(module_to_json(tor), args.json)
-    print(render_module(tor, args.period_window))
+        _write_json(module_to_json(M), args.json)
+    print(render_module(M, args.period_window))
     return 0
 
 
@@ -228,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.set_defaults(fn=cmd_verify)
 
-    for verb, fn in (("tensor", cmd_tensor), ("tor", cmd_tor)):
+    for verb in ("tensor", "tor"):
         p = sub.add_parser(verb, help=f"{verb} of a resolved catalog module with another module")
         p.add_argument("a")
         p.add_argument("b")
         common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_tensor_or_tor)
 
     p = sub.add_parser("kunneth", help="full pipeline: tensor, Tor, middle, split")
     p.add_argument("a")

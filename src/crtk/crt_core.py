@@ -22,6 +22,7 @@ Operation families (domain part, codomain part, degree shift):
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -31,11 +32,15 @@ from .zlinalg import (
     IntMatrix,
     ZERO_GROUP,
     _quotient_data,
-    automorphisms,
+    echelon_mod,
     hom_compose,
+    hom_coords,
     hom_scale,
     identity_hom,
+    is_automorphism,
     is_exact_at,
+    kernel_lattice,
+    solve_int,
 )
 
 PARTS = ("O", "U", "T")
@@ -163,6 +168,11 @@ class CRTModule:
     def all_finite(self) -> bool:
         return all(self.group(p, n).is_finite() for p in PARTS for n in range(8))
 
+    def __hash__(self) -> int:  # the value is frozen: hash its fields once
+        if (h := self.__dict__.get("_hash")) is None:
+            h = self.__dict__["_hash"] = hash((self.MO, self.MU, self.MT, self.ops))
+        return h
+
 
 def make_module(groups: Mapping[str, Sequence[FinAbGroup]],
                 op_matrices: Mapping[str, Sequence[IntMatrix]]) -> CRTModule:
@@ -256,10 +266,6 @@ class Check:
     node: bool = False  # an exactness node of a long exact sequence
 
 
-def _two_id(G: FinAbGroup) -> GroupHom:
-    return hom_scale(identity_hom(G), 2)
-
-
 def _node_ok(f: GroupHom, g: GroupHom) -> bool:
     try:
         return is_exact_at(f, g)
@@ -275,7 +281,7 @@ def _node(name: str, at: int, reads, maps: Callable[[CRTModule, int], tuple[Grou
 # Relations first, then the nodes of the three sequences, each in report order.
 CHECKS: tuple[Check, ...] = (
     Check("rc=2", (("r", 0), ("c", 0)),
-          lambda M, n: hom_compose(M.op("r", n), M.op("c", n)) == _two_id(M.group("O", n))),
+          lambda M, n: hom_compose(M.op("r", n), M.op("c", n)) == hom_scale(identity_hom(M.group("O", n)), 2)),
     Check("cr=1+psiU", (("c", 0), ("r", 0), ("psiU", 0)),
           lambda M, n: hom_compose(M.op("c", n), M.op("r", n))
           == identity_hom(M.group("U", n)) + M.op("psiU", n)),
@@ -493,12 +499,51 @@ def morphism_commutes(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
     return True
 
 
-def morphism_is_iso(phi: Morphism) -> bool:
-    from .zlinalg import hom_cokernel, hom_kernel
-    for h in phi.values():
-        if hom_kernel(h)[0] != ZERO_GROUP or hom_cokernel(h)[0] != ZERO_GROUP:
-            return False
-    return True
+def _slot_candidates(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Callable[[dict], Iterator[GroupHom]]:
+    """The automorphisms phi of the slot group that commute with every instance of SLOT_OPS[slot].
+
+    Each instance asks phi_t.M_op = N_op.phi_s, its other endpoint assigned:
+    congruences A.x = b mod the target's invariants in the hom_coords x of
+    phi.  A and the echelon of its homogeneous solutions are built once; the
+    returned generator reads b off the choice, solves for one x0 and yields
+    the invertible maps of x0 + (homogeneous solutions) lazily.
+    """
+    G = M.group(*slot)
+    coords = hom_coords(G, G)
+    orders = [o for *_, o in coords]
+    rows, mods, terms = [], [], []
+    for name, n in SLOT_OPS[slot]:
+        src, tgt, shift = OP_SPECS[name]
+        s, t = slot_of(src, n), slot_of(tgt, n + shift)
+        P, Q = M.op(name, n).matrix, N.op(name, n).matrix
+        for i, e in enumerate(M.group(*t).invariants):
+            for j in range(P.cols):
+                rows.append([(step * P.entries[col][j] if t == slot and r == i else 0)
+                             - (step * Q.entries[i][r] if s == slot and col == j else 0)
+                             for r, col, step, _ in coords])
+                mods.append(e)
+        terms.append((s, t, P, Q))
+    A = IntMatrix.from_rows(rows, cols=len(coords)).hstack(IntMatrix.diag(mods))
+    basis = echelon_mod([v[:len(coords)] for v in kernel_lattice(A).columns()], orders)
+    ranges = [range(o // v[i]) for i, (v, o) in enumerate(zip(basis, orders))]
+
+    def candidates(choice: dict) -> Iterator[GroupHom]:
+        b = []
+        for s, t, P, Q in terms:
+            known = (-(choice[t].matrix * P) if t != slot else
+                     Q * choice[s].matrix if s != slot else IntMatrix.zeros(P.rows, P.cols))
+            b.extend(x for row in known.entries for x in row)
+        x0 = solve_int(A, b)
+        if x0 is None:
+            return
+        for a in itertools.product(*ranges):
+            phi = [[0] * G.ngens for _ in range(G.ngens)]
+            for c, (r, col, step, o) in enumerate(coords):
+                phi[r][col] = (x0[c] + sum(ai * v[c] for ai, v in zip(a, basis))) % o * step
+            if is_automorphism(G, phi):
+                yield GroupHom(G, G, IntMatrix.from_rows(phi, cols=G.ngens))
+
+    return candidates
 
 
 def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
@@ -506,9 +551,11 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
 
     An isomorphism in our storage convention repeats with the period of
     each part, so it is one automorphism of each of the 14 slot groups.
-    search_slots tries them in automorphisms order, and it checks each
-    operation instance for commutation as soon as its later slot is
-    assigned.  Each automorphism tried counts one node against budget.
+    search_slots assigns them in SLOTS order from candidates built by
+    linear algebra (_slot_candidates): the automorphisms of the slot that
+    commute with every operation to or from the slots before it.  One
+    node is one candidate tried, counted against budget; a search that
+    never backtracks takes 14 nodes.
 
     The search runs once per distinct (M, N, budget) in a process; every
     call returns a fresh dict.  BudgetExceeded is raised, never stored.
@@ -532,13 +579,9 @@ def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
         if nodes > budget:
             raise BudgetExceeded("isomorphism search budget exceeded")
 
-    def commutes(name: str, n: int) -> bool:
-        src, tgt, shift = OP_SPECS[name]
-        return hom_compose(choice[slot_of(tgt, n + shift)], M.op(name, n)) \
-            == hom_compose(N.op(name, n), choice[slot_of(src, n)])
-
+    system = functools.cache(lambda slot: _slot_candidates(M, N, slot))  # built on first visit
     choice: dict[tuple[str, int], GroupHom] = {}
-    found = search_slots(lambda slot: automorphisms(M.group(*slot)), commutes, choice, tick)
+    found = search_slots(lambda slot: system(slot)(choice), lambda name, n: True, choice, tick)
     if next(found, None) is None:
         return None
     return {(p, n): choice[slot_of(p, n)] for p in PARTS for n in range(8)}

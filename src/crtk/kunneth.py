@@ -58,6 +58,7 @@ from .crt_core import (
     search_slots,
     slot_of,
     suspend,
+    verify_relations,
 )
 from .zlinalg import (
     FinAbGroup,
@@ -65,6 +66,7 @@ from .zlinalg import (
     IntMatrix,
     Zmod,
     _quotient_data,
+    echelon_mod,
     fin_ab_tensor,
     fin_ab_tor,
     hom_compose,
@@ -88,6 +90,9 @@ class KunnethProblem:
     def __post_init__(self):
         if not (self.tensor.all_finite() and self.tor.all_finite()):
             raise ValueError("the extension solver requires finite parts")
+        for name, M in (("tensor", self.tensor), ("Tor", self.tor)):
+            if not (rep := verify_relations(M)).ok():  # run once per module value
+                raise ValueError(f"{name} fails relations: {rep}")
 
     def sub(self, part: str, n: int) -> FinAbGroup:
         return self.tensor.group(part, n)
@@ -176,7 +181,8 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[
     L spans the stabilizer of the keys before in gauge coordinates (the
     hom_coords of each slot's Hom(quot, sub)).  Candidate j is visited iff
     W_j is least (index order is lexicographic) in W_j + D(L), where
-    D(h) = h_t.Q - P.h_s; None if D(L) = 0, so all are visited.
+    D(h) = h_t.Q - P.h_s: iff each coordinate of W_j is below the pivot of
+    echelon_mod(D(L)) there.  None if D(L) = 0, so all are visited.
     """
     gauge = [(slot, c) for slot in SLOTS for c in hom_coords(p.quot(*slot), p.sub(*slot))]
     L = IntMatrix.identity(len(gauge))
@@ -194,21 +200,11 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[
                - (step * P[r][row] if slot == s and c == col else 0)) // st
               for r, c, st, _ in coords] for slot, (row, col, step, _) in gauge], rows=len(coords)) * L
 
-        def add(a, b):
-            return tuple((x + y) % o for x, y, o in zip(a, b, orders))
-
-        shifts = {(0,) * len(orders)}
-        for v in M.columns():
-            while (more := {add(w, v) for w in shifts}) - shifts:
-                shifts |= more
-        if len(shifts) == 1:
+        pivots = [v[i] for i, v in enumerate(echelon_mod(M.columns(), orders))]
+        if pivots == orders:
             continue
-        visit, covered = set(), set()
-        for j, w in enumerate(itertools.product(*map(range, orders))):
-            if w not in covered:
-                visit.add(j)
-                covered.update(add(w, v) for v in shifts)
-        table[(name, n)] = frozenset(visit)
+        table[(name, n)] = frozenset(j for j, w in enumerate(itertools.product(*map(range, orders)))
+                                     if all(map(int.__lt__, w, pivots)))
         K = kernel_lattice(M.hstack(IntMatrix.diag(orders)))
         L = L * IntMatrix.from_rows(K.entries[:L.cols], cols=K.cols)
         # Entries modulo the gauge orders: D kills those multiples, and L stays small.
@@ -329,10 +325,7 @@ class _Search:
                     continue
                 ops[key] = h
                 if key[0] == "eps":
-                    psiT = self._derive_psiT(ops, key[1])
-                    if psiT is None:
-                        continue
-                    ops[("psiT", key[1])] = psiT
+                    ops[("psiT", key[1])] = self._derive_psiT(ops, key[1])
                 if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1)
             ops.pop(key, None)
@@ -343,16 +336,10 @@ class _Search:
         for full in rec(0):
             self._finish(full)
 
-    def _derive_psiT(self, ops, n: int) -> Optional[GroupHom]:
-        """psiT_n = eps_n r_n zeta_n - 1; also verify its intertwining."""
+    def _derive_psiT(self, ops, n: int) -> GroupHom:
+        """psiT_n = eps_n r_n zeta_n - 1; it intertwines as eps, r, zeta do (KunnethProblem checks the relation)."""
         h = hom_compose(ops[("eps", n)], hom_compose(ops[("r", n)], ops[("zeta", n)]))
-        K, a, b = self._option("T", n)
-        psiT = h - identity_hom(K)
-        if hom_compose(psiT, a) != hom_compose(a, self.p.tensor.op("psiT", n)):
-            return None
-        if hom_compose(b, psiT) != hom_compose(self.p.tor.op("psiT", n - 1), b):
-            return None
-        return psiT
+        return h - identity_hom(self._k_group("T", n))
 
     def _finish(self, ops: dict):
         self.raw += 1

@@ -71,10 +71,6 @@ _SLOTS = {
 }
 
 
-def _mat(h: GroupHom) -> IntMatrix:
-    return h.matrix
-
-
 def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMatrix:
     """Raw matrix of one operation on (summand ⊗ N) at window m."""
     o = m - g
@@ -96,7 +92,7 @@ def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMa
         return IntMatrix.from_rows(out, cols=sum(widths))
 
     def op(nm, d):
-        return _mat(N.op(nm, d))
+        return N.op(nm, d).matrix
 
     def ident(part, d):
         return IntMatrix.identity(N.group(part, d % 8).ngens)

@@ -680,13 +680,8 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Automorphisms and hom groups
+# Hom groups, their subgroups, and the automorphism test
 # ---------------------------------------------------------------------------
-
-
-def _annihilated_elements(G: FinAbGroup, d: int) -> list[Vec]:
-    """Elements x of a finite group with d*x = 0."""
-    return [x for x in G.elements() if all((d * xi) % t == 0 for xi, t in zip(x, G.torsion))]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -700,25 +695,41 @@ def _prime_divisors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-@functools.cache
-def automorphisms(G: FinAbGroup) -> list[GroupHom]:
-    """All automorphisms of a finite group (enumerated once per group in a process).
+def is_automorphism(G: FinAbGroup, rows: Sequence[Sequence[int]]) -> bool:
+    """Is the endomorphism of the finite group G with matrix rows invertible?
 
     An endomorphism is onto iff it is onto G/pG for every prime p (the
     Burnside basis theorem on each Sylow subgroup).  G/pG is free over
     Z/p on the generators with p | t_i, so the test is a determinant mod p
     of the matrix block on those generators.
     """
-    if not G.is_finite():
-        raise ValueError("automorphism enumeration requires a finite group")
-    blocks = [(p, [i for i, t in enumerate(G.torsion) if t % p == 0])
-              for p in _prime_divisors(max(G.torsion, default=1))]
+    return all(IntMatrix.from_rows([[rows[i][j] for j in idx] for i in idx]).det() % p
+               for p in _prime_divisors(max(G.torsion, default=1))
+               for idx in [[i for i, t in enumerate(G.torsion) if t % p == 0]])
+
+
+def echelon_mod(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> list[Vec]:
+    """Echelon generators v_0, v_1, ... of the subgroup S of (+) Z/orders[i] spanned by gens.
+
+    v_i is zero before coordinate i, and v_i[i] = p_i divides orders[i]:
+    the elements of S that vanish before i take exactly the multiples of
+    p_i there.  So the sums of a_i * v_i with 0 <= a_i < orders[i] // p_i
+    list S once each, and w (entries in 0..orders[i]-1) is lexicographically
+    least in its coset w + S iff w[i] < p_i for every i.
+    """
+    vecs = [[x % o for x, o in zip(v, orders)] for v in gens]
     out = []
-    pools = [_annihilated_elements(G, t) for t in G.torsion]
-    for cols in itertools.product(*pools):
-        if all(IntMatrix.from_rows([[cols[j][i] for j in idx] for i in idx]).det() % p
-               for p, idx in blocks):
-            out.append(hom_from_cols(G, G, [list(c) for c in cols]))
+    for i, o in enumerate(orders):
+        pivot, rest = [o if j == i else 0 for j in range(len(orders))], []
+        for v in vecs:
+            if v[i]:  # pivot, v := x.pivot + y.v = gcd at i, b.pivot - a.v = 0 at i (unimodular)
+                g = gcd(pivot[i], v[i])
+                a, b, x = pivot[i] // g, v[i] // g, pow(pivot[i] // g, -1, v[i] // g)
+                y = (g - x * pivot[i]) // v[i]
+                pivot, v = [x * s + y * t for s, t in zip(pivot, v)], [b * s - a * t for s, t in zip(pivot, v)]
+            rest.append(v)
+        out.append(tuple(s % q if j > i else s for j, (s, q) in enumerate(zip(pivot, orders))))
+        vecs = [w for w in ([x % q for x, q in zip(v, orders)] for v in rest) if any(w)]
     return out
 
 

@@ -17,13 +17,13 @@ from crtk.zlinalg import (
     FinAbGroup,
     GroupHom,
     ZERO_GROUP,
-    _annihilated_elements,
-    automorphisms,
     hom_cokernel,
     hom_compose,
     hom_from_cols,
     hom_preimage,
 )
+
+from oracles import _annihilated_elements, automorphisms
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -136,10 +136,7 @@ class EnumeratedGauge(_Search):
                     continue
                 ops[key] = h
                 if key[0] == "eps":
-                    psiT = self._derive_psiT(ops, key[1])
-                    if psiT is None:
-                        continue
-                    ops[("psiT", key[1])] = psiT
+                    ops[("psiT", key[1])] = self._derive_psiT(ops, key[1])
                 if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1, H_next)
             ops.pop(key, None)

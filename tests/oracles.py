@@ -6,6 +6,7 @@ the package's own constructions by independent, simpler routes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Sequence
 
@@ -20,7 +21,6 @@ from crtk.crt_core import (
     SLOTS,
     crt_isomorphic,
     is_free,
-    morphism_is_iso,
     slot_of,
 )
 from crtk.free_crt import (
@@ -38,11 +38,15 @@ from crtk.zlinalg import (
     GroupHom,
     IntMatrix,
     Vec,
-    automorphisms,
+    ZERO_GROUP,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
+    hom_cokernel,
     hom_compose,
+    hom_from_cols,
+    hom_kernel,
+    is_automorphism,
     lattice_contains,
 )
 
@@ -114,18 +118,47 @@ def zero_hom(domain: FinAbGroup, codomain: FinAbGroup) -> GroupHom:
     return GroupHom(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
 
 
+def _annihilated_elements(G: FinAbGroup, d: int) -> list[Vec]:
+    """Elements x of a finite group with d*x = 0."""
+    return [x for x in G.elements() if all((d * xi) % t == 0 for xi, t in zip(x, G.torsion))]
+
+
+@functools.cache
+def automorphisms(G: FinAbGroup) -> list[GroupHom]:
+    """All automorphisms of a finite group, in the order of their column tuples.
+
+    Every tuple of columns with t_i * column_i = 0 is an endomorphism;
+    zlinalg.is_automorphism keeps the invertible ones.  Enumerated once
+    per group in a process.
+    """
+    if not G.is_finite():
+        raise ValueError("automorphism enumeration requires a finite group")
+    pools = [_annihilated_elements(G, t) for t in G.torsion]
+    return [hom_from_cols(G, G, [list(c) for c in cols]) for cols in itertools.product(*pools)
+            if is_automorphism(G, [[c[i] for c in cols] for i in range(G.ngens)])]
+
+
 # ---------------------------------------------------------------------------
 # crt_core
 # ---------------------------------------------------------------------------
 
 
-def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
-    """crt_core.crt_isomorphic with its own recursion and check schedule.
+def morphism_is_iso(phi: Morphism) -> bool:
+    """Is every map of the degreewise family bijective (trivial kernel and cokernel)?"""
+    for h in phi.values():
+        if hom_kernel(h)[0] != ZERO_GROUP or hom_cokernel(h)[0] != ZERO_GROUP:
+            return False
+    return True
 
-    Backtracking over degreewise group automorphisms of the 14 slots;
-    operation commutation is checked as soon as both endpoint slots are
-    assigned.  Same visiting order and node count as the package's
-    search_slots, built independently of SLOT_OPS.
+
+def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
+    """crt_core.crt_isomorphic by enumeration, with its own recursion and check schedule.
+
+    Backtracking over the complete automorphism list of each of the 14
+    slots (automorphisms); operation commutation is checked as soon as
+    both endpoint slots are assigned, built independently of SLOT_OPS.
+    Every automorphism tried is a node, so it agrees with the package on
+    existence, not on the map found or the node count.
     """
     if not (M.all_finite() and N.all_finite()):
         raise ValueError("crt_isomorphic requires finite parts")

@@ -26,19 +26,17 @@ from crtk.crt_core import (
     module_from_json,
     module_to_json,
     morphism_commutes,
-    morphism_is_iso,
     slot_of,
     suspend,
     verify_relations,
     zero_module,
 )
 from crtk.free_crt import monogenic
-from crtk.kunneth import kunneth_pipeline
+from crtk.kunneth import KunnethProblem, kunneth_pipeline, split_model
 from crtk.zlinalg import (
     IntMatrix,
     ZERO_GROUP,
     Zmod,
-    automorphisms,
     hom_cokernel,
     hom_compose,
     hom_kernel,
@@ -48,7 +46,7 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
-from oracles import crt_isomorphic_oracle
+from oracles import automorphisms, crt_isomorphic_oracle, morphism_is_iso
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -327,7 +325,7 @@ def _twisted(M, seed):
 
 
 class TestSlotEngine:
-    """crt_isomorphic on search_slots against the enumerating oracle in tests/oracles.py."""
+    """crt_isomorphic's built candidates against the enumerating oracle in tests/oracles.py."""
 
     @staticmethod
     def outcome(search, M, N, budget=2_000_000):
@@ -336,9 +334,13 @@ class TestSlotEngine:
         except BudgetExceeded:
             return "budget exceeded"
 
-    def agree(self, M, N, budget=2_000_000):
-        got = self.outcome(crt_isomorphic, M, N, budget)
-        assert got == self.outcome(crt_isomorphic_oracle, M, N, budget)
+    def agree(self, M, N):
+        """Both searches agree on existence; a map found is a CRT-isomorphism M -> N."""
+        got = crt_isomorphic(M, N)
+        assert (got is None) == (crt_isomorphic_oracle(M, N) is None)
+        if got is not None:
+            assert morphism_commutes(M, N, got)
+            assert morphism_is_iso(got)
         return got
 
     def test_slot_ops_pins_each_instance_at_its_later_slot(self):
@@ -366,6 +368,23 @@ class TestSlotEngine:
         b = kunneth_pipeline(f"O{l + 1}", f"O{k + 1}").solutions[0].middle
         assert self.agree(a, b) is not None
 
+    @staticmethod
+    def split_pair(k):
+        """The solver's middle for (k, k) and the split model it is compared with."""
+        rep = kunneth_pipeline(f"O{k + 1}", f"O{k + 1}")
+        return rep.solutions[0].middle, split_model(KunnethProblem(rep.tensor, rep.tor))
+
+    @pytest.mark.parametrize("k", [13, 15])
+    def test_odd_diagonal_split_check(self, k):
+        assert self.agree(*self.split_pair(k)) is not None
+
+    def test_split_check_needs_one_node_per_slot(self):
+        # crt_isomorphic_oracle, which enumerates each slot's automorphisms, tries 10^3 to 10^4 here.
+        M, S = self.split_pair(13)
+        assert crt_isomorphic(M, S, budget=100) is not None
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS)) is not None
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) - 1) == "budget exceeded"
+
     @pytest.mark.parametrize("a,b", [((2, 2), (2, 4)), ((6, 6), (6, 12))])
     def test_distinguished_products(self, a, b):
         assert self.agree(expected_product(*a), expected_product(*b)) is None
@@ -375,9 +394,10 @@ class TestSlotEngine:
         M = expected_product(4, 4)
         Z = _zeroed(M, "c", 1)
         assert self.agree(Z, M) is None
-        assert self.agree(Z, M, budget=1190) is None
-        assert self.agree(Z, M, budget=1189) == "budget exceeded"
-        assert self.agree(_twisted(M, 3), M, budget=3) == "budget exceeded"
+        # 158 built candidates (crt_isomorphic_oracle tries 1190 automorphisms).
+        assert self.outcome(crt_isomorphic, Z, M, budget=158) is None
+        assert self.outcome(crt_isomorphic, Z, M, budget=157) == "budget exceeded"
+        assert self.outcome(crt_isomorphic, _twisted(M, 3), M, budget=3) == "budget exceeded"
 
 
 class TestIsomorphismCache:

@@ -14,12 +14,14 @@ import pytest
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import (
     CHECKS,
+    OP_NAMES,
     OP_SPECS,
     PARTS,
     SLOTS,
     BudgetExceeded,
     crt_isomorphic,
     is_acyclic,
+    make_module,
     module_to_json,
     slot_of,
     verify_relations,
@@ -48,6 +50,7 @@ from crtk.zlinalg import (
     hom_coords,
     hom_group_elements,
     hom_kernel,
+    identity_hom,
     is_exact_at,
 )
 
@@ -375,6 +378,16 @@ class TestSolver:
     def test_split_check_on_expected(self):
         problem, sols = solve(3, 6)
         assert split_check(sols[0], problem) is True
+
+    def test_rejects_a_tor_with_a_broken_psiT(self):
+        # psiT of the (4,4) Tor replaced by 1 - psiT in degrees 0 and 4 (psiT is betaT-periodic).
+        tp = tensor_and_tor(cuntz_resolution(4), cuntz_module(4))
+        groups = {p: [tp.tor.group(p, n) for n in range(8)] for p in PARTS}
+        mats = {name: [tp.tor.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
+        for n in (0, 4):
+            mats["psiT"][n] = (identity_hom(tp.tor.group("T", n)) - tp.tor.op("psiT", n)).matrix
+        with pytest.raises(ValueError, match=r"^Tor fails relations: .*eps\.r\.zeta=1\+psiT@0"):
+            KunnethProblem(tp.tensor, make_module(groups, mats))
 
 
 class TestPipeline:

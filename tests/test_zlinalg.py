@@ -17,8 +17,8 @@ from crtk.zlinalg import (
     Z,
     ZERO_GROUP,
     Zmod,
-    automorphisms,
     cokernel_data,
+    echelon_mod,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -41,7 +41,8 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import matmul_via_transpose, oracle_enumerate, reduce_hom_matrix, subgroup_contains, zero_hom
+from oracles import (automorphisms, matmul_via_transpose, oracle_enumerate, reduce_hom_matrix,
+                     subgroup_contains, zero_hom)
 
 
 def minors_gcd(A, k):
@@ -223,6 +224,35 @@ class TestSolve:
         assert K.cols == 2
         for j in range(K.cols):
             assert A.apply(K.col(j)) == (0,)
+
+
+def subgroup_closure(gens, orders):
+    """Oracle: every element of the subgroup of (+) Z/orders[i] that gens span, by closure."""
+    def add(a, b):
+        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
+    S = {(0,) * len(orders)}
+    for v in gens:
+        while (more := {add(w, v) for w in S}) - S:
+            S |= more
+    return S, add
+
+
+class TestEchelonMod:
+    @given(st.lists(st.sampled_from([2, 3, 4, 6, 9]), min_size=1, max_size=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lists_the_subgroup_once_and_finds_least_coset_elements(self, orders, data):
+        vec = st.lists(st.integers(-20, 20), min_size=len(orders), max_size=len(orders))
+        gens = data.draw(st.lists(vec, max_size=3), label="gens")
+        S, add = subgroup_closure(gens, orders)
+        basis = echelon_mod(gens, orders)
+        for i, v in enumerate(basis):
+            assert all(x == 0 for x in v[:i]) and orders[i] % v[i] == 0
+        listed = [tuple(sum(a * v[c] for a, v in zip(coeffs, basis)) % o for c, o in enumerate(orders))
+                  for coeffs in itertools.product(*(range(o // v[i]) for i, (v, o) in enumerate(zip(basis, orders))))]
+        assert len(listed) == len(S) and set(listed) == S
+        for w in itertools.product(*map(range, orders)):
+            least = min(add(w, s) for s in S) == w
+            assert least == all(x < v[i] for i, (x, v) in enumerate(zip(w, basis)))
 
 
 class TestGroups:
