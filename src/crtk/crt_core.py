@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .zlinalg import (
+    CompositionError,
     FinAbGroup,
     GroupHom,
     IntMatrix,
     ZERO_GROUP,
     _quotient_data,
+    checked_entries,
     echelon_mod,
     hom_compose,
     hom_coords,
@@ -66,6 +68,7 @@ OP_SPECS: dict[str, tuple[str, str, int]] = {
 }
 OP_NAMES = tuple(OP_SPECS)
 _OP_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
+_PART_FIELD = {"O": "MO", "U": "MU", "T": "MT"}
 
 
 def _slot_ops() -> dict[tuple[str, int], list[tuple[str, int]]]:
@@ -148,16 +151,18 @@ class CRTModule:
                 raise ValueError(f"operation {name} needs 8 degrees")
             src, tgt, shift = OP_SPECS[name]
             for n, h in enumerate(fam):
-                if h.domain != self.group(src, n):
+                G = self.group(src, n)
+                if h.domain is not G and h.domain != G:
                     raise ValueError(f"{name}_{n} domain mismatch")
-                if h.codomain != self.group(tgt, n + shift):
+                G = self.group(tgt, n + shift)
+                if h.codomain is not G and h.codomain != G:
                     raise ValueError(f"{name}_{n} codomain mismatch")
 
     def part(self, part: str) -> GradedPart:
-        return {"O": self.MO, "U": self.MU, "T": self.MT}[part]
+        return getattr(self, _PART_FIELD[part])
 
     def group(self, part: str, n: int) -> FinAbGroup:
-        return self.part(part).group(n)
+        return getattr(self, _PART_FIELD[part]).groups[n % 8]
 
     def op(self, name: str, n: int) -> GroupHom:
         return self.ops[_OP_INDEX[name]][n % 8]
@@ -487,14 +492,28 @@ def suspend(M: CRTModule, s: int) -> CRTModule:
 Morphism = dict[tuple[str, int], GroupHom]
 
 
+def _product_entries(g: GroupHom, f: GroupHom) -> tuple:
+    """The checked entries of g after f, as hom_compose(g, f) would hold them."""
+    if f.codomain is not g.domain and f.codomain != g.domain:
+        raise CompositionError(f"cannot compose: {f.codomain} != {g.domain}")
+    return checked_entries(g.matrix * f.matrix, f.domain, g.codomain)
+
+
 def morphism_commutes(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
-    """Does the degreewise family commute with all eight operations?"""
+    """Does the degreewise family commute with all eight operations?
+
+    Each square phi_t.M_op = N_op.phi_s compares the checked entries of
+    its two products and their endpoints, as hom_compose's composites
+    would compare, without building them.
+    """
     for name in OP_NAMES:
         src, tgt, shift = OP_SPECS[name]
         for n in range(8):
-            left = hom_compose(phi[(tgt, (n + shift) % 8)], M.op(name, n))
-            right = hom_compose(N.op(name, n), phi[(src, n)])
-            if left != right:
+            M_op, N_op = M.op(name, n), N.op(name, n)
+            phi_s, phi_t = phi[(src, n)], phi[(tgt, (n + shift) % 8)]
+            left = _product_entries(phi_t, M_op)
+            right = _product_entries(N_op, phi_s)
+            if left != right or M_op.domain != phi_s.domain or phi_t.codomain != N_op.codomain:
                 return False
     return True
 

@@ -253,10 +253,19 @@ def monogenic(kind: str, n: int = 0) -> FreeCRT:
 
 
 def free_module(summands: Sequence[MonogenicKind]) -> FreeCRT:
+    """The direct sum of the suspended monogenic summands.
+
+    It is built once per distinct summands in a process; every call
+    returns a fresh FreeCRT sharing the module and the layouts, which
+    nothing mutates.
+    """
     summands = tuple(summands)
-    realized, layouts = direct_sum_with_layout(
-        [suspend(base_module(s.kind), s.shift) for s in summands])
-    return FreeCRT(summands, realized, layouts)
+    return FreeCRT(summands, *_free_parts(summands))
+
+
+@functools.cache
+def _free_parts(summands: tuple[MonogenicKind, ...]) -> tuple[CRTModule, dict]:
+    return direct_sum_with_layout([suspend(base_module(s.kind), s.shift) for s in summands])
 
 
 # ---------------------------------------------------------------------------

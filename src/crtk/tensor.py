@@ -38,7 +38,7 @@ from .crt_core import (
     verify_relations,
     xi,
 )
-from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act
+from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act, morphism_realize
 from .zlinalg import (
     GroupHom,
     IntMatrix,
@@ -460,8 +460,6 @@ class FreeResolution:
     mu0: Morphism
 
     def __post_init__(self):
-        fam1 = None
-        from .free_crt import morphism_realize
         fam1 = morphism_realize(self.mu1)
         for p in PARTS:
             for nn in range(8):

@@ -70,7 +70,7 @@ class IntMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return _zeros(rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -173,6 +173,12 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
+
+
+@functools.cache
+def _zeros(rows: int, cols: int) -> IntMatrix:
+    """The rows x cols zero matrix, one shared value per shape."""
+    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +391,12 @@ def lattice_contains(L: IntMatrix, x: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """Canonical form: torsion t1 | t2 | ... (each >= 2), then free rank."""
+    """Canonical form: torsion t1 | t2 | ... (each >= 2), then free rank.
+
+    invariants (one per generator, 0 marking a free generator) and ngens
+    are stored on construction; they are not fields, so ==, hash and repr
+    see only torsion and free_rank.
+    """
 
     torsion: tuple[int, ...] = ()
     free_rank: int = 0
@@ -399,15 +410,9 @@ class FinAbGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-
-    @property
-    def ngens(self) -> int:
-        return len(self.torsion) + self.free_rank
-
-    @property
-    def invariants(self) -> Vec:
-        """Invariant per generator; 0 marks a free generator."""
-        return self.torsion + (0,) * self.free_rank
+        invariants = self.torsion + (0,) * self.free_rank
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "ngens", len(invariants))
 
     def order(self) -> Optional[int]:
         if self.free_rank:
@@ -514,13 +519,52 @@ def _relation_matrix(torsion: tuple[int, ...], free_rank: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _hom_cells(dom_inv: Vec, cod_inv: Vec) -> tuple[tuple[int, int, int, int], ...]:
+    """The cells (i, j, d, e) of a hom matrix that need a well-definedness test, row-major.
+
+    x*d vanishes mod e for every x when d = 0 or e | d; every other cell
+    (d != 0, and e = 0 or e does not divide d) is listed.
+    """
+    return tuple((i, j, d, e) for i, e in enumerate(cod_inv)
+                 for j, d in enumerate(dom_inv) if d and (e == 0 or d % e))
+
+
+def checked_entries(m: IntMatrix, domain: FinAbGroup, codomain: FinAbGroup) -> tuple[Vec, ...]:
+    """The rows of m reduced as a hom domain -> codomain, after its shape and well-definedness tests.
+
+    Rows are reduced modulo the codomain invariants, free rows unreduced.
+    A ValueError names the first ill-defined entry in row-major order.
+
+    >>> checked_entries(IntMatrix.from_rows([[6, 5], [0, -1]]), FinAbGroup((2,), 1), FinAbGroup((4,), 1))
+    ((2, 1), (0, -1))
+    >>> checked_entries(IntMatrix.from_rows([[1]]), Zmod(2), Zmod(4))
+    Traceback (most recent call last):
+    ...
+    ValueError: entry (0,0)=1 not well-defined mod 4
+    """
+    cod_inv = codomain.invariants
+    if m.rows != len(cod_inv) or m.cols != domain.ngens:
+        raise ValueError(f"matrix shape {m.rows}x{m.cols} does not match {len(cod_inv)}x{domain.ngens}")
+    rows = m.entries
+    for i, j, d, e in _hom_cells(domain.invariants, cod_inv):
+        x = rows[i][j]
+        if e == 0:
+            if x:
+                raise ValueError(f"entry ({i},{j}) not well-defined: torsion into free")
+        elif (x * d) % e:
+            raise ValueError(f"entry ({i},{j})={x} not well-defined mod {e}")
+    return tuple([tuple([x % e for x in row]) if e else tuple(row) for row, e in zip(rows, cod_inv)])
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """Matrix of a homomorphism, codomain generators x domain generators.
 
     Entries are stored reduced modulo the codomain invariants (free rows
     unreduced), so equality of maps is equality of fields.  Construction
-    fails unless the matrix is well-defined on the domain relations.
+    fails unless the matrix is well-defined on the domain relations
+    (checked_entries); a matrix given already reduced is kept as it is.
     """
 
     domain: FinAbGroup
@@ -529,25 +573,9 @@ class GroupHom:
 
     def __post_init__(self):
         m = self.matrix
-        if (m.rows, m.cols) != (self.codomain.ngens, self.domain.ngens):
-            raise ValueError(
-                f"matrix shape {m.rows}x{m.cols} does not match "
-                f"{self.codomain.ngens}x{self.domain.ngens}")
-        dom_inv = self.domain.invariants
-        reduced = []
-        # x*d vanishes mod e for every x when d = 0 or e | d: test only the other columns.
-        for i, (row, e) in enumerate(zip(m.entries, self.codomain.invariants)):
-            if e == 0:
-                for j, d in enumerate(dom_inv):
-                    if d and row[j]:
-                        raise ValueError(f"entry ({i},{j}) not well-defined: torsion into free")
-                reduced.append(tuple(row))
-                continue
-            for j, d in enumerate(dom_inv):
-                if d % e and (row[j] * d) % e:
-                    raise ValueError(f"entry ({i},{j})={row[j]} not well-defined mod {e}")
-            reduced.append(tuple([x % e for x in row]))
-        object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, tuple(reduced)))
+        entries = checked_entries(m, self.domain, self.codomain)
+        if entries != m.entries:
+            object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, entries))
 
     def apply(self, v: Sequence[int]) -> Vec:
         return self.codomain.reduce(self.matrix.apply(v))
@@ -571,13 +599,9 @@ def identity_hom(G: FinAbGroup) -> GroupHom:
     return GroupHom(G, G, IntMatrix.identity(G.ngens))
 
 
-def hom_from_cols(domain: FinAbGroup, codomain: FinAbGroup, cols: Sequence[Sequence[int]]) -> GroupHom:
-    return GroupHom(domain, codomain, IntMatrix.from_cols(cols, rows=codomain.ngens))
-
-
 def hom_compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """g after f."""
-    if f.codomain != g.domain:
+    if f.codomain is not g.domain and f.codomain != g.domain:
         raise CompositionError(f"cannot compose: {f.codomain} != {g.domain}")
     return GroupHom(f.domain, g.codomain, g.matrix * f.matrix)
 

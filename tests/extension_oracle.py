@@ -19,11 +19,10 @@ from crtk.zlinalg import (
     ZERO_GROUP,
     hom_cokernel,
     hom_compose,
-    hom_from_cols,
     hom_preimage,
 )
 
-from oracles import _annihilated_elements, automorphisms
+from oracles import _annihilated_elements, automorphisms, hom_from_cols
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
 from typing import Optional, Sequence
 
 from crtk.catalog import cuntz_module
@@ -44,7 +45,6 @@ from crtk.zlinalg import (
     group_from_invariants,
     hom_cokernel,
     hom_compose,
-    hom_from_cols,
     hom_kernel,
     is_automorphism,
     lattice_contains,
@@ -55,6 +55,18 @@ from crtk.zlinalg import (
 # ---------------------------------------------------------------------------
 
 ORACLE_BOUND = 4096
+
+
+def well_defined_matrix(m: IntMatrix, dom: FinAbGroup, cod: FinAbGroup) -> IntMatrix:
+    """m with each entry scaled onto a well-defined value, left unreduced."""
+    return IntMatrix.from_rows(
+        [[0 if e == 0 and d else x * (e // gcd(e, d)) if e and d else x
+          for x, d in zip(row, dom.invariants)]
+         for row, e in zip(m.entries, cod.invariants)], cols=dom.ngens)
+
+
+def hom_from_cols(domain: FinAbGroup, codomain: FinAbGroup, cols: Sequence[Sequence[int]]) -> GroupHom:
+    return GroupHom(domain, codomain, IntMatrix.from_cols(cols, rows=codomain.ngens))
 
 
 def matmul_via_transpose(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -141,6 +153,18 @@ def automorphisms(G: FinAbGroup) -> list[GroupHom]:
 # ---------------------------------------------------------------------------
 # crt_core
 # ---------------------------------------------------------------------------
+
+
+def morphism_commutes_oracle(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
+    """crt_core.morphism_commutes through hom_compose's composite GroupHoms."""
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            left = hom_compose(phi[(tgt, (n + shift) % 8)], M.op(name, n))
+            right = hom_compose(N.op(name, n), phi[(src, n)])
+            if left != right:
+                return False
+    return True
 
 
 def morphism_is_iso(phi: Morphism) -> bool:

@@ -33,14 +33,13 @@ from crtk.zlinalg import (
     IntMatrix,
     Zmod,
     hom_cokernel,
-    hom_from_cols,
     hom_image,
     hom_kernel,
     smith_normal_form,
 )
 
 from extension_oracle import abelian_groups_of_order
-from oracles import oracle_enumerate, tensor_monogenic
+from oracles import hom_from_cols, oracle_enumerate, tensor_monogenic
 
 _SOLVED = {}
 

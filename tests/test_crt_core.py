@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtk import crt_core
-from crtk.catalog import cuntz_module, expected_product
+from crtk.catalog import catalog_entry, catalog_names, cuntz_module, expected_product
 from crtk.crt_core import (
     BudgetExceeded,
     CHECKS,
@@ -34,6 +34,9 @@ from crtk.crt_core import (
 from crtk.free_crt import monogenic
 from crtk.kunneth import KunnethProblem, kunneth_pipeline, split_model
 from crtk.zlinalg import (
+    CompositionError,
+    FinAbGroup,
+    GroupHom,
     IntMatrix,
     ZERO_GROUP,
     Zmod,
@@ -46,7 +49,8 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
-from oracles import automorphisms, crt_isomorphic_oracle, morphism_is_iso
+from oracles import (automorphisms, crt_isomorphic_oracle, morphism_commutes_oracle, morphism_is_iso,
+                     well_defined_matrix)
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -309,6 +313,60 @@ class TestIsomorphism:
     def test_refuses_infinite(self):
         with pytest.raises(ValueError):
             crt_isomorphic(R, R)
+
+
+class TestNaturality:
+    """morphism_commutes against its hom_compose oracle: the same value or the same exception type."""
+
+    KEYS = [(p, n) for p in PARTS for n in range(8)]
+
+    @staticmethod
+    def outcome(fn, M, N, phi):
+        try:
+            return fn(M, N, phi)
+        except Exception as exc:  # the type is the outcome
+            return type(exc)
+
+    def family(self, kind, M, N, key, xs):
+        """(source, target, family) of one kind.
+
+        identity: the identity of M; perturbed: that family plus an
+        endomorphism drawn from xs at key; swapped: the zero family M -> N
+        with N_key -> M_key at key; domain: the zero family with a foreign
+        domain at key.
+        """
+        if kind == "identity":
+            return M, M, {k: identity_hom(M.group(*k)) for k in self.KEYS}
+        if kind == "perturbed":
+            phi = {k: identity_hom(M.group(*k)) for k in self.KEYS}
+            G = M.group(*key)
+            m = IntMatrix.from_rows([xs[i * G.ngens:(i + 1) * G.ngens] for i in range(G.ngens)], cols=G.ngens)
+            phi[key] = phi[key] + GroupHom(G, G, well_defined_matrix(m, G, G))
+            return M, M, phi
+        phi = {k: GroupHom(M.group(*k), N.group(*k), IntMatrix.zeros(N.group(*k).ngens, M.group(*k).ngens))
+               for k in self.KEYS}
+        G = N.group(*key) if kind == "swapped" else FinAbGroup((12,), 1)
+        H = M.group(*key) if kind == "swapped" else N.group(*key)
+        phi[key] = GroupHom(G, H, IntMatrix.zeros(H.ngens, G.ngens))
+        return M, N, phi
+
+    @given(st.sampled_from(catalog_names()[:9]), st.sampled_from(catalog_names()[:9]),
+           st.sampled_from(["identity", "perturbed", "swapped", "domain"]), st.sampled_from(KEYS),
+           st.lists(st.integers(-6, 6), min_size=16, max_size=16))
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_the_oracle(self, a, b, kind, key, xs):
+        M, N, phi = self.family(kind, catalog_entry(a).module, catalog_entry(b).module, key, xs)
+        got = self.outcome(morphism_commutes, M, N, phi)
+        assert got == self.outcome(morphism_commutes_oracle, M, N, phi)
+        if kind == "identity":
+            assert got is True
+
+    def test_false_verdicts_and_the_endpoint_error(self):
+        M, N = cuntz_module(3), cuntz_module(4)
+        for kind, want in {"perturbed": False, "swapped": CompositionError, "domain": False}.items():
+            M_, N_, phi = self.family(kind, M, N, ("O", 0), [1] * 16)
+            assert self.outcome(morphism_commutes, M_, N_, phi) == want, kind
+            assert self.outcome(morphism_commutes_oracle, M_, N_, phi) == want, kind
 
 
 def _zeroed(M, name, n):

@@ -17,6 +17,7 @@ from crtk.zlinalg import (
     Z,
     ZERO_GROUP,
     Zmod,
+    checked_entries,
     cokernel_data,
     echelon_mod,
     fin_ab_tensor,
@@ -26,7 +27,6 @@ from crtk.zlinalg import (
     hom_cokernel,
     hom_compose,
     hom_coords,
-    hom_from_cols,
     hom_group_elements,
     hom_image,
     hom_kernel,
@@ -41,8 +41,8 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import (automorphisms, matmul_via_transpose, oracle_enumerate, reduce_hom_matrix,
-                     subgroup_contains, zero_hom)
+from oracles import (automorphisms, hom_from_cols, matmul_via_transpose, oracle_enumerate,
+                     reduce_hom_matrix, subgroup_contains, well_defined_matrix, zero_hom)
 
 
 def minors_gcd(A, k):
@@ -156,14 +156,6 @@ def mixed_groups(draw):
     return FinAbGroup(tuple(torsion), draw(st.integers(0, 2)))
 
 
-def well_defined_matrix(m, dom, cod):
-    """m with each entry scaled onto a well-defined value, left unreduced."""
-    return IntMatrix.from_rows(
-        [[0 if e == 0 and d else x * (e // gcd(e, d)) if e and d else x
-          for x, d in zip(row, dom.invariants)]
-         for row, e in zip(m.entries, cod.invariants)], cols=dom.ngens)
-
-
 @st.composite
 def group_homs(draw, dom, cod):
     return GroupHom(dom, cod, well_defined_matrix(draw(int_matrices(cod.ngens, dom.ngens)), dom, cod))
@@ -192,8 +184,9 @@ class TestKernelsVsOracle:
         m = data.draw(int_matrices(cod.ngens, dom.ngens))
         if data.draw(st.booleans()):
             m = well_defined_matrix(m, dom, cod)
-        new = outcome(lambda: GroupHom(dom, cod, m).matrix)
-        assert new == outcome(reduce_hom_matrix, dom, cod, m)
+        want = outcome(reduce_hom_matrix, dom, cod, m)
+        assert outcome(lambda: GroupHom(dom, cod, m).matrix) == want
+        assert outcome(lambda: IntMatrix(m.rows, m.cols, checked_entries(m, dom, cod))) == want
 
     def test_ill_defined_entries_raise_like_the_oracle(self):
         dom, cod = FinAbGroup((2, 4)), FinAbGroup((8,), 1)
@@ -209,7 +202,20 @@ class TestKernelsVsOracle:
             with pytest.raises(ValueError) as exc:
                 GroupHom(dom_, cod_, m)
             assert str(exc.value) == message
+            assert outcome(checked_entries, m, dom_, cod_) == (ValueError, message)
             assert outcome(reduce_hom_matrix, dom_, cod_, m) == (ValueError, message)
+
+    def test_shape_is_checked_first(self):
+        m = IntMatrix.from_rows([[1, 0]])
+        message = "matrix shape 1x2 does not match 1x1"
+        assert outcome(GroupHom, Zmod(2), Zmod(4), m) == (ValueError, message)
+        assert outcome(checked_entries, m, Zmod(2), Zmod(4)) == (ValueError, message)
+
+    def test_a_reduced_matrix_is_kept(self):
+        G = FinAbGroup((4,), 1)
+        reduced, unreduced = IntMatrix.from_rows([[3, 1], [0, -2]]), IntMatrix.from_rows([[7, 1], [0, -2]])
+        assert GroupHom(G, G, reduced).matrix is reduced
+        assert GroupHom(G, G, unreduced).matrix == reduced
 
 
 class TestSolve:
@@ -271,6 +277,17 @@ class TestGroups:
         for G in [Zmod(4), FinAbGroup((2, 4), 1), FinAbGroup((2, 2, 6))]:
             rels = IntMatrix.diag(list(G.invariants), G.ngens, G.ngens)
             assert group_from_presentation(rels) == G
+
+    @given(mixed_groups())
+    @settings(max_examples=50, deadline=None)
+    def test_stored_invariants_are_not_fields(self, G):
+        assert G.invariants == G.torsion + (0,) * G.free_rank
+        assert G.ngens == len(G.torsion) + G.free_rank
+        H = FinAbGroup(G.torsion, G.free_rank)
+        object.__setattr__(H, "invariants", (1,))
+        object.__setattr__(H, "ngens", -1)
+        assert H == G and hash(H) == hash(G) and repr(H) == repr(G)
+        assert repr(G) == f"FinAbGroup(torsion={G.torsion!r}, free_rank={G.free_rank!r})"
 
     def test_invalid_canonical_forms(self):
         with pytest.raises(ValueError):
