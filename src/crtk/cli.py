@@ -196,6 +196,17 @@ def cmd_compare(args) -> int:
     return 0 if same_ops else 1
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="crtk", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -203,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", metavar="PATH", help="also write module JSON")
-        p.add_argument("--period-window", type=int, default=8,
+        p.add_argument("--period-window", type=_nonnegative, default=8,
                        help="last degree column to render (default 8)")
 
     p = sub.add_parser("catalog", help="list or show named fixtures")

@@ -34,9 +34,11 @@ from .zlinalg import (
     ZERO_GROUP,
     _quotient_data,
     checked_entries,
+    commutation_rows,
     echelon_mod,
     hom_compose,
     hom_coords,
+    hom_matrix,
     hom_scale,
     identity_hom,
     is_automorphism,
@@ -522,28 +524,25 @@ def _slot_candidates(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Calla
     """The automorphisms phi of the slot group that commute with every instance of SLOT_OPS[slot].
 
     Each instance asks phi_t.M_op = N_op.phi_s, its other endpoint assigned:
-    congruences A.x = b mod the target's invariants in the hom_coords x of
-    phi.  A and the echelon of its homogeneous solutions are built once; the
-    returned generator reads b off the choice, solves for one x0 and yields
-    the invertible maps of x0 + (homogeneous solutions) lazily.
+    congruences A.x = b in the hom_coords x of phi, whose rows
+    (zlinalg.commutation_rows) write phi -> phi.M_op - N_op.phi with the
+    terms where phi sits.  A and the echelon of its homogeneous solutions
+    are built once; the returned generator reads b off the choice, solves
+    for one x0 and yields the invertible maps of x0 + (homogeneous
+    solutions) lazily.
     """
     G = M.group(*slot)
-    coords = hom_coords(G, G)
-    orders = [o for *_, o in coords]
+    orders = [o for *_, o in hom_coords(G, G)]
     rows, mods, terms = [], [], []
     for name, n in SLOT_OPS[slot]:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
         P, Q = M.op(name, n).matrix, N.op(name, n).matrix
-        for i, e in enumerate(M.group(*t).invariants):
-            for j in range(P.cols):
-                rows.append([(step * P.entries[col][j] if t == slot and r == i else 0)
-                             - (step * Q.entries[i][r] if s == slot and col == j else 0)
-                             for r, col, step, _ in coords])
-                mods.append(e)
+        rows += commutation_rows(G, G, P if t == slot else None, Q if s == slot else None)
+        mods += [e for e in M.group(*t).invariants for _ in range(P.cols)]
         terms.append((s, t, P, Q))
-    A = IntMatrix.from_rows(rows, cols=len(coords)).hstack(IntMatrix.diag(mods))
-    basis = echelon_mod([v[:len(coords)] for v in kernel_lattice(A).columns()], orders)
+    A = IntMatrix.from_rows(rows, cols=len(orders)).hstack(IntMatrix.diag(mods))
+    basis = echelon_mod([v[:len(orders)] for v in kernel_lattice(A).columns()], orders)
     ranges = [range(o // v[i]) for i, (v, o) in enumerate(zip(basis, orders))]
 
     def candidates(choice: dict) -> Iterator[GroupHom]:
@@ -556,11 +555,10 @@ def _slot_candidates(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Calla
         if x0 is None:
             return
         for a in itertools.product(*ranges):
-            phi = [[0] * G.ngens for _ in range(G.ngens)]
-            for c, (r, col, step, o) in enumerate(coords):
-                phi[r][col] = (x0[c] + sum(ai * v[c] for ai, v in zip(a, basis))) % o * step
-            if is_automorphism(G, phi):
-                yield GroupHom(G, G, IntMatrix.from_rows(phi, cols=G.ngens))
+            phi = hom_matrix(G, G, [x + sum(ai * v[c] for ai, v in zip(a, basis))
+                                    for c, x in enumerate(x0[:len(orders)])])
+            if is_automorphism(G, phi.entries):
+                yield GroupHom(G, G, phi)
 
     return candidates
 

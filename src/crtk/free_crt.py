@@ -199,19 +199,6 @@ def _shape(value, rows: int, cols: int) -> IntMatrix:
     return IntMatrix.from_rows(value, cols=cols)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisLabel:
-    summand: int
-    sign: int
-    word: tuple[str, ...]
-
-    def __str__(self) -> str:
-        s = "-" if self.sign < 0 else ""
-        if not self.word:
-            return f"{s}b{self.summand}"
-        return f"{s}{'.'.join(self.word)}(b{self.summand})"
-
-
 @dataclass(eq=False)
 class FreeCRT:
     """A direct sum of monogenic summands with its realized module."""
@@ -219,15 +206,6 @@ class FreeCRT:
     summands: tuple[MonogenicKind, ...]
     realized: CRTModule
     layouts: dict
-
-    def basis(self, part: str, n: int) -> list[BasisLabel]:
-        """Raw-slot basis labels at (part, window degree)."""
-        out = []
-        for i, s in enumerate(self.summands):
-            off = (n - s.generator_degree) % 8
-            for sign, word in _words_for(s.kind, part, off):
-                out.append(BasisLabel(i, sign, word))
-        return out
 
     def generator(self, i: int) -> Element:
         """The i-th summand generator as an element of the realized module."""

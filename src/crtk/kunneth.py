@@ -8,13 +8,15 @@ extensions of each slot (one slot per stored period: 8 real, 2 complex,
 4 self-conjugate) directly, one per class of Ext^1(tor_{n-1}, tensor_n),
 each with its extension maps, and then backtracks over the operation
 matrices.  For each operation instance the intertwining conditions are
-an affine problem: one particular solution is found by exact linear
+affine congruences in the hom_coords of the operation (written by
+zlinalg.commutation_rows, as are the gauge table's and crt_core's
+isomorphism systems): one particular solution is found by exact linear
 algebra, and the ambiguity is exactly alpha . W . beta for W ranging
-over the finite group Hom(tor_{n-1}, tensor_m), so the aggregate search
-space is small.  It is pruned further by every relation and exactness
-node of crt_core.CHECKS, each in each degree, at the operation that
-completes it; a full assignment therefore is an acyclic CRT-module, and
-no final suite runs on it.
+over the finite group Hom(tor_{n-1}, tensor_m), listed by its own
+hom_coords, so the aggregate search space is small.  It is pruned
+further by every relation and exactness node of crt_core.CHECKS, each
+in each degree, at the operation that completes it; a full assignment
+therefore is an acyclic CRT-module, and no final suite runs on it.
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -66,15 +68,16 @@ from .zlinalg import (
     IntMatrix,
     Zmod,
     _quotient_data,
+    commutation_rows,
     echelon_mod,
     fin_ab_tensor,
     fin_ab_tor,
     hom_compose,
     hom_coords,
-    hom_group_elements,
+    hom_matrix,
     identity_hom,
     kernel_lattice,
-    solve_matrix_system,
+    solve_int,
 )
 
 log = logging.getLogger("crtk")
@@ -184,21 +187,25 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[
     D(h) = h_t.Q - P.h_s: iff each coordinate of W_j is below the pivot of
     echelon_mod(D(L)) there.  None if D(L) = 0, so all are visited.
     """
-    gauge = [(slot, c) for slot in SLOTS for c in hom_coords(p.quot(*slot), p.sub(*slot))]
+    homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
+    zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
+    gauge = [c for slot in SLOTS for c in hom_coords(*homs[slot])]
     L = IntMatrix.identity(len(gauge))
     table = dict.fromkeys(_OP_ORDER)
     for name, n in _OP_ORDER:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
-        P, Q = p.tensor.op(name, n).matrix.entries, p.tor.op(name, n - 1).matrix.entries
-        coords = hom_coords(p.tor.group(src, n - 1), p.tensor.group(tgt, n + shift))
+        P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
+        coords = hom_coords(Q.domain, P.codomain)
         orders = [order for *_, order in coords]
-        # M = D.L, where D at the gauge coordinate h = step at (row, col) reads
-        # h.Q = step.Q[col] in row `row` and P.h = step.P[:, row] in column `col`.
-        M = IntMatrix.from_cols(
-            [[((step * Q[col][c] if slot == t and r == row else 0)
-               - (step * P[r][row] if slot == s and c == col else 0)) // st
-              for r, c, st, _ in coords] for slot, (row, col, step, _) in gauge], rows=len(coords)) * L
+        # M = D.L, D in gauge coordinates (zero off slots s and t) read at the hom_coords
+        # of the product D(h), a hom: its entry at a coordinate is a multiple of the step.
+        D = {slot: commutation_rows(*homs[slot], Q.matrix if slot == t else None,
+                                    P.matrix if slot == s else None) for slot in {s, t}}
+        M = IntMatrix.from_rows(
+            [[x // st for slot in SLOTS
+              for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
+             for r, c, st, _ in coords], cols=len(gauge)) * L
 
         pivots = [v[i] for i, v in enumerate(echelon_mod(M.columns(), orders))]
         if pivots == orders:
@@ -208,7 +215,7 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[
         K = kernel_lattice(M.hstack(IntMatrix.diag(orders)))
         L = L * IntMatrix.from_rows(K.entries[:L.cols], cols=K.cols)
         # Entries modulo the gauge orders: D kills those multiples, and L stays small.
-        L = IntMatrix.from_rows([[x % c[3] for x in row] for row, (_, c) in zip(L.entries, gauge)],
+        L = IntMatrix.from_rows([[x % c[3] for x in row] for row, c in zip(L.entries, gauge)],
                                 cols=L.cols)
     return table
 
@@ -265,7 +272,13 @@ class _Search:
         return self._option(part, n)[0]
 
     def _instance_candidates(self, name: str, n: int) -> list[GroupHom]:
-        """All operation matrices satisfying the intertwining constraints."""
+        """All operation matrices satisfying the intertwining constraints.
+
+        theta0 solves theta.alpha_s = alpha_t.P and beta_t.theta = Q.beta_s in
+        the hom_coords of Hom(Ks, Kt); candidate j is theta0 + alpha_t.W_j.beta_s,
+        W_j the j-th element of Hom(quot, sub) in lexicographic order of its
+        hom_coords (the order _gauge_table indexes).
+        """
         src, tgt, shift = OP_SPECS[name]
         m = (n + shift) % 8
         Ks, a_s, b_s = self._option(src, n)
@@ -277,31 +290,20 @@ class _Search:
         hit = self._cand_cache.get(cache_key)
         if hit is not None:
             return hit
-        eqs = []
-        rows, cols = Kt.ngens, Ks.ngens
-        # well-definedness
-        for i, e in enumerate(Kt.invariants):
-            for j, d in enumerate(Ks.invariants):
-                eqs.append(({(i, j): d}, 0, e))
-        # theta . alpha_s = alpha_t . P
-        B = a_t.matrix * P.matrix
-        A = a_s.matrix
-        for i, e in enumerate(Kt.invariants):
-            for j in range(P.matrix.cols):
-                coeffs = {(i, q): A.entries[q][j] for q in range(cols) if A.entries[q][j]}
-                eqs.append((coeffs, B.entries[i][j], e))
-        # beta_t . theta = Q . beta_s
-        C = b_t.matrix
-        D = Q.matrix * b_s.matrix
-        for i, f in enumerate(self.p.tor.group(tgt, m - 1).invariants):
-            for j in range(cols):
-                coeffs = {(q, j): C.entries[i][q] for q in range(rows) if C.entries[i][q]}
-                eqs.append((coeffs, D.entries[i][j], f))
-        theta0 = solve_matrix_system(rows, cols, eqs)
-        # W -> alpha_t.W.beta_s is injective (alpha_t is, and beta_s is onto): no repeats.
-        out = [] if theta0 is None else [
-            GroupHom(Ks, Kt, theta0 + a_t.matrix * W.matrix * b_s.matrix)
-            for W in hom_group_elements(self.p.tor.group(src, n - 1), self.p.tensor.group(tgt, m))]
+        # Rows mod Kt's invariants, then mod Tor's; the hom_coords parametrise Hom(Ks, Kt) exactly.
+        ncoords = len(hom_coords(Ks, Kt))
+        A = IntMatrix.from_rows(commutation_rows(Ks, Kt, right=a_s.matrix)
+                                + commutation_rows(Ks, Kt, left=-b_t.matrix), cols=ncoords)
+        A = A.hstack(IntMatrix.diag([e for e in Kt.invariants for _ in range(P.matrix.cols)]
+                                    + [f for f in b_t.codomain.invariants for _ in range(Ks.ngens)]))
+        x0 = solve_int(A, [x for rhs in (a_t.matrix * P.matrix, Q.matrix * b_s.matrix)
+                           for row in rhs.entries for x in row])
+        out = []
+        if x0 is not None:
+            # W -> alpha_t.W.beta_s is injective (alpha_t is, and beta_s is onto): no repeats.
+            theta0, quot, sub = hom_matrix(Ks, Kt, x0[:ncoords]), Q.domain, P.codomain
+            out = [GroupHom(Ks, Kt, theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix)
+                   for w in itertools.product(*(range(order) for *_, order in hom_coords(quot, sub)))]
         self._cand_cache[cache_key] = out
         return out
 

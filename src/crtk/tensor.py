@@ -504,7 +504,7 @@ def restrict_to_kernels(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphis
     return module, incl_fam
 
 
-def quotient_by_image(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphism]:
+def quotient_by_image(M: CRTModule, fam: Morphism) -> CRTModule:
     """The degreewise cokernel of a morphism into M, with induced operations."""
     coker = {key: cokernel_data(f) for key, f in fam.items()}
     groups = {p: [coker[(p, n)][0] for n in range(8)] for p in PARTS}
@@ -516,19 +516,15 @@ def quotient_by_image(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphism]
             _, _, reps_s = coker[(src, n)]
             _, proj_t, _ = coker[(tgt, (n + shift) % 8)]
             mats[name].append(proj_t.matrix * op.matrix * reps_s)
-    module = make_module(groups, mats)
-    proj_fam = {key: coker[key][1] for key in coker}
-    return module, proj_fam
+    return make_module(groups, mats)
 
 
 @dataclass(eq=False)
 class TorPair:
-    """Cokernel (tensor) and kernel (Tor) of mu1 ⊗ 1, with the maps."""
+    """Cokernel (tensor) and kernel (Tor) of mu1 ⊗ 1, with the tensored free modules."""
 
     tensor: CRTModule
     tor: CRTModule
-    proj: Morphism
-    incl: Morphism
     t0: TensorModule
     t1: TensorModule
 
@@ -544,12 +540,12 @@ def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     t1 = tensor_free(res.F1, N)
     t0 = tensor_free(res.F0, N)
     ind = induced_tensor_map(res.mu1, N, src=t1, tgt=t0)
-    tensor_mod, proj_fam = quotient_by_image(t0.module, ind)
-    tor_mod, incl_fam = restrict_to_kernels(t1.module, ind)
+    tensor_mod = quotient_by_image(t0.module, ind)
+    tor_mod, _ = restrict_to_kernels(t1.module, ind)
     rep = verify_relations(tensor_mod)
     if not rep.ok():
         raise ValueError(f"tensor fails relations: {rep}")
     rep = verify_relations(tor_mod)
     if not rep.ok():
         raise ValueError(f"Tor fails relations: {rep}")
-    return TorPair(tensor_mod, tor_mod, proj_fam, incl_fam, t0, t1)
+    return TorPair(tensor_mod, tor_mod, t0, t1)

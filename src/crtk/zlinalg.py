@@ -768,16 +768,37 @@ def hom_coords(A: FinAbGroup, B: FinAbGroup) -> list[tuple[int, int, int, int]]:
             for row, t in enumerate(B.torsion) if gcd(d, t) > 1]
 
 
-def hom_group_elements(A: FinAbGroup, B: FinAbGroup) -> list[GroupHom]:
-    """All homomorphisms A -> B, in lexicographic order of their hom_coords."""
+def commutation_rows(A: FinAbGroup, B: FinAbGroup, right: Optional[IntMatrix] = None,
+                     left: Optional[IntMatrix] = None) -> list[list[int]]:
+    """The map h -> h.right - left.h on Hom(A, B) as integer rows over hom_coords(A, B).
+
+    right is the matrix of a map X -> A and left of a map B -> Y, used as
+    given; None stands for a zero term, and with both terms X = A and
+    Y = B.  There is one row per entry of the product, row-major.
+
+    >>> commutation_rows(Zmod(2), FinAbGroup((2, 4)), right=IntMatrix.from_rows([[1]]))
+    [[1, 0], [0, 2]]
+    """
     coords = hom_coords(A, B)
-    out = []
-    for xs in itertools.product(*(range(order) for *_, order in coords)):
-        rows = [[0] * A.ngens for _ in range(B.ngens)]
-        for (row, col, step, _), x in zip(coords, xs):
-            rows[row][col] = x * step
-        out.append(GroupHom(A, B, IntMatrix.from_rows(rows, cols=A.ngens)))
-    return out
+    R = None if right is None else right.entries
+    L = None if left is None else left.entries
+    nrows, ncols = (B.ngens, right.cols) if right is not None else (left.rows, A.ngens)
+    return [[(step * R[col][j] if R is not None and row == i else 0)
+             - (step * L[i][row] if L is not None and col == j else 0)
+             for row, col, step, _ in coords]
+            for i in range(nrows) for j in range(ncols)]
+
+
+def hom_matrix(A: FinAbGroup, B: FinAbGroup, xs: Sequence[int]) -> IntMatrix:
+    """The reduced matrix of the hom A -> B whose hom_coords are xs (any integers).
+
+    >>> hom_matrix(Zmod(2), FinAbGroup((2, 4)), [1, 3]).entries
+    ((1,), (2,))
+    """
+    rows = [[0] * A.ngens for _ in range(B.ngens)]
+    for (row, col, step, order), x in zip(hom_coords(A, B), xs):
+        rows[row][col] = x % order * step
+    return IntMatrix.from_rows(rows, cols=A.ngens)
 
 
 # ---------------------------------------------------------------------------
@@ -802,39 +823,3 @@ def fin_ab_tensor(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
 def fin_ab_tor(A: FinAbGroup, B: FinAbGroup) -> FinAbGroup:
     """Tor_1^Z(A, B): pairwise gcd of the torsion parts."""
     return group_from_invariants([gcd(a, b) for a in A.torsion for b in B.torsion])
-
-
-# ---------------------------------------------------------------------------
-# Linear systems with modular rows (used by the extension solver)
-# ---------------------------------------------------------------------------
-
-
-def solve_matrix_system(
-    nrows: int,
-    ncols: int,
-    equations: list[tuple[dict[tuple[int, int], int], int, int]],
-) -> Optional[IntMatrix]:
-    """Solve for an integer nrows x ncols matrix X.
-
-    Each equation is (coeffs, rhs, modulus): sum of coeffs[(i,j)] * X[i][j]
-    ≡ rhs (mod modulus), with modulus 0 meaning equality over Z.
-    """
-    nvars = nrows * ncols
-    mod_rows = [k for k, (_, _, m) in enumerate(equations) if m != 0]
-    slack = {k: t for t, k in enumerate(mod_rows)}
-    total = nvars + len(mod_rows)
-    rows, rhs = [], []
-    for k, (coeffs, r, m) in enumerate(equations):
-        row = [0] * total
-        for (i, j), c in coeffs.items():
-            row[i * ncols + j] += c
-        if m != 0:
-            row[nvars + slack[k]] = m
-        rows.append(row)
-        rhs.append(r)
-    A = IntMatrix.from_rows(rows, cols=total)
-    sol = solve_int(A, rhs)
-    if sol is None:
-        return None
-    return IntMatrix.from_rows(
-        [[sol[i * ncols + j] for j in range(ncols)] for i in range(nrows)], cols=ncols)

@@ -13,6 +13,12 @@ gauge group is a list of index tuples into the per-slot automorphism
 lists of _slot_gauge, and each candidate filters the stabilizer of the
 operations before it element by element.  The solver reads the same
 verdicts from one table per problem (kunneth._gauge_table).
+
+instance_candidates_oracle keeps the operation candidates as first
+written: one unknown per entry of the operation matrix, explicit
+well-definedness equations and oracles.solve_matrix_system, then every
+element of Hom(tor, tensor) listed.  The solver solves in the
+hom_coords of the operation instead (zlinalg.commutation_rows).
 """
 
 from __future__ import annotations
@@ -39,15 +45,9 @@ from crtk.kunneth import (
     _Search,
     split_check,
 )
-from crtk.zlinalg import (
-    FinAbGroup,
-    GroupHom,
-    IntMatrix,
-    hom_compose,
-    hom_group_elements,
-    hom_preimage,
-    identity_hom,
-)
+from crtk.zlinalg import FinAbGroup, GroupHom, IntMatrix, hom_compose, hom_preimage, identity_hom
+
+from oracles import hom_group_elements, solve_matrix_system
 
 
 class CheckEveryCopy(_Search):
@@ -71,6 +71,41 @@ class CheckEveryCopy(_Search):
         alpha = {(p, n): self._option(p, n)[1] for p in PARTS for n in range(8)}
         beta = {(p, n): self._option(p, n)[2] for p in PARTS for n in range(8)}
         self.solutions.append(KunnethSolution(middle, alpha, beta))
+
+
+def instance_candidates_oracle(search: _Search, name: str, n: int) -> list[GroupHom]:
+    """All candidates of the instance (name, n) under search's slot choice, from a matrix system."""
+    src, tgt, shift = OP_SPECS[name]
+    m = (n + shift) % 8
+    Ks, a_s, b_s = search._option(src, n)
+    Kt, a_t, b_t = search._option(tgt, m)
+    P = search.p.tensor.op(name, n)
+    Q = search.p.tor.op(name, n - 1)
+    eqs = []
+    rows, cols = Kt.ngens, Ks.ngens
+    # well-definedness
+    for i, e in enumerate(Kt.invariants):
+        for j, d in enumerate(Ks.invariants):
+            eqs.append(({(i, j): d}, 0, e))
+    # theta . alpha_s = alpha_t . P
+    B = a_t.matrix * P.matrix
+    A = a_s.matrix
+    for i, e in enumerate(Kt.invariants):
+        for j in range(P.matrix.cols):
+            coeffs = {(i, q): A.entries[q][j] for q in range(cols) if A.entries[q][j]}
+            eqs.append((coeffs, B.entries[i][j], e))
+    # beta_t . theta = Q . beta_s
+    C = b_t.matrix
+    D = Q.matrix * b_s.matrix
+    for i, f in enumerate(search.p.tor.group(tgt, m - 1).invariants):
+        for j in range(cols):
+            coeffs = {(q, j): C.entries[i][q] for q in range(rows) if C.entries[i][q]}
+            eqs.append((coeffs, D.entries[i][j], f))
+    theta0 = solve_matrix_system(rows, cols, eqs)
+    if theta0 is None:
+        return []
+    return [GroupHom(Ks, Kt, theta0 + a_t.matrix * W.matrix * b_s.matrix)
+            for W in hom_group_elements(search.p.tor.group(src, n - 1), search.p.tensor.group(tgt, m))]
 
 
 def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ from crtk.free_crt import (
     FreeCRT,
     FreeMorphism,
     MonogenicKind,
+    _words_for,
     free_module,
     monogenic,
     realize_morphism,
@@ -45,9 +47,11 @@ from crtk.zlinalg import (
     group_from_invariants,
     hom_cokernel,
     hom_compose,
+    hom_coords,
     hom_kernel,
     is_automorphism,
     lattice_contains,
+    solve_int,
 )
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,50 @@ def automorphisms(G: FinAbGroup) -> list[GroupHom]:
             if is_automorphism(G, [[c[i] for c in cols] for i in range(G.ngens)])]
 
 
+def hom_group_elements(A: FinAbGroup, B: FinAbGroup) -> list[GroupHom]:
+    """All homomorphisms A -> B, in lexicographic order of their hom_coords."""
+    coords = hom_coords(A, B)
+    out = []
+    for xs in itertools.product(*(range(order) for *_, order in coords)):
+        rows = [[0] * A.ngens for _ in range(B.ngens)]
+        for (row, col, step, _), x in zip(coords, xs):
+            rows[row][col] = x * step
+        out.append(GroupHom(A, B, IntMatrix.from_rows(rows, cols=A.ngens)))
+    return out
+
+
+def solve_matrix_system(
+    nrows: int,
+    ncols: int,
+    equations: list[tuple[dict[tuple[int, int], int], int, int]],
+) -> Optional[IntMatrix]:
+    """Solve for an integer nrows x ncols matrix X, one variable per entry.
+
+    Each equation is (coeffs, rhs, modulus): sum of coeffs[(i,j)] * X[i][j]
+    ≡ rhs (mod modulus), with modulus 0 meaning equality over Z; each
+    modular equation gets a slack column of its own.
+    """
+    nvars = nrows * ncols
+    mod_rows = [k for k, (_, _, m) in enumerate(equations) if m != 0]
+    slack = {k: t for t, k in enumerate(mod_rows)}
+    total = nvars + len(mod_rows)
+    rows, rhs = [], []
+    for k, (coeffs, r, m) in enumerate(equations):
+        row = [0] * total
+        for (i, j), c in coeffs.items():
+            row[i * ncols + j] += c
+        if m != 0:
+            row[nvars + slack[k]] = m
+        rows.append(row)
+        rhs.append(r)
+    A = IntMatrix.from_rows(rows, cols=total)
+    sol = solve_int(A, rhs)
+    if sol is None:
+        return None
+    return IntMatrix.from_rows(
+        [[sol[i * ncols + j] for j in range(ncols)] for i in range(nrows)], cols=ncols)
+
+
 # ---------------------------------------------------------------------------
 # crt_core
 # ---------------------------------------------------------------------------
@@ -241,6 +289,29 @@ def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -
 # ---------------------------------------------------------------------------
 # free_crt
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class BasisLabel:
+    summand: int
+    sign: int
+    word: tuple[str, ...]
+
+    def __str__(self) -> str:
+        s = "-" if self.sign < 0 else ""
+        if not self.word:
+            return f"{s}b{self.summand}"
+        return f"{s}{'.'.join(self.word)}(b{self.summand})"
+
+
+def basis(F: FreeCRT, part: str, n: int) -> list[BasisLabel]:
+    """Raw-slot basis labels of F at (part, window degree)."""
+    out = []
+    for i, s in enumerate(F.summands):
+        off = (n - s.generator_degree) % 8
+        for sign, word in _words_for(s.kind, part, off):
+            out.append(BasisLabel(i, sign, word))
+    return out
 
 
 def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:

@@ -80,6 +80,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("window", ["-3", "-1", "x"])
+    def test_bad_period_window_is_usage_error(self, window, capsys):
+        code, out, err = run(["catalog", "show", "O5", "--period-window", window], capsys)
+        assert code == 2
+        assert out == "" and "--period-window" in err
+
+    def test_zero_period_window_renders_degree_zero(self, capsys):
+        code, out, _ = run(["catalog", "show", "O5", "--period-window", "0"], capsys)
+        assert code == 0
+        assert ["n", "0"] in [line.split() for line in out.splitlines()]
+
     def test_kunneth_non_cuntz_factor(self, capsys):
         code, _, err = run(["kunneth", "O3", "R"], capsys)
         assert code == 1

@@ -48,7 +48,6 @@ from crtk.zlinalg import (
     hom_cokernel,
     hom_compose,
     hom_coords,
-    hom_group_elements,
     hom_kernel,
     identity_hom,
     is_exact_at,
@@ -56,7 +55,9 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
-from kunneth_oracle import EnumeratedGauge, _slot_gauge, conjugate, solve_middle_oracle
+from kunneth_oracle import (EnumeratedGauge, _slot_gauge, conjugate, instance_candidates_oracle,
+                            solve_middle_oracle)
+from oracles import hom_group_elements
 
 # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
 # search and is not scheduled there; it stays in CHECKS and so in the relation suite.
@@ -329,6 +330,41 @@ class TestGaugeFixing:
         assert list(table) == _OP_ORDER
         assert any(v is not None for v in table.values())
         assert peak < 20 * 2 ** 20, peak
+
+
+def triple_problem(k, l, m):
+    """O_{k+1} x (the solver's middle for O_{l+1} x O_{m+1})."""
+    (sol,) = solve_middle(make_problem(l, m))
+    tp = tensor_and_tor(cuntz_resolution(k), sol.middle)
+    return KunnethProblem(tp.tensor, tp.tor)
+
+
+class ComparedCandidates(_Search):
+    """The solver's search, checking each instance it solves against the matrix-system oracle."""
+
+    def __init__(self, p, budget):
+        super().__init__(p, budget)
+        self.solvable = Counter()
+
+    def _instance_candidates(self, name, n):
+        before = len(self._cand_cache)
+        got = super()._instance_candidates(name, n)
+        if len(self._cand_cache) > before:
+            want = instance_candidates_oracle(self, name, n)
+            assert bool(got) == bool(want), (name, n)
+            assert len(got) == len(want) and {h.matrix for h in got} == {h.matrix for h in want}, (name, n)
+            self.solvable[bool(got)] += 1
+        return got
+
+
+class TestInstanceCandidates:
+    @pytest.mark.parametrize("factors", [(2, 4), (4, 4), (5, 5), (6, 10), (2, 2, 2)], ids=str)
+    def test_agrees_with_matrix_system_oracle(self, factors):
+        """Solvable exactly when the oracle is, with the same candidates (theta0 may differ)."""
+        problem = make_problem(*factors) if len(factors) == 2 else triple_problem(*factors)
+        search = ComparedCandidates(problem, 5_000_000)
+        assert search.run()
+        assert search.solvable[True] > 0 and search.solvable[False] > 0, search.solvable
 
 
 class TestSolver:

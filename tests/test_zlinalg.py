@@ -1,6 +1,7 @@
 """Unit and property tests for the exact integer linear algebra layer."""
 
 import itertools
+import operator
 import random
 from math import gcd, prod
 
@@ -19,6 +20,7 @@ from crtk.zlinalg import (
     Zmod,
     checked_entries,
     cokernel_data,
+    commutation_rows,
     echelon_mod,
     fin_ab_tensor,
     fin_ab_tor,
@@ -27,22 +29,22 @@ from crtk.zlinalg import (
     hom_cokernel,
     hom_compose,
     hom_coords,
-    hom_group_elements,
     hom_image,
     hom_kernel,
+    hom_matrix,
     hom_preimage,
     identity_hom,
     is_exact_at,
     kernel_lattice,
     smith_normal_form,
     solve_int,
-    solve_matrix_system,
 )
 
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import (automorphisms, hom_from_cols, matmul_via_transpose, oracle_enumerate,
-                     reduce_hom_matrix, subgroup_contains, well_defined_matrix, zero_hom)
+from oracles import (automorphisms, hom_from_cols, hom_group_elements, matmul_via_transpose,
+                     oracle_enumerate, reduce_hom_matrix, solve_matrix_system, subgroup_contains,
+                     well_defined_matrix, zero_hom)
 
 
 def minors_gcd(A, k):
@@ -154,6 +156,10 @@ def mixed_groups(draw):
     for step in draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=3)):
         torsion.append(torsion[-1] * step if torsion else step + 1)
     return FinAbGroup(tuple(torsion), draw(st.integers(0, 2)))
+
+
+def finite_groups():
+    return mixed_groups().map(lambda G: FinAbGroup(G.torsion))
 
 
 @st.composite
@@ -394,6 +400,37 @@ class TestHoms:
             want = [hom_from_cols(A, B, [list(c) for c in cols]) for cols in itertools.product(*pools)]
             assert hom_group_elements(A, B) == want, (a, b)
             assert prod(order for *_, order in hom_coords(A, B)) == len(want), (a, b)
+            assert [GroupHom(A, B, hom_matrix(A, B, xs)) for xs in itertools.product(
+                *(range(order) for *_, order in hom_coords(A, B)))] == want, (a, b)
+
+    @given(finite_groups(), finite_groups(), finite_groups(), st.sampled_from(["right", "left", "both"]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_commutation_rows_give_the_product_entries(self, A, B, C, terms, data):
+        """The rows applied to h's coordinates are the entries of h.right - left.h, mod its codomain."""
+        xs = data.draw(st.lists(st.integers(-20, 20), min_size=len(hom_coords(A, B)),
+                                max_size=len(hom_coords(A, B))), label="xs")
+        h = GroupHom(A, B, hom_matrix(A, B, xs))
+        assert h.matrix == hom_matrix(A, B, xs)  # already reduced
+        X, Y = (A, B) if terms == "both" else (C, C)
+        # Unreduced matrices: the rows use them as given.
+        right = left = None
+        if terms != "left":
+            right = well_defined_matrix(data.draw(int_matrices(A.ngens, X.ngens)), X, A)
+        if terms != "right":
+            left = well_defined_matrix(data.draw(int_matrices(Y.ngens, B.ngens)), B, Y)
+        if terms == "right":
+            product = hom_compose(h, GroupHom(X, A, right))
+        elif terms == "left":
+            product = -hom_compose(GroupHom(B, Y, left), h)
+        else:
+            product = hom_compose(h, GroupHom(X, A, right)) - hom_compose(GroupHom(B, Y, left), h)
+        rows = commutation_rows(A, B, right, left)
+        mods = [e for e in product.codomain.invariants for _ in range(product.domain.ngens)]
+        entries = [x for row in product.matrix.entries for x in row]
+        assert len(rows) == len(entries)
+        for row, mod, x in zip(rows, mods, entries):
+            assert (sum(map(operator.mul, row, xs)) - x) % mod == 0
 
 
 class TestExactness:
