@@ -196,15 +196,17 @@ def cmd_compare(args) -> int:
     return 0 if same_ops else 1
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", metavar="PATH", help="also write module JSON")
-        p.add_argument("--period-window", type=_nonnegative, default=8,
+        p.add_argument("--period-window", type=_at_least(0), default=8,
                        help="last degree column to render (default 8)")
 
     p = sub.add_parser("catalog", help="list or show named fixtures")
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kunneth", help="full pipeline: tensor, Tor, middle, split")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_at_least(1), default=5_000_000)
     common(p)
     p.set_defaults(fn=cmd_kunneth)
 

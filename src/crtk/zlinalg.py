@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -380,10 +380,6 @@ def lattice_basis(L: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols, rows=L.rows)
 
 
-def lattice_contains(L: IntMatrix, x: Sequence[int]) -> bool:
-    return solve_int(L, x) is not None
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -676,31 +672,33 @@ def _preimage(f: GroupHom, y: Vec) -> Optional[Vec]:
     return f.domain.reduce(sol[: f.domain.ngens])
 
 
-def subgroups_equal(incl_a: GroupHom, incl_b: GroupHom) -> bool:
-    """Mutual membership of two subgroups of the same ambient group."""
-    if incl_a.codomain != incl_b.codomain:
-        raise CompositionError("subgroups of different ambient groups")
-    amb = incl_a.codomain
-    La = incl_a.matrix.hstack(amb.relation_matrix())
-    Lb = incl_b.matrix.hstack(amb.relation_matrix())
-    return (all(lattice_contains(Lb, incl_a.matrix.col(j)) for j in range(incl_a.matrix.cols))
-            and all(lattice_contains(La, incl_b.matrix.col(j)) for j in range(incl_b.matrix.cols)))
+def _cokernel_order(f: GroupHom) -> int:
+    """|coker f|, the product of the Smith diagonal of [f | codomain relations]; 0 if infinite."""
+    rels = f.matrix.hstack(f.codomain.relation_matrix())
+    return prod(_diag_of(_snf_full(rels)[2], rels.rows))
 
 
 @functools.cache
 def is_exact_at(f: GroupHom, g: GroupHom) -> bool:
-    """Exactness at the middle of  . --f--> . --g--> .
+    """Exactness at the middle of  A --f--> B --g--> C.
 
-    Requires g∘f = 0; image(f) and kernel(g) are compared as subgroups
-    (mutual membership, not just isomorphism).
+    Requires g∘f = 0.  Then g induces a surjection coker f ->> im g with
+    kernel ker g / im f, so exactness means that surjection is injective.
+    Finitely generated abelian groups are Hopfian (a surjection between
+    isomorphic ones is injective), so it holds iff coker f ≅ im g, which
+    the canonical forms decide.  For finite C, |im g| = |C| / |coker g|,
+    so exact iff |C| = |coker f| * |coker g| (an infinite coker f never
+    is, as im g is finite).  Comparing im f with ker g up to isomorphism
+    would not do: im f -> ker g is an injection, and Z has non-onto ones;
+    f = x2 on Z with g = 0 has im f ≅ ker g = Z but is not exact.
     """
     if f.codomain != g.domain:
         raise CompositionError("maps are not composable")
     if not hom_compose(g, f).is_zero_map():
         raise ValueError("composite g∘f is nonzero")
-    _, im = hom_image(f)
-    _, ker = hom_kernel(g)
-    return subgroups_equal(im, ker)
+    if g.codomain.is_finite():
+        return _cokernel_order(f) * _cokernel_order(g) == g.codomain.order()
+    return cokernel_data(f)[0] == hom_image(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from crtk.free_crt import (
 )
 from crtk.tensor import FreeResolution, TensorModule, restrict_to_kernels, tensor_and_tor, tensor_free
 from crtk.zlinalg import (
+    CompositionError,
     FinAbGroup,
     GroupHom,
     IntMatrix,
@@ -48,9 +49,9 @@ from crtk.zlinalg import (
     hom_cokernel,
     hom_compose,
     hom_coords,
+    hom_image,
     hom_kernel,
     is_automorphism,
-    lattice_contains,
     solve_int,
 )
 
@@ -122,6 +123,30 @@ def oracle_enumerate(f: GroupHom) -> tuple[list[Vec], list[Vec]]:
         if all(x == 0 for x in w):
             kernel.append(v)
     return kernel, sorted(image)
+
+
+def lattice_contains(L: IntMatrix, x: Sequence[int]) -> bool:
+    return solve_int(L, x) is not None
+
+
+def subgroups_equal(incl_a: GroupHom, incl_b: GroupHom) -> bool:
+    """Mutual membership of two subgroups of the same ambient group."""
+    if incl_a.codomain != incl_b.codomain:
+        raise CompositionError("subgroups of different ambient groups")
+    amb = incl_a.codomain
+    La = incl_a.matrix.hstack(amb.relation_matrix())
+    Lb = incl_b.matrix.hstack(amb.relation_matrix())
+    return (all(lattice_contains(Lb, incl_a.matrix.col(j)) for j in range(incl_a.matrix.cols))
+            and all(lattice_contains(La, incl_b.matrix.col(j)) for j in range(incl_b.matrix.cols)))
+
+
+def is_exact_at_oracle(f: GroupHom, g: GroupHom) -> bool:
+    """zlinalg.is_exact_at by comparing im f and ker g as subgroups (mutual membership)."""
+    if f.codomain != g.domain:
+        raise CompositionError("maps are not composable")
+    if not hom_compose(g, f).is_zero_map():
+        raise ValueError("composite g∘f is nonzero")
+    return subgroups_equal(hom_image(f)[1], hom_kernel(g)[1])
 
 
 def subgroup_contains(incl: GroupHom, x: Sequence[int]) -> bool:

@@ -17,9 +17,9 @@ from crtk.catalog import (
 )
 from crtk.crt_core import OP_NAMES, PARTS, is_acyclic, verify_relations
 from crtk.free_crt import monogenic, morphism_realize
-from crtk.zlinalg import FinAbGroup, Zmod, hom_image, subgroups_equal
+from crtk.zlinalg import FinAbGroup, Zmod, hom_image
 
-from oracles import cuntz_resolution_by_search
+from oracles import cuntz_resolution_by_search, subgroups_equal
 
 ZERO = FinAbGroup()
 

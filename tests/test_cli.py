@@ -86,6 +86,12 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "--period-window" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget_is_usage_error(self, budget, capsys):
+        code, out, err = run(["kunneth", "O5", "O5", "--budget", budget], capsys)
+        assert code == 2
+        assert out == "" and "--budget" in err and "must be >= 1" in err
+
     def test_zero_period_window_renders_degree_zero(self, capsys):
         code, out, _ = run(["catalog", "show", "O5", "--period-window", "0"], capsys)
         assert code == 0

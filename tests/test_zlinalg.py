@@ -42,9 +42,9 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import (automorphisms, hom_from_cols, hom_group_elements, matmul_via_transpose,
-                     oracle_enumerate, reduce_hom_matrix, solve_matrix_system, subgroup_contains,
-                     well_defined_matrix, zero_hom)
+from oracles import (automorphisms, hom_from_cols, hom_group_elements, is_exact_at_oracle,
+                     matmul_via_transpose, oracle_enumerate, reduce_hom_matrix, solve_matrix_system,
+                     subgroup_contains, well_defined_matrix, zero_hom)
 
 
 def minors_gcd(A, k):
@@ -454,6 +454,29 @@ class TestExactness:
         g = GroupHom(Z, Zmod(2), IntMatrix.from_rows([[1]]))
         with pytest.raises(ValueError):
             is_exact_at(f, g)
+
+    @pytest.mark.parametrize("C", [Z, ZERO_GROUP, Zmod(3)], ids=str)
+    def test_isomorphic_image_and_kernel_not_exact(self, C):
+        # im f = 2Z and ker g = Z are isomorphic groups but different subgroups of Z.
+        f = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+        g = zero_hom(Z, C)
+        assert hom_image(f)[0] == hom_kernel(g)[0] == Z
+        assert not is_exact_at(f, g)
+        assert not is_exact_at_oracle(f, g)
+
+    @given(mixed_groups(), mixed_groups(), mixed_groups(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_subgroup_oracle(self, A, B, C, data):
+        g = data.draw(group_homs(B, C))
+        _, incl = hom_kernel(g)
+        shape = data.draw(st.sampled_from(["any", "into kernel", "kernel"]))
+        if shape == "kernel":
+            f = incl
+        elif shape == "into kernel":
+            f = hom_compose(incl, data.draw(group_homs(A, incl.domain)))
+        else:
+            f = data.draw(group_homs(A, B))
+        assert outcome(is_exact_at, f, g) == outcome(is_exact_at_oracle, f, g)
 
 
 class TestCachedPrimitives:
