@@ -183,16 +183,28 @@ class CRTModule:
 
 def make_module(groups: Mapping[str, Sequence[FinAbGroup]],
                 op_matrices: Mapping[str, Sequence[IntMatrix]]) -> CRTModule:
-    """Assemble a module from groups per part and raw operation matrices."""
-    parts = {p: GradedPart(PART_PERIOD[p], tuple(groups[p])) for p in PARTS}
+    """Assemble a module from groups per part and raw operation matrices.
+
+    Each distinct input is assembled and checked once per process, so
+    equal inputs return the same module object; an error is raised on
+    every call and never stored.
+    """
+    return _assemble(tuple(tuple(groups[p]) for p in PARTS),
+                     tuple(tuple(op_matrices[name]) for name in OP_NAMES))
+
+
+@functools.cache
+def _assemble(groups: tuple[tuple[FinAbGroup, ...], ...],
+              op_matrices: tuple[tuple[IntMatrix, ...], ...]) -> CRTModule:
+    parts = {p: GradedPart(PART_PERIOD[p], gs) for p, gs in zip(PARTS, groups)}
     fams = []
-    for name in OP_NAMES:
+    for name, mats in zip(OP_NAMES, op_matrices):
         src, tgt, shift = OP_SPECS[name]
         fam = []
         for n in range(8):
             dom = parts[src].group(n)
             cod = parts[tgt].group(n + shift)
-            fam.append(GroupHom(dom, cod, op_matrices[name][n]))
+            fam.append(GroupHom(dom, cod, mats[n]))
         fams.append(tuple(fam))
     return CRTModule(parts["O"], parts["U"], parts["T"], tuple(fams))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .crt_core import (
     CRTModule,
@@ -38,7 +38,16 @@ from .crt_core import (
     verify_relations,
     xi,
 )
-from .free_crt import Element, FreeCRT, FreeMorphism, MonogenicKind, _words_for, act, morphism_realize
+from .free_crt import (
+    Element,
+    FreeCRT,
+    FreeMorphism,
+    MonogenicKind,
+    _words_for,
+    act,
+    free_module,
+    morphism_realize,
+)
 from .zlinalg import (
     GroupHom,
     IntMatrix,
@@ -353,19 +362,58 @@ def _find_slot(TT: TensorModule, part: str, m: int, summand: int, label: str) ->
 # ---------------------------------------------------------------------------
 
 
-def induced_tensor_map(mor: FreeMorphism, N: CRTModule,
-                       src: Optional[TensorModule] = None,
-                       tgt: Optional[TensorModule] = None) -> Morphism:
+def induced_tensor_map(mor: FreeMorphism, N: CRTModule) -> Morphism:
     """The degreewise family of (mor ⊗ 1) on the provenance construction.
 
-    Each slot generator is an operation word applied to a pure tensor, so
-    its image is the same word applied (through the target's raw
-    operations) to the expansion of (generator image) ⊗ n.
+    The family is linear in the generator images: with a_ij the
+    coordinates of the image of source generator i, mor ⊗ 1 is the sum of
+    a_ij·Phi_ij, where Phi_ij is the induced map of the free morphism
+    sending generator i to the basis element e_j of its target group and
+    every other generator to 0 (_unit_map).  Naturality is checked once
+    per unit map; sums and integer multiples of natural families are
+    natural, since every operation is a homomorphism.  Each degree's sum
+    is a GroupHom and passes its well-definedness check.
     """
-    if src is None:
-        src = tensor_free(mor.source, N)
-    if tgt is None:
-        tgt = tensor_free(mor.target, N)
+    src = tensor_free(mor.source, N).module
+    tgt = tensor_free(mor.target, N).module
+    terms = [(a, _unit_map(mor.source.summands, i, mor.target.summands, j, N))
+             for i, x in enumerate(mor.images) for j, a in enumerate(x.vec) if a]
+    fam: Morphism = {}
+    for part in PARTS:
+        for m in range(8):
+            G, H = src.group(part, m), tgt.group(part, m)
+            mat = IntMatrix.zeros(H.ngens, G.ngens)
+            for a, unit in terms:
+                mat += unit[(part, m)].matrix.scale(a)
+            fam[(part, m)] = GroupHom(G, H, mat)
+    return fam
+
+
+@functools.cache
+def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[MonogenicKind, ...],
+              j: int, N: CRTModule) -> Morphism:
+    """Phi_ij ⊗ 1, Phi_ij sending generator i to e_j and the others to 0; checked natural.
+
+    Built once per distinct arguments in a process by expanding each slot
+    generator: an operation word applied to a pure tensor, so its image is
+    the same word applied (through the target's raw operations) to the
+    expansion of (generator image) ⊗ n.  Nothing mutates the family.
+    """
+    F, G = free_module(source), free_module(target)
+    images = []
+    for s, smd in enumerate(source):
+        part, deg = smd.generator_part, smd.generator_degree
+        width = G.realized.group(part, deg).ngens
+        images.append(Element(part, deg, tuple(int(s == i and t == j) for t in range(width))))
+    tf, tg = tensor_free(F, N), tensor_free(G, N)
+    fam = _expand_induced_map(FreeMorphism(F, G, images), tf, tg)
+    if not morphism_commutes(tf.module, tg.module, fam):
+        raise ValueError("induced tensor map fails naturality")
+    return fam
+
+
+def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule) -> Morphism:
+    """The family of (mor ⊗ 1) from the slot expansion of mor's images, unchecked."""
     fam: Morphism = {}
     for part in PARTS:
         for m in range(8):
@@ -382,8 +430,6 @@ def induced_tensor_map(mor: FreeMorphism, N: CRTModule,
             raw = IntMatrix.from_cols(cols, rows=sum(s.width for s in tgt.slots[(part, m)]))
             fam[(part, m)] = GroupHom(src.module.group(part, m), tgt.module.group(part, m),
                                       lay_t.proj * raw * lay_s.reps)
-    if not morphism_commutes(src.module, tgt.module, fam):
-        raise ValueError("induced tensor map fails naturality")
     return fam
 
 
@@ -539,7 +585,7 @@ def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     """
     t1 = tensor_free(res.F1, N)
     t0 = tensor_free(res.F0, N)
-    ind = induced_tensor_map(res.mu1, N, src=t1, tgt=t0)
+    ind = induced_tensor_map(res.mu1, N)
     tensor_mod = quotient_by_image(t0.module, ind)
     tor_mod, _ = restrict_to_kernels(t1.module, ind)
     rep = verify_relations(tensor_mod)

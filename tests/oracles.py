@@ -23,6 +23,7 @@ from crtk.crt_core import (
     SLOTS,
     crt_isomorphic,
     is_free,
+    morphism_commutes,
     slot_of,
 )
 from crtk.free_crt import (
@@ -35,7 +36,14 @@ from crtk.free_crt import (
     monogenic,
     realize_morphism,
 )
-from crtk.tensor import FreeResolution, TensorModule, restrict_to_kernels, tensor_and_tor, tensor_free
+from crtk.tensor import (
+    FreeResolution,
+    TensorModule,
+    _expand_induced_map,
+    restrict_to_kernels,
+    tensor_and_tor,
+    tensor_free,
+)
 from crtk.zlinalg import (
     CompositionError,
     FinAbGroup,
@@ -387,6 +395,19 @@ def free_from_json(obj: dict) -> FreeCRT:
 
 def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
     return tensor_free(monogenic(kind, k), N)
+
+
+def induced_tensor_map_oracle(mor: FreeMorphism, N: CRTModule) -> Morphism:
+    """tensor.induced_tensor_map by the per-pair path.
+
+    The slot expansion of mor's own generator images, then the naturality
+    check on the whole family; no unit maps and no sums.
+    """
+    src, tgt = tensor_free(mor.source, N), tensor_free(mor.target, N)
+    fam = _expand_induced_map(mor, src, tgt)
+    if not morphism_commutes(src.module, tgt.module, fam):
+        raise ValueError("induced tensor map fails naturality")
+    return fam
 
 
 def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,

@@ -181,6 +181,41 @@ class TestSuiteCache:
         assert [suite for M, suite in runs if M.is_zero()] == ["relations"]
 
 
+class TestMakeModuleByValue:
+    """make_module assembles and checks each distinct input once per process."""
+
+    @staticmethod
+    def inputs(M):
+        groups = {p: [M.group(p, n) for n in range(8)] for p in PARTS}
+        mats = {name: [M.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
+        return groups, mats
+
+    def test_equal_inputs_give_the_same_object(self):
+        groups, mats = self.inputs(cuntz_module(4))
+        M = make_module(groups, mats)
+        again = make_module({p: list(gs) for p, gs in groups.items()},
+                            {name: list(ms) for name, ms in mats.items()})
+        assert again is M
+        assert zero_module() is zero_module()
+
+    def test_ill_defined_op_raises_on_every_call(self):
+        groups, mats = self.inputs(R)
+        mats["c"][2] = IntMatrix.from_rows([[1]])  # c_2 : Z_2 -> Z cannot send the generator to 1
+        stored = crt_core._assemble.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="torsion into free"):
+                make_module(groups, mats)
+        assert crt_core._assemble.cache_info().currsize == stored
+
+    def test_a_cold_call_builds_a_new_object(self):
+        groups, mats = self.inputs(cuntz_module(4))
+        M = make_module(groups, mats)
+        clear_caches()
+        fresh = make_module(groups, mats)
+        assert fresh == M and fresh is not M
+        assert make_module(groups, mats) is fresh
+
+
 class _RecordingView:
     """A module seen through op and group, recording the operations read."""
 

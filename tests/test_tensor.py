@@ -1,8 +1,12 @@
 """Tensor products, induced maps, Tor, and the structural cross-checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crtk import tensor
 from crtk.catalog import (
+    catalog_entry,
     cuntz_module,
     cuntz_resolution,
     expected_tensor,
@@ -17,6 +21,7 @@ from crtk.crt_core import (
     zero_module,
 )
 from crtk.free_crt import (
+    Element,
     FreeMorphism,
     MonogenicKind,
     free_module,
@@ -26,10 +31,12 @@ from crtk.free_crt import (
 from crtk.tensor import induced_tensor_map, tensor_and_tor, tensor_free
 from crtk.zlinalg import hom_scale, identity_hom
 
+from cold_path import clear_caches
 from oracles import (
     complex_tensor_groups,
     complex_tor_groups,
     find_free_isomorphism,
+    induced_tensor_map_oracle,
     tensor_monogenic,
     tensor_symmetric_check,
 )
@@ -131,11 +138,11 @@ class TestInducedMaps:
         N = cuntz_module(3)
         TT = tensor_free(F, N)
         gen = F.generator(0)
-        fam = induced_tensor_map(FreeMorphism(F, F, [gen]), N, src=TT, tgt=TT)
+        fam = induced_tensor_map(FreeMorphism(F, F, [gen]), N)
         for p in PARTS:
             for n in range(8):
                 assert fam[(p, n)] == identity_hom(TT.module.group(p, n))
-        fam5 = induced_tensor_map(FreeMorphism(F, F, [scale_element(gen, 5)]), N, src=TT, tgt=TT)
+        fam5 = induced_tensor_map(FreeMorphism(F, F, [scale_element(gen, 5)]), N)
         for p in PARTS:
             for n in range(8):
                 assert fam5[(p, n)] == hom_scale(identity_hom(TT.module.group(p, n)), 5)
@@ -150,12 +157,69 @@ class TestInducedMaps:
         g = FreeMorphism(F0, F0, [scale_element(F0.generator(0), 3),
                                   scale_element(F0.generator(1), 3)])
         comp = FreeMorphism(f.source, F0, [scale_element(f.images[0], 3)])
-        src = tensor_free(f.source, N)
-        mid = tensor_free(F0, N)
-        left = induced_tensor_map(comp, N, src=src, tgt=mid)
-        right = compose_morphisms(induced_tensor_map(g, N, src=mid, tgt=mid),
-                                  induced_tensor_map(f, N, src=src, tgt=mid))
+        left = induced_tensor_map(comp, N)
+        right = compose_morphisms(induced_tensor_map(g, N), induced_tensor_map(f, N))
         assert left == right
+
+
+@st.composite
+def free_morphisms(draw):
+    """A FreeMorphism between free modules of 1-2 summands of kinds R, C, T.
+
+    Each image is zero or random coordinates (torsion ones included) in the
+    target group at the source generator's part and degree.
+    """
+    def summands():
+        return [MonogenicKind(draw(st.sampled_from("RCT")), draw(st.integers(0, 7)))
+                for _ in range(draw(st.integers(1, 2)))]
+    F, G = free_module(summands()), free_module(summands())
+    images = []
+    for s in F.summands:
+        part, deg = s.generator_part, s.generator_degree
+        width = G.realized.group(part, deg).ngens
+        vec = draw(st.one_of(st.just((0,) * width),
+                             st.tuples(*[st.integers(-3, 3)] * width)))
+        images.append(Element(part, deg, vec))
+    return FreeMorphism(F, G, images)
+
+
+class TestInducedMapBySums:
+    """induced_tensor_map sums checked unit maps; the per-pair path is the oracle."""
+
+    def test_agrees_with_the_per_pair_path_on_the_grid(self):
+        for k in range(2, 13):
+            mu1 = cuntz_resolution(k).mu1
+            for l in range(2, 13):
+                N = cuntz_module(l)
+                assert induced_tensor_map(mu1, N) == induced_tensor_map_oracle(mu1, N), (k, l)
+
+    @given(free_morphisms(), st.sampled_from(["R", "C", "T", "O3", "O4", "O5", "O6", "O7"]))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_per_pair_path_on_random_morphisms(self, mor, name):
+        N = catalog_entry(name).module
+        assert induced_tensor_map(mor, N) == induced_tensor_map_oracle(mor, N)
+
+    def test_naturality_is_still_enforced(self, monkeypatch):
+        # Negate the pure tensor b~ (x) n of a real summand, which every unit map
+        # of O4 (x) O5 reads.  O5 (x) O5 cannot show a sign change here: all its
+        # expansions are a real summand's one U rule, and C (x) O5 splits by the
+        # degree of n, so any signs give an automorphism of a natural family.
+        expand = tensor._expand_basis
+
+        def flipped(kind, off, idx, g, part, N, d2):
+            terms = expand(kind, off, idx, g, part, N, d2)
+            if (kind, part, off % 8) == ("R", "O", 0):
+                (label, sign, h), *rest = terms
+                terms = [(label, -sign, h), *rest]
+            return terms
+
+        clear_caches()
+        monkeypatch.setattr(tensor, "_expand_basis", flipped)
+        try:
+            with pytest.raises(ValueError, match="fails naturality"):
+                tensor_and_tor(cuntz_resolution(3), cuntz_module(4))
+        finally:
+            clear_caches()
 
 
 class TestTensorAndTor:
