@@ -9,8 +9,13 @@ stored operation matrices, and the three long exact sequences become 72
 concrete exactness checks.  One table, CHECKS, holds the 21 relations and
 the 9 exactness nodes, each instantiated in the eight stored degrees:
 verify_relations and is_acyclic iterate it, and the Kunneth search prunes
-with it.  Each suite runs once per distinct module value in a process
-(failures cached by module and suite); every call gets a fresh report.
+with it.  Every check is data, two sides that sum integer multiples of
+operation words, and one evaluator reads them all by multiplying rows of
+reduced entries, with the endpoint, shape and well-definedness tests of
+hom_compose, hom_scale and GroupHom.__add__ at every step; a relation
+compares its sides, and a node runs is_exact_at on them.  Each suite
+runs once per distinct module value in a process (failures cached by
+module and suite); every call gets a fresh report.
 
 Operation families (domain part, codomain part, degree shift):
 
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .zlinalg import (
@@ -39,7 +46,6 @@ from .zlinalg import (
     hom_compose,
     hom_coords,
     hom_matrix,
-    hom_scale,
     identity_hom,
     is_automorphism,
     is_exact_at,
@@ -225,10 +231,6 @@ def eta_O(M: CRTModule, n: int) -> GroupHom:
     return hom_compose(M.op("tau", n), M.op("eps", n))
 
 
-def eta_O_sq(M: CRTModule, n: int) -> GroupHom:
-    return hom_compose(eta_O(M, n + 1), eta_O(M, n))
-
-
 def eta_T(M: CRTModule, n: int) -> GroupHom:
     """gamma . betaU . zeta : MT_n -> MT_{n+1} (betaU is the window shift)."""
     return hom_compose(M.op("gamma", n + 2), M.op("zeta", n))
@@ -242,10 +244,6 @@ def xi(M: CRTModule, n: int) -> GroupHom:
 def omega(M: CRTModule, n: int) -> GroupHom:
     """betaT . gamma . zeta : MT_n -> MT_{n+3} (stored target at n-1)."""
     return hom_compose(M.op("gamma", n), M.op("zeta", n))
-
-
-def one_minus_psiU(M: CRTModule, n: int) -> GroupHom:
-    return identity_hom(M.group("U", n)) - M.op("psiU", n)
 
 
 # ---------------------------------------------------------------------------
@@ -268,109 +266,152 @@ class CheckReport:
         return "; ".join(f"{name}@{n}" for name, n in self.failures)
 
 
-@dataclass(frozen=True)
+def _parse_side(text: str) -> tuple:
+    """One side of a relation: terms (coefficient, word), '' being the zero map.
+
+    A word lists the factors (name, degree offset) of a composite, applied
+    right to left; "O", "U" or "T" is the identity of that part's group.
+    'U - 2psiU+2.c' -> ((1, (('U', 0),)), (-2, (('psiU', 2), ('c', 0))))
+    """
+    terms = re.findall(r"(-?)(\d*)(\S+)", text.replace(" + ", " ").replace(" - ", " -"))
+    return tuple((int(f"{sign}{coef or 1}"), tuple((name, int(off or 0)) for name, off in
+                                                    re.findall(r"([A-Za-z]+)([+-]\d+)?", word)))
+                 for sign, coef, word in terms)
+
+
+def _triple(h: GroupHom) -> tuple:
+    return h.domain, h.codomain, h.matrix.entries
+
+
+@functools.cache
+def _identity(G: FinAbGroup) -> tuple:
+    """The identity of G as a triple, checked as identity_hom checks it, once per group."""
+    return _triple(identity_hom(G))
+
+
+def _checked(domain: FinAbGroup, codomain: FinAbGroup, rows: list) -> tuple:
+    """The triple (domain, codomain, reduced rows) after GroupHom's shape and well-definedness tests."""
+    return domain, codomain, checked_entries(rows, domain.ngens, domain, codomain)
+
+
+def _product(g: tuple, f: tuple) -> tuple:
+    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's tests."""
+    if f[1] is not g[0] and f[1] != g[0]:
+        raise CompositionError(f"cannot compose: {f[1]} != {g[0]}")
+    cols = tuple(zip(*f[2])) if f[2] else ((),) * f[0].ngens
+    rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in g[2]]
+    return f[0], g[1], checked_entries(rows, f[0].ngens, f[0], g[1])
+
+
+def _side_value(M, n: int, side: tuple) -> Optional[tuple]:
+    """The side at degree n as a (domain, codomain, reduced rows) triple; None if it is zero.
+
+    Every composite, multiple and sum gets the tests that hom_compose,
+    hom_scale and GroupHom.__add__ run: endpoints (CompositionError),
+    shape and well-definedness, then reduction (checked_entries).
+    """
+    total = None
+    for coef, word in side:
+        val = None
+        for name, off in reversed(word):
+            h = _identity(M.group(name, n + off)) if name in PART_PERIOD else _triple(M.op(name, n + off))
+            val = h if val is None else _product(h, val)
+        if coef != 1:
+            val = _checked(*val[:2], [tuple([coef * x for x in row]) for row in val[2]])
+        if total is not None:
+            if total[:2] != val[:2]:
+                raise CompositionError("sum of homs with different endpoints")
+            val = _checked(*val[:2], [tuple(map(add, a, b)) for a, b in zip(total[2], val[2])])
+        total = val
+    return total
+
+
+def _side_hom(M, n: int, side: tuple) -> GroupHom:
+    """The side at degree n as a GroupHom: a lone operation as stored, else its triple wrapped."""
+    match side:
+        case ((1, ((name, off),)),) if name in OP_SPECS:
+            return M.op(name, n + off)
+    domain, codomain, rows = _side_value(M, n, side)
+    return GroupHom(domain, codomain, IntMatrix(len(rows), domain.ngens, rows))
+
+
+@dataclass(frozen=True, eq=False)
 class Check:
     """One relation or exactness node, instantiated at each window degree n.
 
     holds(M, n) reads the operations (name, n + offset) listed in reads
     through M.op, and groups through M.group, and nothing else; the
     Kunneth search therefore evaluates it on a partial assignment too.
-    A failure is reported at degree n + at, unreduced.
+    A relation compares its two sides (_side_value) as GroupHom.__eq__
+    would; a node runs is_exact_at on its sides (f, g) as GroupHoms.  A
+    failure is reported at degree n + at, unreduced.
     """
 
     name: str
     reads: tuple[tuple[str, int], ...]
-    holds: Callable[[CRTModule, int], bool]
+    sides: tuple  # (left, right) of a relation, (f, g) of a node, as _parse_side gives them
     at: int = 0
     node: bool = False  # an exactness node of a long exact sequence
 
-
-def _node_ok(f: GroupHom, g: GroupHom) -> bool:
-    try:
-        return is_exact_at(f, g)
-    except ValueError:
-        return False
-
-
-def _node(name: str, at: int, reads, maps: Callable[[CRTModule, int], tuple[GroupHom, GroupHom]]) -> Check:
-    """Exactness at the middle of the pair of maps (f, g) = maps(M, n)."""
-    return Check(name, reads, lambda M, n: _node_ok(*maps(M, n)), at, node=True)
+    def holds(self, M: CRTModule, n: int) -> bool:
+        if self.node:
+            f, g = _side_hom(M, n, self.sides[0]), _side_hom(M, n, self.sides[1])
+            try:
+                return is_exact_at(f, g)
+            except ValueError:
+                return False
+        left, right = _side_value(M, n, self.sides[0]), _side_value(M, n, self.sides[1])
+        return not any(map(any, left[2])) if right is None else left == right
 
 
-# Relations first, then the nodes of the three sequences, each in report order.
-CHECKS: tuple[Check, ...] = (
-    Check("rc=2", (("r", 0), ("c", 0)),
-          lambda M, n: hom_compose(M.op("r", n), M.op("c", n)) == hom_scale(identity_hom(M.group("O", n)), 2)),
-    Check("cr=1+psiU", (("c", 0), ("r", 0), ("psiU", 0)),
-          lambda M, n: hom_compose(M.op("c", n), M.op("r", n))
-          == identity_hom(M.group("U", n)) + M.op("psiU", n)),
-    Check("r=tau.gamma", (("r", 0), ("tau", -1), ("gamma", 0)),
-          lambda M, n: M.op("r", n) == hom_compose(M.op("tau", n - 1), M.op("gamma", n))),
-    Check("c=zeta.eps", (("c", 0), ("zeta", 0), ("eps", 0)),
-          lambda M, n: M.op("c", n) == hom_compose(M.op("zeta", n), M.op("eps", n))),
-    Check("psiU^2=1", (("psiU", 0),),
-          lambda M, n: hom_compose(M.op("psiU", n), M.op("psiU", n)) == identity_hom(M.group("U", n))),
-    Check("psiT^2=1", (("psiT", 0),),
-          lambda M, n: hom_compose(M.op("psiT", n), M.op("psiT", n)) == identity_hom(M.group("T", n))),
-    Check("psiT.eps=eps", (("psiT", 0), ("eps", 0)),
-          lambda M, n: hom_compose(M.op("psiT", n), M.op("eps", n)) == M.op("eps", n)),
-    Check("zeta.gamma=0", (("zeta", -1), ("gamma", 0)),
-          lambda M, n: hom_compose(M.op("zeta", n - 1), M.op("gamma", n)).is_zero_map()),
-    Check("psiU.zeta=zeta", (("psiU", 0), ("zeta", 0)),
-          lambda M, n: hom_compose(M.op("psiU", n), M.op("zeta", n)) == M.op("zeta", n)),
-    Check("gamma.psiU=gamma", (("gamma", 0), ("psiU", 0)),
-          lambda M, n: hom_compose(M.op("gamma", n), M.op("psiU", n)) == M.op("gamma", n)),
+def _check(name: str, left: str, right: str, at: int = 0, node: bool = False) -> Check:
+    sides = (_parse_side(left), _parse_side(right))
+    reads = dict.fromkeys(f for side in sides for _, word in side for f in word if f[0] in OP_SPECS)
+    return Check(name, tuple(reads), sides, at, node)
+
+
+# Relations first, then the nodes of the three sequences, each in report order,
+# written in _parse_side's notation: "tau-1" is tau at degree n - 1, "2eps" twice
+# eps, "T" the identity of MT_n, "" zero.  A relation is (name, left, right).
+CHECKS: tuple[Check, ...] = tuple(_check(*rel) for rel in (
+    ("rc=2", "r.c", "2O"),
+    ("cr=1+psiU", "c.r", "U + psiU"),
+    ("r=tau.gamma", "r", "tau-1.gamma"),
+    ("c=zeta.eps", "c", "zeta.eps"),
+    ("psiU^2=1", "psiU.psiU", "U"),
+    ("psiT^2=1", "psiT.psiT", "T"),
+    ("psiT.eps=eps", "psiT.eps", "eps"),
+    ("zeta.gamma=0", "zeta-1.gamma", ""),
+    ("psiU.zeta=zeta", "psiU.zeta", "zeta"),
+    ("gamma.psiU=gamma", "gamma.psiU", "gamma"),
     # Bott commutation under the identity-Bott storage convention.
-    Check("psiU.betaU=-betaU.psiU", (("psiU", 2), ("psiU", 0)),
-          lambda M, n: M.op("psiU", n + 2) == -M.op("psiU", n)),
-    Check("psiT.betaT=betaT.psiT", (("psiT", 4), ("psiT", 0)),
-          lambda M, n: M.op("psiT", n + 4) == M.op("psiT", n)),
-    Check("zeta.betaT=betaU^2.zeta", (("zeta", 4), ("zeta", 0)),
-          lambda M, n: M.op("zeta", n + 4) == M.op("zeta", n)),
-    Check("gamma.betaU^2=betaT.gamma", (("gamma", 4), ("gamma", 0)),
-          lambda M, n: M.op("gamma", n + 4) == M.op("gamma", n)),
-    Check("eps.r.zeta=1+psiT", (("eps", 0), ("r", 0), ("zeta", 0), ("psiT", 0)),
-          lambda M, n: hom_compose(M.op("eps", n), hom_compose(M.op("r", n), M.op("zeta", n)))
-          == identity_hom(M.group("T", n)) + M.op("psiT", n)),
-    Check("gamma.c.tau=1-psiT", (("gamma", 1), ("c", 1), ("tau", 0), ("psiT", 0)),
-          lambda M, n: hom_compose(M.op("gamma", n + 1), hom_compose(M.op("c", n + 1), M.op("tau", n)))
-          == identity_hom(M.group("T", n)) - M.op("psiT", n)),
-    Check("tau.psiT=-tau", (("tau", 0), ("psiT", 0)),
-          lambda M, n: hom_compose(M.op("tau", n), M.op("psiT", n)) == -M.op("tau", n)),
-    Check("tau.betaT.eps=0", (("tau", 4), ("eps", 0)),
-          lambda M, n: hom_compose(M.op("tau", n + 4), M.op("eps", n)).is_zero_map()),
-    Check("eps.xi=2betaT.eps", (("eps", 4), ("r", 4), ("c", 0), ("eps", 0)),
-          lambda M, n: hom_compose(M.op("eps", n + 4), xi(M, n)) == hom_scale(M.op("eps", n), 2)),
-    Check("xi.tau=2tau.betaT", (("r", 5), ("c", 1), ("tau", 0), ("tau", 4)),
-          lambda M, n: hom_compose(xi(M, n + 1), M.op("tau", n)) == hom_scale(M.op("tau", n + 4), 2)),
-    Check("betaT.eps.tau=eps.tau.betaT+etaT.betaT",
-          (("eps", 1), ("tau", 0), ("eps", 5), ("tau", 4), ("gamma", 6), ("zeta", 4)),
-          lambda M, n: hom_compose(M.op("eps", n + 1), M.op("tau", n))
-          == hom_compose(M.op("eps", n + 5), M.op("tau", n + 4)) + eta_T(M, n + 4)),
+    ("psiU.betaU=-betaU.psiU", "psiU+2", "-psiU"),
+    ("psiT.betaT=betaT.psiT", "psiT+4", "psiT"),
+    ("zeta.betaT=betaU^2.zeta", "zeta+4", "zeta"),
+    ("gamma.betaU^2=betaT.gamma", "gamma+4", "gamma"),
+    ("eps.r.zeta=1+psiT", "eps.r.zeta", "T + psiT"),
+    ("gamma.c.tau=1-psiT", "gamma+1.c+1.tau", "T - psiT"),
+    ("tau.psiT=-tau", "tau.psiT", "-tau"),
+    ("tau.betaT.eps=0", "tau+4.eps", ""),
+    ("eps.xi=2betaT.eps", "eps+4.r+4.c", "2eps"),
+    ("xi.tau=2tau.betaT", "r+5.c+1.tau", "2tau+4"),
+    ("betaT.eps.tau=eps.tau.betaT+etaT.betaT", "eps+1.tau", "eps+5.tau+4 + gamma+6.zeta+4"),
+)) + tuple(_check(*node, node=True) for node in (  # (name, f, g, at): exactness at the middle of f, g
     # Sequence 1:  MU_{n+1} --gamma--> MT_n --zeta--> MU_n --1-psiU--> MU_n
-    _node("seq1@T", 0, (("gamma", 1), ("zeta", 0)),
-          lambda M, n: (M.op("gamma", n + 1), M.op("zeta", n))),
-    _node("seq1@U.ker(1-psiU)", 0, (("zeta", 0), ("psiU", 0)),
-          lambda M, n: (M.op("zeta", n), one_minus_psiU(M, n))),
-    _node("seq1@U.ker(gamma)", 0, (("psiU", 0), ("gamma", 0)),
-          lambda M, n: (one_minus_psiU(M, n), M.op("gamma", n))),
+    ("seq1@T", "gamma+1", "zeta", 0),
+    ("seq1@U.ker(1-psiU)", "zeta", "U - psiU", 0),
+    ("seq1@U.ker(gamma)", "U - psiU", "gamma", 0),
     # Sequence 2:  MO_n --etaO--> MO_{n+1} --c--> MU_{n+1} --r.betaU^-1--> MO_{n-1}
-    # (r.betaU^-1 is the stored r at n-1).
-    _node("seq2@O", 1, (("tau", 0), ("eps", 0), ("c", 1)),
-          lambda M, n: (eta_O(M, n), M.op("c", n + 1))),
-    _node("seq2@U", 1, (("c", 1), ("r", -1)),
-          lambda M, n: (M.op("c", n + 1), M.op("r", n - 1))),
-    _node("seq2@O.ker(etaO)", -1, (("r", -1), ("tau", -1), ("eps", -1)),
-          lambda M, n: (M.op("r", n - 1), eta_O(M, n - 1))),
+    # (etaO = tau.eps; r.betaU^-1 is the stored r at n-1).
+    ("seq2@O", "tau.eps", "c+1", 1),
+    ("seq2@U", "c+1", "r-1", 1),
+    ("seq2@O.ker(etaO)", "r-1", "tau-1.eps-1", -1),
     # Sequence 3:  MO_n --etaO^2--> MO_{n+2} --eps--> MT_{n+2} --tau.betaT^-1--> MO_{n-1}
     # (tau.betaT^-1 is the stored tau at n+6 = n-2).
-    _node("seq3@O", 2, (("tau", 1), ("eps", 1), ("tau", 0), ("eps", 0), ("eps", 2)),
-          lambda M, n: (eta_O_sq(M, n), M.op("eps", n + 2))),
-    _node("seq3@T", 2, (("eps", 2), ("tau", 6)),
-          lambda M, n: (M.op("eps", n + 2), M.op("tau", n + 6))),
-    _node("seq3@O.ker(etaO^2)", -1, (("tau", 6), ("tau", 0), ("eps", 0), ("tau", -1), ("eps", -1)),
-          lambda M, n: (M.op("tau", n + 6), eta_O_sq(M, n - 1))),
-)
+    ("seq3@O", "tau+1.eps+1.tau.eps", "eps+2", 2),
+    ("seq3@T", "eps+2", "tau+6", 2),
+    ("seq3@O.ker(etaO^2)", "tau+6", "tau.eps.tau-1.eps-1", -1),
+))
 _SUITES = {"relations": tuple(chk for chk in CHECKS if not chk.node),
            "nodes": tuple(chk for chk in CHECKS if chk.node)}
 
@@ -506,28 +547,19 @@ def suspend(M: CRTModule, s: int) -> CRTModule:
 Morphism = dict[tuple[str, int], GroupHom]
 
 
-def _product_entries(g: GroupHom, f: GroupHom) -> tuple:
-    """The checked entries of g after f, as hom_compose(g, f) would hold them."""
-    if f.codomain is not g.domain and f.codomain != g.domain:
-        raise CompositionError(f"cannot compose: {f.codomain} != {g.domain}")
-    return checked_entries(g.matrix * f.matrix, f.domain, g.codomain)
-
-
 def morphism_commutes(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
     """Does the degreewise family commute with all eight operations?
 
-    Each square phi_t.M_op = N_op.phi_s compares the checked entries of
-    its two products and their endpoints, as hom_compose's composites
-    would compare, without building them.
+    Each square phi_t.M_op = N_op.phi_s compares its two products as
+    hom_compose's composites would compare, endpoints included, without
+    building them (_product).
     """
     for name in OP_NAMES:
         src, tgt, shift = OP_SPECS[name]
         for n in range(8):
             M_op, N_op = M.op(name, n), N.op(name, n)
             phi_s, phi_t = phi[(src, n)], phi[(tgt, (n + shift) % 8)]
-            left = _product_entries(phi_t, M_op)
-            right = _product_entries(N_op, phi_s)
-            if left != right or M_op.domain != phi_s.domain or phi_t.codomain != N_op.codomain:
+            if _product(_triple(phi_t), _triple(M_op)) != _product(_triple(N_op), _triple(phi_s)):
                 return False
     return True
 

@@ -526,23 +526,24 @@ def _hom_cells(dom_inv: Vec, cod_inv: Vec) -> tuple[tuple[int, int, int, int], .
                  for j, d in enumerate(dom_inv) if d and (e == 0 or d % e))
 
 
-def checked_entries(m: IntMatrix, domain: FinAbGroup, codomain: FinAbGroup) -> tuple[Vec, ...]:
-    """The rows of m reduced as a hom domain -> codomain, after its shape and well-definedness tests.
+def checked_entries(rows: Sequence[Vec], cols: int, domain: FinAbGroup,
+                    codomain: FinAbGroup) -> tuple[Vec, ...]:
+    """The rows of a hom matrix (cols columns) reduced, after its shape and well-definedness tests.
 
-    Rows are reduced modulo the codomain invariants, free rows unreduced.
-    A ValueError names the first ill-defined entry in row-major order.
+    Rows are reduced modulo the codomain invariants, free rows unreduced;
+    no IntMatrix is built.  A ValueError names the first ill-defined entry
+    in row-major order.
 
-    >>> checked_entries(IntMatrix.from_rows([[6, 5], [0, -1]]), FinAbGroup((2,), 1), FinAbGroup((4,), 1))
+    >>> checked_entries([[6, 5], [0, -1]], 2, FinAbGroup((2,), 1), FinAbGroup((4,), 1))
     ((2, 1), (0, -1))
-    >>> checked_entries(IntMatrix.from_rows([[1]]), Zmod(2), Zmod(4))
+    >>> checked_entries([[1]], 1, Zmod(2), Zmod(4))
     Traceback (most recent call last):
     ...
     ValueError: entry (0,0)=1 not well-defined mod 4
     """
     cod_inv = codomain.invariants
-    if m.rows != len(cod_inv) or m.cols != domain.ngens:
-        raise ValueError(f"matrix shape {m.rows}x{m.cols} does not match {len(cod_inv)}x{domain.ngens}")
-    rows = m.entries
+    if len(rows) != len(cod_inv) or cols != domain.ngens:
+        raise ValueError(f"matrix shape {len(rows)}x{cols} does not match {len(cod_inv)}x{domain.ngens}")
     for i, j, d, e in _hom_cells(domain.invariants, cod_inv):
         x = rows[i][j]
         if e == 0:
@@ -569,7 +570,7 @@ class GroupHom:
 
     def __post_init__(self):
         m = self.matrix
-        entries = checked_entries(m, self.domain, self.codomain)
+        entries = checked_entries(m.entries, m.cols, self.domain, self.codomain)
         if entries != m.entries:
             object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, entries))
 

@@ -4,7 +4,8 @@ The solver visits one operation assignment per gauge orbit, prunes with
 every entry of crt_core.CHECKS and runs no final suite, and drops a raw
 middle that is CRT-isomorphic to a class it has already kept.  This
 module keeps the older path: the operation search visits every
-candidate (pruned by the same schedule), every raw middle it reaches
+candidate (pruned by the same schedule, each check decided on every
+visit rather than once per operand set), every raw middle it reaches
 runs the full relation and acyclicity suites, and the survivors are
 deduplicated pairwise up to CRT-isomorphism afterwards.
 
@@ -56,6 +57,9 @@ class CheckEveryCopy(_Search):
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
         self.gauge = dict.fromkeys(_OP_ORDER)  # the gauge table that visits every candidate
+
+    def _holds(self, chk, n, view, tags):
+        return chk.holds(view, n)  # every visit decides its checks anew: no per-search verdicts
 
     def _finish(self, ops: dict):
         groups = {p: [self._k_group(p, n) for n in range(8)] for p in PARTS}

@@ -10,7 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from crtk.catalog import cuntz_module
 from crtk.crt_core import (
@@ -22,9 +22,11 @@ from crtk.crt_core import (
     PARTS,
     SLOTS,
     crt_isomorphic,
+    eta_T,
     is_free,
     morphism_commutes,
     slot_of,
+    xi,
 )
 from crtk.free_crt import (
     Element,
@@ -59,7 +61,10 @@ from crtk.zlinalg import (
     hom_coords,
     hom_image,
     hom_kernel,
+    hom_scale,
+    identity_hom,
     is_automorphism,
+    is_exact_at,
     solve_int,
 )
 
@@ -246,6 +251,67 @@ def morphism_commutes_oracle(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
             if left != right:
                 return False
     return True
+
+
+def _exact(f: GroupHom, g: GroupHom) -> bool:
+    try:
+        return is_exact_at(f, g)
+    except ValueError:
+        return False
+
+
+def _eta_O(M: CRTModule, n: int) -> GroupHom:
+    return hom_compose(M.op("tau", n), M.op("eps", n))
+
+
+def _eta_O_sq(M: CRTModule, n: int) -> GroupHom:
+    return hom_compose(_eta_O(M, n + 1), _eta_O(M, n))
+
+
+def _one_minus_psiU(M: CRTModule, n: int) -> GroupHom:
+    return identity_hom(M.group("U", n)) - M.op("psiU", n)
+
+
+# The 30 entries of crt_core.CHECKS as GroupHom expressions, as first written: each
+# composite, sum, negation and multiple a checked GroupHom, a relation compared by
+# GroupHom.__eq__ and a node decided by is_exact_at.  The package decides the same
+# checks from their words (crt_core._side_value, crt_core._side_hom).
+CHECK_ORACLE: dict[str, Callable[[CRTModule, int], bool]] = {
+    "rc=2": lambda M, n: hom_compose(M.op("r", n), M.op("c", n)) == hom_scale(identity_hom(M.group("O", n)), 2),
+    "cr=1+psiU": lambda M, n: hom_compose(M.op("c", n), M.op("r", n))
+    == identity_hom(M.group("U", n)) + M.op("psiU", n),
+    "r=tau.gamma": lambda M, n: M.op("r", n) == hom_compose(M.op("tau", n - 1), M.op("gamma", n)),
+    "c=zeta.eps": lambda M, n: M.op("c", n) == hom_compose(M.op("zeta", n), M.op("eps", n)),
+    "psiU^2=1": lambda M, n: hom_compose(M.op("psiU", n), M.op("psiU", n)) == identity_hom(M.group("U", n)),
+    "psiT^2=1": lambda M, n: hom_compose(M.op("psiT", n), M.op("psiT", n)) == identity_hom(M.group("T", n)),
+    "psiT.eps=eps": lambda M, n: hom_compose(M.op("psiT", n), M.op("eps", n)) == M.op("eps", n),
+    "zeta.gamma=0": lambda M, n: hom_compose(M.op("zeta", n - 1), M.op("gamma", n)).is_zero_map(),
+    "psiU.zeta=zeta": lambda M, n: hom_compose(M.op("psiU", n), M.op("zeta", n)) == M.op("zeta", n),
+    "gamma.psiU=gamma": lambda M, n: hom_compose(M.op("gamma", n), M.op("psiU", n)) == M.op("gamma", n),
+    "psiU.betaU=-betaU.psiU": lambda M, n: M.op("psiU", n + 2) == -M.op("psiU", n),
+    "psiT.betaT=betaT.psiT": lambda M, n: M.op("psiT", n + 4) == M.op("psiT", n),
+    "zeta.betaT=betaU^2.zeta": lambda M, n: M.op("zeta", n + 4) == M.op("zeta", n),
+    "gamma.betaU^2=betaT.gamma": lambda M, n: M.op("gamma", n + 4) == M.op("gamma", n),
+    "eps.r.zeta=1+psiT": lambda M, n: hom_compose(M.op("eps", n), hom_compose(M.op("r", n), M.op("zeta", n)))
+    == identity_hom(M.group("T", n)) + M.op("psiT", n),
+    "gamma.c.tau=1-psiT": lambda M, n: hom_compose(M.op("gamma", n + 1), hom_compose(M.op("c", n + 1), M.op("tau", n)))
+    == identity_hom(M.group("T", n)) - M.op("psiT", n),
+    "tau.psiT=-tau": lambda M, n: hom_compose(M.op("tau", n), M.op("psiT", n)) == -M.op("tau", n),
+    "tau.betaT.eps=0": lambda M, n: hom_compose(M.op("tau", n + 4), M.op("eps", n)).is_zero_map(),
+    "eps.xi=2betaT.eps": lambda M, n: hom_compose(M.op("eps", n + 4), xi(M, n)) == hom_scale(M.op("eps", n), 2),
+    "xi.tau=2tau.betaT": lambda M, n: hom_compose(xi(M, n + 1), M.op("tau", n)) == hom_scale(M.op("tau", n + 4), 2),
+    "betaT.eps.tau=eps.tau.betaT+etaT.betaT": lambda M, n: hom_compose(M.op("eps", n + 1), M.op("tau", n))
+    == hom_compose(M.op("eps", n + 5), M.op("tau", n + 4)) + eta_T(M, n + 4),
+    "seq1@T": lambda M, n: _exact(M.op("gamma", n + 1), M.op("zeta", n)),
+    "seq1@U.ker(1-psiU)": lambda M, n: _exact(M.op("zeta", n), _one_minus_psiU(M, n)),
+    "seq1@U.ker(gamma)": lambda M, n: _exact(_one_minus_psiU(M, n), M.op("gamma", n)),
+    "seq2@O": lambda M, n: _exact(_eta_O(M, n), M.op("c", n + 1)),
+    "seq2@U": lambda M, n: _exact(M.op("c", n + 1), M.op("r", n - 1)),
+    "seq2@O.ker(etaO)": lambda M, n: _exact(M.op("r", n - 1), _eta_O(M, n - 1)),
+    "seq3@O": lambda M, n: _exact(_eta_O_sq(M, n), M.op("eps", n + 2)),
+    "seq3@T": lambda M, n: _exact(M.op("eps", n + 2), M.op("tau", n + 6)),
+    "seq3@O.ker(etaO^2)": lambda M, n: _exact(M.op("tau", n + 6), _eta_O_sq(M, n - 1)),
+}
 
 
 def morphism_is_iso(phi: Morphism) -> bool:

@@ -1,6 +1,7 @@
 """Structure, relations, acyclicity, sums, suspension, isomorphism search."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -49,8 +50,8 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
-from oracles import (automorphisms, crt_isomorphic_oracle, morphism_commutes_oracle, morphism_is_iso,
-                     well_defined_matrix)
+from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, morphism_commutes_oracle,
+                     morphism_is_iso, well_defined_matrix)
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -243,6 +244,95 @@ class TestCheckTable:
                 view = _RecordingView(M)
                 assert chk.holds(view, n), (chk.name, n)
                 assert view.read == {(name, (n + off) % 8) for name, off in chk.reads}, (chk.name, n)
+
+
+class _SwappedView:
+    """M seen through op and group, with the operation `name` taken from `other` in every degree."""
+
+    def __init__(self, M, other, name):
+        self.M, self.other, self.name = M, other, name
+
+    def op(self, name, n):
+        return (self.other if name == self.name else self.M).op(name, n)
+
+    def group(self, part, n):
+        return self.M.group(part, n)
+
+
+def _movable_cells(h):
+    """(row, col, step, order) of each entry of h that a well-defined change moves; order 0: unbounded."""
+    cells = []
+    for i, e in enumerate(h.codomain.invariants):
+        for j, d in enumerate(h.domain.invariants):
+            order = (0 if d == 0 else 1) if e == 0 else gcd(d, e) if d else e
+            if order != 1:
+                cells.append((i, j, e // order if e else 1, order))
+    return cells
+
+
+def _verdict(fn, M, n):
+    """fn(M, n), or the type of the exception it raised."""
+    try:
+        return fn(M, n)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+class TestCheckWords:
+    """Each check decided from its words agrees with its GroupHom expression (CHECK_ORACLE)."""
+
+    SOURCES = catalog_names() + [(k, l) for k in range(2, 13) for l in range(k, 13)]
+
+    def test_thirty_checks_with_reads_from_their_words(self):
+        assert [chk.name for chk in CHECKS] == list(CHECK_ORACLE)
+        M = expected_product(4, 4)
+        for chk in CHECKS:
+            assert chk.reads and all(name in OP_NAMES for name, _ in chk.reads)
+            for n in range(8):
+                assert chk.holds(M, n) is CHECK_ORACLE[chk.name](M, n) is True, (chk.name, n)
+
+    def test_verdicts_agree_on_tables_and_changed_copies(self):
+        """R, C, T, zero, O2-O13, the printed products, and copies with one entry moved."""
+        seen = {False: set(), True: set()}
+
+        @given(st.data())
+        @settings(max_examples=250, deadline=None)
+        def agree(data):
+            source = data.draw(st.sampled_from(self.SOURCES))
+            M = catalog_entry(source).module if isinstance(source, str) else expected_product(*source)
+            cells = [(name, n, cell) for name in OP_NAMES for n in range(8)
+                     for cell in _movable_cells(M.op(name, n))]
+            if cells and data.draw(st.booleans()):
+                name, n, (i, j, step, order) = data.draw(st.sampled_from(cells))
+                shift = step * data.draw(st.integers(1, order - 1 if order else 3))
+                groups = {p: [M.group(p, d) for d in range(8)] for p in PARTS}
+                mats = {op: [M.op(op, d).matrix for d in range(8)] for op in OP_NAMES}
+                rows = [list(row) for row in mats[name][n].entries]
+                rows[i][j] += shift
+                mats[name][n] = IntMatrix.from_rows(rows, cols=mats[name][n].cols)
+                M = make_module(groups, mats)
+            for chk in CHECKS:
+                for n in range(8):
+                    got = chk.holds(M, n)
+                    assert got is CHECK_ORACLE[chk.name](M, n), (source, chk.name, n)
+                    seen[chk.node].add(got)
+
+        agree()
+        assert seen == {False: {True, False}, True: {True, False}}
+
+    def test_mismatched_endpoints_raise_on_both_paths(self):
+        """O5 with one operation taken from O3: composites and sums across the two raise CompositionError."""
+        raised = set()
+        for name in OP_NAMES:
+            view = _SwappedView(cuntz_module(4), cuntz_module(2), name)
+            for chk in CHECKS:
+                for n in range(8):
+                    got = _verdict(chk.holds, view, n)
+                    assert got == _verdict(CHECK_ORACLE[chk.name], view, n), (name, chk.name, n)
+                    if got is CompositionError:
+                        raised.add((name, chk.name))
+        # A composite (r after c), a sum (1 + psiU) and a node's composite (tau after eps) among them.
+        assert {("r", "rc=2"), ("psiU", "cr=1+psiU"), ("eps", "seq2@O")} <= raised
 
 
 def lone_O_module():

@@ -14,6 +14,7 @@ import pytest
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import (
     CHECKS,
+    Check,
     OP_NAMES,
     OP_SPECS,
     PARTS,
@@ -32,6 +33,7 @@ from crtk.kunneth import (
     _SCHEDULE,
     _SOLVED,
     KunnethProblem,
+    _Assigned,
     _extension_options,
     _gauge_table,
     _Search,
@@ -55,8 +57,8 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
-from kunneth_oracle import (EnumeratedGauge, _slot_gauge, conjugate, instance_candidates_oracle,
-                            solve_middle_oracle)
+from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, _slot_gauge, conjugate,
+                            instance_candidates_oracle, solve_middle_oracle)
 from oracles import hom_group_elements
 
 # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
@@ -260,6 +262,70 @@ class TestCheckSchedule:
     def test_derived_psiT_relation_is_not_scheduled(self):
         assert TAUTOLOGY in {chk.name for chk in CHECKS}
         assert all(chk.name != TAUTOLOGY for entries in _SCHEDULE.values() for chk, _ in entries)
+
+
+class TestPerSearchVerdicts:
+    """_Search decides each (check, degree, operand tags) once; the oracles decide on every visit."""
+
+    @staticmethod
+    def counting(monkeypatch, cls, name):
+        """Count the calls of cls.name; Check.holds only on a search's partial assignment (_Assigned)."""
+        calls = Counter()
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            if name != "holds" or isinstance(args[0], _Assigned):  # not a suite run on a whole module
+                calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_4_4_decides_322_of_979_lookups(self, monkeypatch, caplog):
+        problem = make_problem(4, 4)
+        decided = self.counting(monkeypatch, Check, "holds")
+        looked_up = self.counting(monkeypatch, _Search, "_holds")
+        derived = self.counting(monkeypatch, _Search, "_derive_psiT")
+        search = _Search(problem, 5_000_000)
+        search.run()
+        assert (looked_up["_holds"], decided["holds"]) == (979, 322)
+        # A dict key is stored once, so no (check, degree, tags) is decided twice.
+        assert len(search._verdicts) == 322
+        assert derived["_derive_psiT"] == len(search._psiT)
+        assert (search.nodes, search.raw, search.skipped) == (586, 1, 73)
+        with caplog.at_level(logging.DEBUG, logger="crtk"):
+            solve_middle(problem)
+        assert [r.getMessage() for r in caplog.records] == [
+            "Kunneth search: 586 nodes, 1 raw middles, 1 kept, 73 non-canonical candidates skipped"]
+
+    def test_oracles_decide_every_lookup(self, monkeypatch):
+        problem = make_problem(4, 4)
+        decided = self.counting(monkeypatch, Check, "holds")
+        EnumeratedGauge(problem, 5_000_000).run()
+        assert decided["holds"] == 979
+        decided.clear()
+        looked_up = self.counting(monkeypatch, CheckEveryCopy, "_holds")
+        unreduced = CheckEveryCopy(problem, 5_000_000)
+        unreduced.run()
+        assert decided["holds"] == looked_up["_holds"] > 979  # no gauge fixing: more visits
+        assert unreduced._verdicts == {}
+
+    def test_an_error_is_not_stored(self, monkeypatch):
+        problem = make_problem(4, 4)
+        holds = Check.holds
+        calls = Counter()
+
+        def failing(chk, M, n):
+            calls["holds"] += 1
+            if calls["holds"] == 10:
+                raise RuntimeError("check failed to run")
+            return holds(chk, M, n)
+
+        monkeypatch.setattr(Check, "holds", failing)
+        search = _Search(problem, 5_000_000)
+        with pytest.raises(RuntimeError, match="check failed to run"):
+            search.run()
+        assert len(search._verdicts) == 9
 
 
 class TestGaugeFixing:

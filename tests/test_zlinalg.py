@@ -192,7 +192,7 @@ class TestKernelsVsOracle:
             m = well_defined_matrix(m, dom, cod)
         want = outcome(reduce_hom_matrix, dom, cod, m)
         assert outcome(lambda: GroupHom(dom, cod, m).matrix) == want
-        assert outcome(lambda: IntMatrix(m.rows, m.cols, checked_entries(m, dom, cod))) == want
+        assert outcome(lambda: IntMatrix(m.rows, m.cols, checked_entries(m.entries, m.cols, dom, cod))) == want
 
     def test_ill_defined_entries_raise_like_the_oracle(self):
         dom, cod = FinAbGroup((2, 4)), FinAbGroup((8,), 1)
@@ -208,14 +208,14 @@ class TestKernelsVsOracle:
             with pytest.raises(ValueError) as exc:
                 GroupHom(dom_, cod_, m)
             assert str(exc.value) == message
-            assert outcome(checked_entries, m, dom_, cod_) == (ValueError, message)
+            assert outcome(checked_entries, m.entries, m.cols, dom_, cod_) == (ValueError, message)
             assert outcome(reduce_hom_matrix, dom_, cod_, m) == (ValueError, message)
 
     def test_shape_is_checked_first(self):
         m = IntMatrix.from_rows([[1, 0]])
         message = "matrix shape 1x2 does not match 1x1"
         assert outcome(GroupHom, Zmod(2), Zmod(4), m) == (ValueError, message)
-        assert outcome(checked_entries, m, Zmod(2), Zmod(4)) == (ValueError, message)
+        assert outcome(checked_entries, m.entries, m.cols, Zmod(2), Zmod(4)) == (ValueError, message)
 
     def test_a_reduced_matrix_is_kept(self):
         G = FinAbGroup((4,), 1)
