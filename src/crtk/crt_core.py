@@ -327,10 +327,7 @@ def _side_value(M, n: int, side: tuple) -> Optional[tuple]:
 
 
 def _side_hom(M, n: int, side: tuple) -> GroupHom:
-    """The side at degree n as a GroupHom: a lone operation as stored, else its triple wrapped."""
-    match side:
-        case ((1, ((name, off),)),) if name in OP_SPECS:
-            return M.op(name, n + off)
+    """The side at degree n as a GroupHom."""
     domain, codomain, rows = _side_value(M, n, side)
     return GroupHom(domain, codomain, IntMatrix(len(rows), domain.ngens, rows))
 

@@ -17,8 +17,8 @@ hom_coords, so the aggregate search space is small.  It is pruned
 further by every relation and exactness node of crt_core.CHECKS, each
 in each degree, at the operation that completes it; a full assignment
 therefore is an acyclic CRT-module, and no final suite runs on it.  A
-search tags each candidate with an integer when it is first listed and
-decides each check once for each (degree, operand tags).
+search decides each check once for each degree and set of operands, the
+operands keyed by identity (every candidate lives for the whole search).
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -239,11 +239,9 @@ class _Search:
         self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
-        # Per-search memos: an integer tag per candidate (by id; _cand_cache keeps each alive),
-        # psiT and its tag per (eps, r, zeta) tags, and each verdict per (check, degree, operand tags).
-        self._new_tag = itertools.count()
-        self._tags: dict[int, int] = {}
-        self._psiT: dict[tuple[int, int, int], tuple[GroupHom, int]] = {}
+        # Per-search memos keyed by operand ids (_cand_cache and _psiT keep every operand alive):
+        # psiT per (eps, r, zeta), and each verdict per (check, degree, operands).
+        self._psiT: dict[tuple[int, int, int], GroupHom] = {}
         self._verdicts: dict[tuple, bool] = {}
         self.gauge: Optional[dict[tuple[str, int], Optional[frozenset[int]]]] = None  # _gauge_table(p)
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
@@ -313,12 +311,10 @@ class _Search:
             out = [GroupHom(Ks, Kt, theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix)
                    for w in itertools.product(*(range(order) for *_, order in hom_coords(quot, sub)))]
         self._cand_cache[cache_key] = out
-        self._tags.update((id(h), next(self._new_tag)) for h in out)
         return out
 
     def _op_stage(self):
         ops: dict[tuple[str, int], GroupHom] = {}
-        tags: dict[tuple[str, int], int] = {}
         view = _Assigned(ops, self._k_group)
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
         if self.gauge is None:
@@ -335,27 +331,26 @@ class _Search:
                 if visit is not None and j not in visit:
                     self.skipped += 1
                     continue
-                ops[key], tags[key] = h, self._tags[id(h)]
+                ops[key] = h
                 if key[0] == "eps":
                     n = key[1]
-                    triple = (tags[key], tags[("r", n)], tags[("zeta", n)])
+                    triple = (id(h), id(ops[("r", n)]), id(ops[("zeta", n)]))
                     if (psiT := self._psiT.get(triple)) is None:
-                        psiT = self._psiT[triple] = self._derive_psiT(ops, n), next(self._new_tag)
-                    ops[("psiT", n)], tags[("psiT", n)] = psiT
-                if all(self._holds(chk, n, view, tags) for chk, n in _SCHEDULE[key]):
+                        psiT = self._psiT[triple] = self._derive_psiT(ops, n)
+                    ops[("psiT", n)] = psiT
+                if all(self._holds(chk, n, view) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1)
-            for gone in (key, ("psiT", key[1])):
-                ops.pop(gone, None)
-                tags.pop(gone, None)
+            ops.pop(key, None)
+            ops.pop(("psiT", key[1]), None)
 
         # A generator runs _finish and the node checks off this 56-frame recursion: CPython 3.11
         # allocates and frees a frame-stack chunk per call in a loop that straddles a chunk edge.
         for full in rec(0):
             self._finish(full)
 
-    def _holds(self, chk: Check, n: int, view: _Assigned, tags: dict) -> bool:
-        """chk.holds(view, n), decided once per search for each set of operand tags; errors are not stored."""
-        key = (chk, n, *(tags[(name, (n + off) % 8)] for name, off in chk.reads))
+    def _holds(self, chk: Check, n: int, view: _Assigned) -> bool:
+        """chk.holds(view, n), decided once per search for each set of operands; errors are not stored."""
+        key = (chk, n, *(id(view.op(name, n + off)) for name, off in chk.reads))
         if (verdict := self._verdicts.get(key)) is None:
             verdict = self._verdicts[key] = chk.holds(view, n)
         return verdict

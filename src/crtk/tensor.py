@@ -100,7 +100,6 @@ def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMa
             out.extend(ro)
         return IntMatrix.from_rows(out, cols=sum(widths))
 
-
     def op(nm, d):
         return N.op(nm, d).matrix
 
@@ -576,29 +575,23 @@ class TorPair:
     t1: TensorModule
 
 
-# (tensor, Tor) by (F1 summands, F0 summands, mu1's images, N); filled by tensor_and_tor.
-_TENSOR_TOR: dict[tuple, tuple[CRTModule, CRTModule]] = {}
-
-
 def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     """Tensor and Tor of the resolved module with N.
 
     The tensor is the degreewise cokernel of mu1 ⊗ 1 with operations
     induced on the quotients; Tor is the degreewise kernel with operations
-    restricted.  Both are read only through (F1 summands, F0 summands,
-    mu1's images, N), so they are built and validated against the relation
-    suite once per distinct value in a process; every call returns a fresh
-    TorPair whose t0 and t1 carry the caller's F0 and F1.  An error is
-    raised on every call and never stored.
+    restricted.  Both results are validated against the relation suite,
+    once per distinct value (verify_relations caches its failures).
     """
     t1 = tensor_free(res.F1, N)
     t0 = tensor_free(res.F0, N)
-    key = (res.F1.summands, res.F0.summands, res.mu1.images, N)
-    if (mods := _TENSOR_TOR.get(key)) is None:
-        ind = induced_tensor_map(res.mu1, N)
-        mods = (quotient_by_image(t0.module, ind), restrict_to_kernels(t1.module, ind)[0])
-        for name, mod in zip(("tensor", "Tor"), mods):
-            if not (rep := verify_relations(mod)).ok():
-                raise ValueError(f"{name} fails relations: {rep}")
-        _TENSOR_TOR[key] = mods
-    return TorPair(*mods, t0, t1)
+    ind = induced_tensor_map(res.mu1, N)
+    tensor_mod = quotient_by_image(t0.module, ind)
+    tor_mod, _ = restrict_to_kernels(t1.module, ind)
+    rep = verify_relations(tensor_mod)
+    if not rep.ok():
+        raise ValueError(f"tensor fails relations: {rep}")
+    rep = verify_relations(tor_mod)
+    if not rep.ok():
+        raise ValueError(f"Tor fails relations: {rep}")
+    return TorPair(tensor_mod, tor_mod, t0, t1)

@@ -2,11 +2,10 @@
 
 The pipeline memoises its pure stages by value (fixtures, free modules,
 assembled modules, the tensor of a free module, the unit maps that
-mu1 (x) 1 is summed from, the tensor and Tor of a resolution with a
-module, Kunneth solves, isomorphism searches) and the linear algebra
-under them (Smith forms, kernels, images, cokernels, preimages,
-exactness verdicts, zero matrices, identities, the cells of a hom that
-need a well-definedness test).  After `clear_caches` the next call
+mu1 (x) 1 is summed from, Kunneth solves, isomorphism searches) and
+the linear algebra under them (Smith forms, kernels, images, cokernels,
+preimages, exactness verdicts, zero matrices, identities, the cells of
+a hom that need a well-definedness test).  After `clear_caches` the next call
 builds, checks and solves everything again: the oracle for reuse.
 """
 
@@ -33,8 +32,7 @@ def clear_module_caches(mod: ModuleType) -> None:
 
 
 def clear_caches() -> None:
-    """Empty every functools cache in crtk's modules and the tables of solved problems and of Tor pairs."""
+    """Empty every functools cache in crtk's modules and the table of solved problems."""
     for mod in (zlinalg, crt_core, free_crt, tensor, kunneth, catalog):
         clear_module_caches(mod)
     kunneth._SOLVED.clear()
-    tensor._TENSOR_TOR.clear()

@@ -58,7 +58,7 @@ class CheckEveryCopy(_Search):
         super().__init__(p, budget)
         self.gauge = dict.fromkeys(_OP_ORDER)  # the gauge table that visits every candidate
 
-    def _holds(self, chk, n, view, tags):
+    def _holds(self, chk, n, view):
         return chk.holds(view, n)  # every visit decides its checks anew: no per-search verdicts
 
     def _finish(self, ops: dict):

@@ -265,7 +265,7 @@ class TestCheckSchedule:
 
 
 class TestPerSearchVerdicts:
-    """_Search decides each (check, degree, operand tags) once; the oracles decide on every visit."""
+    """_Search decides each (check, degree, operands) once; the oracles decide on every visit."""
 
     @staticmethod
     def counting(monkeypatch, cls, name):
@@ -289,7 +289,7 @@ class TestPerSearchVerdicts:
         search = _Search(problem, 5_000_000)
         search.run()
         assert (looked_up["_holds"], decided["holds"]) == (979, 322)
-        # A dict key is stored once, so no (check, degree, tags) is decided twice.
+        # A dict key is stored once, so no (check, degree, operands) is decided twice.
         assert len(search._verdicts) == 322
         assert derived["_derive_psiT"] == len(search._psiT)
         assert (search.nodes, search.raw, search.skipped) == (586, 1, 73)

@@ -13,7 +13,6 @@ from crtk.catalog import (
     expected_tor,
 )
 from crtk.crt_core import (
-    CheckReport,
     OP_NAMES,
     PARTS,
     crt_isomorphic,
@@ -29,7 +28,7 @@ from crtk.free_crt import (
     monogenic,
     scale_element,
 )
-from crtk.tensor import FreeResolution, induced_tensor_map, tensor_and_tor, tensor_free
+from crtk.tensor import induced_tensor_map, tensor_and_tor, tensor_free
 from crtk.zlinalg import hom_scale, identity_hom
 
 from cold_path import clear_caches
@@ -269,28 +268,6 @@ class TestTensorAndTor:
             for n in range(8):
                 assert tp.tensor.group("U", n) == tens[n]
                 assert tp.tor.group("U", n) == tor[n]
-
-    def test_equal_calls_share_the_modules_in_fresh_pairs(self):
-        res, N = cuntz_resolution(4), cuntz_module(4)
-        F1, F0 = free_module(res.F1.summands), free_module(res.F0.summands)
-        equal = FreeResolution(F1, FreeMorphism(F1, F0, res.mu1.images), F0, res.target, res.mu0)
-        first, second = tensor_and_tor(res, N), tensor_and_tor(equal, N)
-        assert second is not first
-        assert second.tensor is first.tensor and second.tor is first.tor
-        assert (first.t1.free, first.t0.free) == (res.F1, res.F0)
-        assert second.t1.free is F1 and second.t0.free is F0 and F1 is not res.F1
-        clear_caches()
-        cold = tensor_and_tor(res, N)
-        assert cold.tensor == first.tensor and cold.tensor is not first.tensor
-
-    def test_an_error_is_raised_on_every_call_and_not_stored(self, monkeypatch):
-        res, N = cuntz_resolution(3), cuntz_module(6)
-        tensor_free(res.F0, N), tensor_free(res.F1, N)  # validated (and cached) before the patch
-        monkeypatch.setattr(tensor, "verify_relations", lambda M: CheckReport([("rc=2", 0)]))
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"^tensor fails relations: rc=2@0$"):
-                tensor_and_tor(res, N)
-        assert tensor._TENSOR_TOR == {}
 
     def test_symmetry(self):
         assert tensor_symmetric_check(cuntz_resolution(3), cuntz_resolution(5))
