@@ -473,6 +473,12 @@ class SumLayout:
 
 
 def sum_layout(components: Sequence[FinAbGroup]) -> SumLayout:
+    """The layout of the direct sum of components, built once per distinct tuple in a process."""
+    return _sum_layout(tuple(components))
+
+
+@functools.cache
+def _sum_layout(components: tuple[FinAbGroup, ...]) -> SumLayout:
     invs = []
     offsets = []
     widths = []

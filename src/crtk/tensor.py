@@ -13,7 +13,9 @@ Sign bookkeeping: the axioms for gamma and tau across a product carry
 depend only on the generator degree parity and fixed offsets.
 
 Tor and the tensor of a resolved module are the degreewise kernel and
-cokernel of the induced map of a length-one free resolution.
+cokernel of the induced map of a length-one free resolution; Tor's
+operations are solved in one linear system per target degree, and an
+operation that leaves the kernel is a fatal error.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .zlinalg import (
     cokernel_data,
     hom_compose,
     hom_kernel,
-    hom_preimage,
     is_exact_at,
+    solve_int,
 )
 
 # Provenance slots per summand kind: (slot label, N part, degree offset).
@@ -86,19 +88,8 @@ def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMa
     s = -1 if g % 2 else 1
 
     def blocks(rows):
-        widths = [b.cols for b in rows[0]]
-        out = []
-        for row in rows:
-            height = row[0].rows
-            ro = [[0] * sum(widths) for _ in range(height)]
-            c0 = 0
-            for j, b in enumerate(row):
-                for ii, r in enumerate(b.entries):
-                    for jj, x in enumerate(r):
-                        ro[ii][c0 + jj] = x
-                c0 += widths[j]
-            out.extend(ro)
-        return IntMatrix.from_rows(out, cols=sum(widths))
+        out = tuple(sum(parts, ()) for row in rows for parts in zip(*(b.entries for b in row)))
+        return IntMatrix(len(out), sum(b.cols for b in rows[0]), out)
 
     def op(nm, d):
         return N.op(nm, d).matrix
@@ -382,10 +373,13 @@ def induced_tensor_map(mor: FreeMorphism, N: CRTModule) -> Morphism:
     for part in PARTS:
         for m in range(8):
             G, H = src.group(part, m), tgt.group(part, m)
-            mat = IntMatrix.zeros(H.ngens, G.ngens)
+            rows = [[0] * G.ngens for _ in range(H.ngens)]
             for a, unit in terms:
-                mat += unit[(part, m)].matrix.scale(a)
-            fam[(part, m)] = GroupHom(G, H, mat)
+                for row, urow in zip(rows, unit[(part, m)].matrix.entries):
+                    for j, x in enumerate(urow):
+                        if x:
+                            row[j] += a * x
+            fam[(part, m)] = GroupHom(G, H, IntMatrix(H.ngens, G.ngens, tuple(map(tuple, rows))))
     return fam
 
 
@@ -524,30 +518,34 @@ class FreeResolution:
 def restrict_to_kernels(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphism]:
     """The degreewise kernel of a morphism out of M, with operations restricted.
 
-    The restricted operations are re-coordinatized along the kernel
-    inclusions; failure to close is a fatal diagnostic (the family was not
-    a CRT-morphism).
+    Each column of op·incl_s is solved in [incl_t | relations], one system
+    per target degree built on first use, and reduced modulo K_t.  A column
+    with no solution is fatal (the family was not a CRT-morphism), also when
+    K_t is trivial; only an operation out of a trivial K_s is skipped.
     """
     kern = {key: hom_kernel(f) for key, f in fam.items()}
     groups = {p: [kern[(p, n)][0] for n in range(8)] for p in PARTS}
+    systems: dict = {}
     mats = {name: [] for name in OP_NAMES}
     for name in OP_NAMES:
         src, tgt, shift = OP_SPECS[name]
         for n in range(8):
-            op = M.op(name, n)
             K_s, incl_s = kern[(src, n)]
-            K_t, incl_t = kern[(tgt, (n + shift) % 8)]
+            key_t = (tgt, (n + shift) % 8)
+            K_t, incl_t = kern[key_t]
+            if not K_s.ngens:
+                mats[name].append(IntMatrix.zeros(K_t.ngens, 0))
+                continue
+            if (A := systems.get(key_t)) is None:
+                A = systems[key_t] = incl_t.matrix.hstack(incl_t.codomain.relation_matrix())
             cols = []
-            for k in range(K_s.ngens):
-                v = incl_s.apply(tuple(1 if j == k else 0 for j in range(K_s.ngens)))
-                c = hom_preimage(incl_t, op.apply(v))
+            for y in (M.op(name, n).matrix * incl_s.matrix).columns():
+                c = solve_int(A, y)
                 if c is None:
                     raise ValueError(f"kernel not closed under {name} at degree {n}")
-                cols.append(list(c))
+                cols.append(K_t.reduce(c[:K_t.ngens]))
             mats[name].append(IntMatrix.from_cols(cols, rows=K_t.ngens))
-    module = make_module(groups, mats)
-    incl_fam = {key: kern[key][1] for key in kern}
-    return module, incl_fam
+    return make_module(groups, mats), {key: kern[key][1] for key in kern}
 
 
 def quotient_by_image(M: CRTModule, fam: Morphism) -> CRTModule:
@@ -558,10 +556,12 @@ def quotient_by_image(M: CRTModule, fam: Morphism) -> CRTModule:
     for name in OP_NAMES:
         src, tgt, shift = OP_SPECS[name]
         for n in range(8):
-            op = M.op(name, n)
-            _, _, reps_s = coker[(src, n)]
-            _, proj_t, _ = coker[(tgt, (n + shift) % 8)]
-            mats[name].append(proj_t.matrix * op.matrix * reps_s)
+            Q_s, _, reps_s = coker[(src, n)]
+            Q_t, proj_t, _ = coker[(tgt, (n + shift) % 8)]
+            if Q_s.ngens and Q_t.ngens:
+                mats[name].append(proj_t.matrix * M.op(name, n).matrix * reps_s)
+            else:
+                mats[name].append(IntMatrix.zeros(Q_t.ngens, Q_s.ngens))
     return make_module(groups, mats)
 
 

@@ -14,9 +14,9 @@ matrices are equal.
 
 Values are frozen, so the primitives are memoised by value for the life
 of the process (functools.cache): the Smith form of each matrix, and the
-kernel, image, cokernel, preimages and exactness verdicts of each map,
-are computed once per distinct argument.  Errors, such as is_exact_at's
-nonzero composite, are raised on every call and never stored.
+kernel, image, cokernel and exactness verdicts of each map, are computed
+once per distinct argument.  Errors, such as is_exact_at's nonzero
+composite, are raised on every call and never stored.
 
 >>> group_from_presentation(IntMatrix.diag([2, 3]))
 FinAbGroup(torsion=(6,), free_rank=0)
@@ -316,12 +316,13 @@ def _snf_full(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix,
     """(U, Uinv, D, V, Vinv) with U*A*V = D; deterministic, computed once per matrix."""
     w = _SnfWorker(A)
     w.run()
+    m, n = A.rows, A.cols
     return (
-        IntMatrix.from_rows(w.U, cols=A.rows),
-        IntMatrix.from_rows(w.Ui, cols=A.rows),
-        IntMatrix.from_rows(w.M, cols=A.cols),
-        IntMatrix.from_rows(w.V, cols=A.cols),
-        IntMatrix.from_rows(w.Vi, cols=A.cols),
+        IntMatrix(m, m, tuple(map(tuple, w.U))),
+        IntMatrix(m, m, tuple(map(tuple, w.Ui))),
+        IntMatrix(m, n, tuple(map(tuple, w.M))),
+        IntMatrix(n, n, tuple(map(tuple, w.V))),
+        IntMatrix(n, n, tuple(map(tuple, w.Vi))),
     )
 
 
@@ -657,20 +658,6 @@ def _subquotient(L: IntMatrix, ambient: FinAbGroup) -> tuple[FinAbGroup, GroupHo
     K, _, reps = _quotient_data(B.cols, C)
     incl = GroupHom(K, ambient, B * reps)
     return K, incl
-
-
-def hom_preimage(f: GroupHom, y: Sequence[int]) -> Optional[Vec]:
-    """Some x with f(x) = y, or None."""
-    return _preimage(f, tuple(y))
-
-
-@functools.cache
-def _preimage(f: GroupHom, y: Vec) -> Optional[Vec]:
-    A = f.matrix.hstack(f.codomain.relation_matrix())
-    sol = solve_int(A, y)
-    if sol is None:
-        return None
-    return f.domain.reduce(sol[: f.domain.ngens])
 
 
 def _cokernel_order(f: GroupHom) -> int:

@@ -19,10 +19,9 @@ from crtk.zlinalg import (
     ZERO_GROUP,
     hom_cokernel,
     hom_compose,
-    hom_preimage,
 )
 
-from oracles import _annihilated_elements, automorphisms, hom_from_cols
+from oracles import _annihilated_elements, automorphisms, hom_from_cols, hom_preimage
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:

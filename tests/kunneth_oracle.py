@@ -46,9 +46,9 @@ from crtk.kunneth import (
     _Search,
     split_check,
 )
-from crtk.zlinalg import FinAbGroup, GroupHom, IntMatrix, hom_compose, hom_preimage, identity_hom
+from crtk.zlinalg import FinAbGroup, GroupHom, IntMatrix, hom_compose, identity_hom
 
-from oracles import hom_group_elements, solve_matrix_system
+from oracles import hom_group_elements, hom_preimage, solve_matrix_system
 
 
 class CheckEveryCopy(_Search):

@@ -24,6 +24,7 @@ from crtk.crt_core import (
     crt_isomorphic,
     eta_T,
     is_free,
+    make_module,
     morphism_commutes,
     slot_of,
     xi,
@@ -166,6 +167,14 @@ def subgroup_contains(incl: GroupHom, x: Sequence[int]) -> bool:
     """Is x (in ambient coordinates) inside the image of the inclusion?"""
     L = incl.matrix.hstack(incl.codomain.relation_matrix())
     return lattice_contains(L, x)
+
+
+def hom_preimage(f: GroupHom, y: Sequence[int]) -> Optional[Vec]:
+    """Some x with f(x) = y, reduced in f's domain, or None: one solve in [f | codomain relations]."""
+    sol = solve_int(f.matrix.hstack(f.codomain.relation_matrix()), tuple(y))
+    if sol is None:
+        return None
+    return f.domain.reduce(sol[: f.domain.ngens])
 
 
 def zero_hom(domain: FinAbGroup, codomain: FinAbGroup) -> GroupHom:
@@ -474,6 +483,35 @@ def induced_tensor_map_oracle(mor: FreeMorphism, N: CRTModule) -> Morphism:
     if not morphism_commutes(src.module, tgt.module, fam):
         raise ValueError("induced tensor map fails naturality")
     return fam
+
+
+def restrict_to_kernels_oracle(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphism]:
+    """tensor.restrict_to_kernels column by column.
+
+    Each kernel generator is pushed through its inclusion and the
+    operation as a reduced element, and pulled back by its own
+    hom_preimage along the target inclusion; no shared system per degree
+    and no operation skipped.
+    """
+    kern = {key: hom_kernel(f) for key, f in fam.items()}
+    groups = {p: [kern[(p, n)][0] for n in range(8)] for p in PARTS}
+    mats = {name: [] for name in OP_NAMES}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            op = M.op(name, n)
+            K_s, incl_s = kern[(src, n)]
+            K_t, incl_t = kern[(tgt, (n + shift) % 8)]
+            cols = []
+            for k in range(K_s.ngens):
+                v = incl_s.apply(tuple(1 if j == k else 0 for j in range(K_s.ngens)))
+                c = hom_preimage(incl_t, op.apply(v))
+                if c is None:
+                    raise ValueError(f"kernel not closed under {name} at degree {n}")
+                cols.append(list(c))
+            mats[name].append(IntMatrix.from_cols(cols, rows=K_t.ngens))
+    module = make_module(groups, mats)
+    return module, {key: kern[key][1] for key in kern}
 
 
 def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,

@@ -1,5 +1,7 @@
 """Tensor products, induced maps, Tor, and the structural cross-checks."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from crtk.crt_core import (
     OP_NAMES,
     PARTS,
     crt_isomorphic,
+    direct_sum,
     is_acyclic,
     suspend,
     zero_module,
@@ -28,8 +31,9 @@ from crtk.free_crt import (
     monogenic,
     scale_element,
 )
-from crtk.tensor import induced_tensor_map, tensor_and_tor, tensor_free
-from crtk.zlinalg import hom_scale, identity_hom
+from crtk.kunneth import KunnethProblem, solve_middle
+from crtk.tensor import induced_tensor_map, restrict_to_kernels, tensor_and_tor, tensor_free
+from crtk.zlinalg import GroupHom, IntMatrix, hom_scale, identity_hom
 
 from cold_path import clear_caches
 from oracles import (
@@ -37,8 +41,10 @@ from oracles import (
     complex_tor_groups,
     find_free_isomorphism,
     induced_tensor_map_oracle,
+    restrict_to_kernels_oracle,
     tensor_monogenic,
     tensor_symmetric_check,
+    zero_hom,
 )
 
 R = monogenic("R", 0).realized
@@ -220,6 +226,73 @@ class TestInducedMapBySums:
                 tensor_and_tor(cuntz_resolution(3), cuntz_module(4))
         finally:
             clear_caches()
+
+
+@functools.cache
+def solver_middle(l, m):
+    """The solver's middle for O_{l+1} (x) O_{m+1}: a factor that is not a Cuntz module."""
+    tp = tensor_and_tor(cuntz_resolution(l), cuntz_module(m))
+    (sol,) = solve_middle(KunnethProblem(tp.tensor, tp.tor))
+    return sol.middle
+
+
+MIDDLES = [(2, 2), (2, 4), (3, 3), (4, 4), (4, 6), (5, 5)]
+
+
+def assert_restriction_agrees(M, fam):
+    """restrict_to_kernels(M, fam) gives the oracle's module and inclusions."""
+    module, incl = restrict_to_kernels(M, fam)
+    want, want_incl = restrict_to_kernels_oracle(M, fam)
+    assert modules_equal(module, want) and incl == want_incl
+
+
+def assert_tor_agrees(k, N):
+    """The kernel of mu1 (x) 1 of O_{k+1} against N, restricted as by the oracle."""
+    res = cuntz_resolution(k)
+    assert_restriction_agrees(tensor_free(res.F1, N).module, induced_tensor_map(res.mu1, N))
+
+
+class TestRestrictToKernels:
+    """One kernel system per degree against the per-column oracle, and the closure check."""
+
+    def test_agrees_with_the_per_column_path_on_the_grid(self):
+        for k in range(2, 13):
+            res = cuntz_resolution(k)
+            assert_restriction_agrees(res.F0.realized, res.mu0)  # a kernel outside the tensor layer
+            for l in range(2, 13):
+                assert_tor_agrees(k, cuntz_module(l))
+
+    @given(st.integers(2, 12),
+           st.one_of(st.integers(2, 12).map(cuntz_module),
+                     st.sampled_from(MIDDLES).map(lambda lm: solver_middle(*lm))))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_per_column_path_on_other_factors(self, k, N):
+        assert_tor_agrees(k, N)
+
+    @staticmethod
+    def family(M, maps):
+        """maps at the keys it names, the zero endomorphism of M's group at every other key."""
+        return {(p, n): maps.get((p, n)) or zero_hom(M.group(p, n), M.group(p, n))
+                for p in PARTS for n in range(8)}
+
+    def test_a_trivial_target_kernel_still_checks_closure(self):
+        # The identity at U_0 of R has a trivial kernel; c_0 sends the generator of
+        # O_0 = Z, all in the kernel of the zero map there, to 1.
+        fam = self.family(R, {("U", 0): identity_hom(R.group("U", 0))})
+        for restrict in (restrict_to_kernels, restrict_to_kernels_oracle):
+            with pytest.raises(ValueError, match="kernel not closed"):
+                restrict(R, fam)
+
+    def test_a_nontrivial_target_kernel_checks_closure(self):
+        # At U_0 = Z^2 of R + R the kernel of the first projection is the second
+        # summand, and c_0 sends the first generator of O_0 = Z^2 outside it.
+        M = direct_sum(R, R)
+        U0 = M.group("U", 0)
+        proj = GroupHom(U0, R.group("U", 0), IntMatrix.from_rows([[1, 0]]))
+        fam = self.family(M, {("U", 0): proj})
+        for restrict in (restrict_to_kernels, restrict_to_kernels_oracle):
+            with pytest.raises(ValueError, match="kernel not closed"):
+                restrict(M, fam)
 
 
 class TestTensorAndTor:
