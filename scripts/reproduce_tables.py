@@ -9,8 +9,12 @@ pair reuses what earlier pairs built).
 
     python3 scripts/reproduce_tables.py            # default pair list
     python3 scripts/reproduce_tables.py 4 4 2 6    # explicit pairs
+
+Arguments come in pairs of integers k, l >= 1; an odd count or a
+non-integer is a usage error (exit 2, message on stderr).
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -18,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
-from crtk.cli import render_module
+from crtk.cli import _at_least, render_module
 from crtk.crt_core import crt_isomorphic
 from crtk.kunneth import KunnethProblem, solve_middle
 from crtk.tensor import tensor_and_tor
@@ -44,8 +48,16 @@ def run_pair(k: int, l: int) -> bool:
     return ok
 
 
-def main() -> int:
-    args = [int(a) for a in sys.argv[1:]]
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Recompute the product tables for pairs (k, l).")
+    parser.add_argument("params", nargs="*", type=_at_least(1), metavar="K L",
+                        help="pairs k l (default: the printed pairs)")
+    try:
+        args = parser.parse_args(argv).params
+        if len(args) % 2:
+            parser.error(f"expected pairs k l, got {len(args)} integers")
+    except SystemExit as exc:  # a usage error, or --help
+        return 2 if exc.code else 0
     pairs = list(zip(args[::2], args[1::2])) if args else DEFAULT_PAIRS
     bad = [p for p in pairs if not run_pair(*p)]
     if bad:

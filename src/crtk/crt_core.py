@@ -295,10 +295,17 @@ def _checked(domain: FinAbGroup, codomain: FinAbGroup, rows: list) -> tuple:
 
 
 def _product(g: tuple, f: tuple) -> tuple:
-    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's tests."""
+    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's tests.
+
+    Through a trivial domain, middle or codomain the composite is the zero
+    map, which passes every shape and well-definedness test, so it is
+    returned as it is.
+    """
     if f[1] is not g[0] and f[1] != g[0]:
         raise CompositionError(f"cannot compose: {f[1]} != {g[0]}")
-    cols = tuple(zip(*f[2])) if f[2] else ((),) * f[0].ngens
+    if not (f[0].ngens and g[0].ngens and g[1].ngens):
+        return f[0], g[1], IntMatrix.zeros(g[1].ngens, f[0].ngens).entries
+    cols = tuple(zip(*f[2]))
     rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in g[2]]
     return f[0], g[1], checked_entries(rows, f[0].ngens, f[0], g[1])
 
@@ -576,9 +583,14 @@ def _slot_candidates(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Calla
     terms where phi sits.  A and the echelon of its homogeneous solutions
     are built once; the returned generator reads b off the choice, solves
     for one x0 and yields the invertible maps of x0 + (homogeneous
-    solutions) lazily.
+    solutions) lazily.  On a trivial slot group the only candidate is its
+    identity, which commutes with every instance (all its squares pass
+    through the trivial group), so no system is built.
     """
     G = M.group(*slot)
+    if G.is_trivial():
+        identity = identity_hom(G)
+        return lambda choice: iter((identity,))
     orders = [o for *_, o in hom_coords(G, G)]
     rows, mods, terms = [], [], []
     for name, n in SLOT_OPS[slot]:
@@ -619,7 +631,9 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
     linear algebra (_slot_candidates): the automorphisms of the slot that
     commute with every operation to or from the slots before it.  One
     node is one candidate tried, counted against budget; a search that
-    never backtracks takes 14 nodes.
+    never backtracks takes 14 nodes.  Equal modules need no search: the
+    answer is the identity family, charged 14 nodes as such a search is,
+    so a budget below 14 raises BudgetExceeded for them too.
 
     The search runs once per distinct (M, N, budget) in a process; every
     call returns a fresh dict.  BudgetExceeded is raised, never stored.
@@ -642,6 +656,11 @@ def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded("isomorphism search budget exceeded")
+
+    if M == N:
+        for _ in SLOTS:
+            tick()
+        return {(p, n): identity_hom(M.group(p, n)) for p in PARTS for n in range(8)}
 
     system = functools.cache(lambda slot: _slot_candidates(M, N, slot))  # built on first visit
     choice: dict[tuple[str, int], GroupHom] = {}

@@ -13,7 +13,10 @@ zlinalg.commutation_rows, as are the gauge table's and crt_core's
 isomorphism systems): one particular solution is found by exact linear
 algebra, and the ambiguity is exactly alpha . W . beta for W ranging
 over the finite group Hom(tor_{n-1}, tensor_m), listed by its own
-hom_coords, so the aggregate search space is small.  It is pruned
+hom_coords, so the aggregate search space is small.  An instance whose
+source or target slot has a trivial middle group K needs no algebra: its
+only candidate is the zero map, which intertwines (both sides of each
+condition pass through the trivial group).  The search is pruned
 further by every relation and exactness node of crt_core.CHECKS, each
 in each degree, at the operation that completes it; a full assignment
 therefore is an acyclic CRT-module, and no final suite runs on it.  A
@@ -296,6 +299,10 @@ class _Search:
         hit = self._cand_cache.get(cache_key)
         if hit is not None:
             return hit
+        if Ks.is_trivial() or Kt.is_trivial():
+            # Hom(Ks, Kt) is the zero map alone, and every square through a trivial group commutes.
+            out = self._cand_cache[cache_key] = [GroupHom(Ks, Kt, IntMatrix.zeros(Kt.ngens, Ks.ngens))]
+            return out
         # Rows mod Kt's invariants, then mod Tor's; the hom_coords parametrise Hom(Ks, Kt) exactly.
         ncoords = len(hom_coords(Ks, Kt))
         A = IntMatrix.from_rows(commutation_rows(Ks, Kt, right=a_s.matrix)

@@ -112,7 +112,7 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if other.rows == 0:
+        if not (self.rows and other.rows and other.cols):  # an empty dimension: the zero matrix
             return IntMatrix.zeros(self.rows, other.cols)
         ot = tuple(zip(*other.entries))
         return IntMatrix(

@@ -20,6 +20,9 @@ written: one unknown per entry of the operation matrix, explicit
 well-definedness equations and oracles.solve_matrix_system, then every
 element of Hom(tor, tensor) listed.  The solver solves in the
 hom_coords of the operation instead (zlinalg.commutation_rows).
+solved_candidates_oracle keeps that solve without the solver's shortcut
+for an instance with a trivial middle group, whose only candidate is the
+zero map.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from crtk.kunneth import (
     _Search,
     split_check,
 )
-from crtk.zlinalg import FinAbGroup, GroupHom, IntMatrix, hom_compose, identity_hom
+from crtk.zlinalg import (FinAbGroup, GroupHom, IntMatrix, commutation_rows, hom_compose, hom_coords,
+                          hom_matrix, identity_hom, solve_int)
 
 from oracles import hom_group_elements, hom_preimage, solve_matrix_system
 
@@ -110,6 +114,26 @@ def instance_candidates_oracle(search: _Search, name: str, n: int) -> list[Group
         return []
     return [GroupHom(Ks, Kt, theta0 + a_t.matrix * W.matrix * b_s.matrix)
             for W in hom_group_elements(search.p.tor.group(src, n - 1), search.p.tensor.group(tgt, m))]
+
+
+def solved_candidates_oracle(search: _Search, name: str, n: int) -> list[GroupHom]:
+    """_Search._instance_candidates by its hom_coords solve alone, on every instance."""
+    src, tgt, shift = OP_SPECS[name]
+    Ks, a_s, b_s = search._option(src, n)
+    Kt, a_t, b_t = search._option(tgt, n + shift)
+    P, Q = search.p.tensor.op(name, n), search.p.tor.op(name, n - 1)
+    ncoords = len(hom_coords(Ks, Kt))
+    A = IntMatrix.from_rows(commutation_rows(Ks, Kt, right=a_s.matrix)
+                            + commutation_rows(Ks, Kt, left=-b_t.matrix), cols=ncoords)
+    A = A.hstack(IntMatrix.diag([e for e in Kt.invariants for _ in range(P.matrix.cols)]
+                                + [f for f in b_t.codomain.invariants for _ in range(Ks.ngens)]))
+    x0 = solve_int(A, [x for rhs in (a_t.matrix * P.matrix, Q.matrix * b_s.matrix)
+                       for row in rhs.entries for x in row])
+    if x0 is None:
+        return []
+    theta0, quot, sub = hom_matrix(Ks, Kt, x0[:ncoords]), Q.domain, P.codomain
+    return [GroupHom(Ks, Kt, theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix)
+            for w in itertools.product(*(range(order) for *_, order in hom_coords(quot, sub)))]
 
 
 def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHom, GroupHom]]:

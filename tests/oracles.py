@@ -10,6 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from crtk.catalog import cuntz_module
@@ -54,6 +55,7 @@ from crtk.zlinalg import (
     IntMatrix,
     Vec,
     ZERO_GROUP,
+    checked_entries,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -97,6 +99,15 @@ def matmul_via_transpose(A: IntMatrix, B: IntMatrix) -> IntMatrix:
         A.rows, B.cols,
         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.entries),
     )
+
+
+def product_oracle(g: tuple, f: tuple) -> tuple:
+    """crt_core._product without its zero shortcut: every composite multiplied, then checked."""
+    if f[1] is not g[0] and f[1] != g[0]:
+        raise CompositionError(f"cannot compose: {f[1]} != {g[0]}")
+    cols = tuple(zip(*f[2])) if f[2] else ((),) * f[0].ngens
+    rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in g[2]]
+    return f[0], g[1], checked_entries(rows, f[0].ngens, f[0], g[1])
 
 
 def reduce_hom_matrix(domain: FinAbGroup, codomain: FinAbGroup, m: IntMatrix) -> IntMatrix:

@@ -1,6 +1,8 @@
 """Command-line behaviour: verbs, exit codes, JSON round-trips."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,32 @@ class TestExitCodes:
         p.write_text("{\"not\": \"a module\"}")
         code, _, err = run(["verify", str(p)], capsys)
         assert code == 2
+
+
+def _reproduce_tables():
+    """scripts/reproduce_tables.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReproduceTablesScript:
+    @pytest.mark.parametrize("argv,message", [(["3", "5", "7"], "expected pairs k l, got 3 integers"),
+                                              (["3", "x"], "not an integer: 'x'"),
+                                              (["0", "3"], "must be >= 1: 0")])
+    def test_bad_arguments_are_usage_errors(self, argv, message, capsys):
+        code = _reproduce_tables().main(argv)
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == "" and message in out.err and "Traceback" not in out.err
+
+    def test_explicit_pair(self, capsys):
+        assert _reproduce_tables().main(["3", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("== (k, l) = (3, 5)") and out.count("== (k, l)") == 1
+        assert out.endswith("all pairs reproduce their tables\n")
 
 
 class TestDeterminism:

@@ -583,6 +583,38 @@ class TestSlotEngine:
         assert self.outcome(crt_isomorphic, _twisted(M, 3), M, budget=3) == "budget exceeded"
 
 
+class TestEqualModules:
+    """Equal modules skip the search: the identity family, charged one node per slot."""
+
+    @pytest.mark.parametrize("M", [cuntz_module(4), expected_product(4, 4), expected_product(5, 5),
+                                   zero_module()], ids=["O5", "(4,4)", "(5,5)", "zero"])
+    def test_identity_family(self, M):
+        crt_core._assemble.cache_clear()  # the round trip then builds a new, equal module
+        N = module_from_json(module_to_json(M))
+        assert N == M and N is not M
+        for other in (M, N):
+            phi = crt_isomorphic(M, other)
+            assert phi == {(p, n): identity_hom(M.group(p, n)) for p in PARTS for n in range(8)}
+            assert morphism_commutes(M, other, phi) and morphism_is_iso(phi)
+
+    def test_budget_of_one_node_per_slot(self):
+        M = expected_product(4, 4)
+        assert TestSlotEngine.outcome(crt_isomorphic, M, M, budget=len(SLOTS)) is not None
+        assert TestSlotEngine.outcome(crt_isomorphic, M, M, budget=len(SLOTS) - 1) == "budget exceeded"
+
+    def test_infinite_parts_still_refused(self):
+        with pytest.raises(ValueError, match="finite parts"):
+            crt_isomorphic(R, R, budget=1)
+
+    def test_trivial_slot_candidate_is_the_identity(self):
+        M = expected_product(5, 10)
+        trivial = [slot for slot in SLOTS if M.group(*slot).is_trivial()]
+        assert trivial
+        for slot in trivial:
+            got = list(crt_core._slot_candidates(M, M, slot)({}))
+            assert got == automorphisms(M.group(*slot)) == [identity_hom(ZERO_GROUP)]
+
+
 class TestIsomorphismCache:
     """crt_isomorphic searches once per (M, N, budget); every call gets its own map."""
 

@@ -58,7 +58,7 @@ from crtk.zlinalg import (
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
 from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, _slot_gauge, conjugate,
-                            instance_candidates_oracle, solve_middle_oracle)
+                            instance_candidates_oracle, solve_middle_oracle, solved_candidates_oracle)
 from oracles import hom_group_elements
 
 # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
@@ -431,6 +431,33 @@ class TestInstanceCandidates:
         search = ComparedCandidates(problem, 5_000_000)
         assert search.run()
         assert search.solvable[True] > 0 and search.solvable[False] > 0, search.solvable
+
+
+class TrivialCandidates(_Search):
+    """The solver's search, checking each instance it solves with a trivial Ks or Kt."""
+
+    def __init__(self, p, budget):
+        super().__init__(p, budget)
+        self.trivial = 0
+
+    def _instance_candidates(self, name, n):
+        before = len(self._cand_cache)
+        got = super()._instance_candidates(name, n)
+        src, tgt, shift = OP_SPECS[name]
+        if len(self._cand_cache) > before and (self._k_group(src, n).is_trivial()
+                                               or self._k_group(tgt, n + shift).is_trivial()):
+            assert got == solved_candidates_oracle(self, name, n) == instance_candidates_oracle(self, name, n)
+            assert len(got) == 1 and got[0].is_zero_map(), (name, n)
+            self.trivial += 1
+        return got
+
+
+class TestTrivialCandidates:
+    @pytest.mark.parametrize("factors", [(3, 5), (2, 4), (4, 4), (5, 5), (5, 10)], ids=str)
+    def test_zero_map_agrees_with_the_solve(self, factors):
+        search = TrivialCandidates(make_problem(*factors), 5_000_000)
+        assert search.run()
+        assert search.trivial > 0
 
 
 class TestSolver:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtk import zlinalg
+from crtk.crt_core import _product, _triple
 from crtk.zlinalg import (
     CompositionError,
     FinAbGroup,
@@ -42,8 +43,9 @@ from crtk.zlinalg import (
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
 from oracles import (automorphisms, hom_from_cols, hom_group_elements, hom_preimage,
-                     is_exact_at_oracle, matmul_via_transpose, oracle_enumerate, reduce_hom_matrix,
-                     solve_matrix_system, subgroup_contains, well_defined_matrix, zero_hom)
+                     is_exact_at_oracle, matmul_via_transpose, oracle_enumerate, product_oracle,
+                     reduce_hom_matrix, solve_matrix_system, subgroup_contains, well_defined_matrix,
+                     zero_hom)
 
 
 def minors_gcd(A, k):
@@ -221,6 +223,28 @@ class TestKernelsVsOracle:
         reduced, unreduced = IntMatrix.from_rows([[3, 1], [0, -2]]), IntMatrix.from_rows([[7, 1], [0, -2]])
         assert GroupHom(G, G, reduced).matrix is reduced
         assert GroupHom(G, G, unreduced).matrix == reduced
+
+
+class TestZeroComposites:
+    """Composites through a trivial group are returned as the zero map without multiplying."""
+
+    @given(mixed_groups(), mixed_groups(), mixed_groups(), st.sampled_from(["domain", "middle", "codomain"]),
+           st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agree_with_the_multiplying_path(self, A, B, C, trivial, mismatched, data):
+        A, B, C = (ZERO_GROUP if trivial == which else G
+                   for which, G in (("domain", A), ("middle", B), ("codomain", C)))
+        f = data.draw(group_homs(A, B))
+        D = data.draw(mixed_groups().filter(lambda G: G != B)) if mismatched else B
+        g = data.draw(group_homs(D, C))
+        want = outcome(product_oracle, _triple(g), _triple(f))
+        assert outcome(_product, _triple(g), _triple(f)) == want
+        assert outcome(lambda: _triple(hom_compose(g, f))) == want
+        assert outcome(lambda: g.matrix * f.matrix) == outcome(matmul_via_transpose, g.matrix, f.matrix)
+        if mismatched:
+            assert want == (CompositionError, f"cannot compose: {B} != {D}")
+        else:
+            assert want == (A, C, IntMatrix.zeros(C.ngens, A.ngens).entries)
 
 
 class TestSolve:
