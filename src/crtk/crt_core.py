@@ -79,39 +79,44 @@ _OP_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
 _PART_FIELD = {"O": "MO", "U": "MU", "T": "MT"}
 
 
-def _slot_ops() -> dict[tuple[str, int], list[tuple[str, int]]]:
-    """Each (op, degree) instance at the later, in SLOTS order, of its two endpoint slots."""
-    out: dict[tuple[str, int], list[tuple[str, int]]] = {slot: [] for slot in SLOTS}
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        for n in range(8):
-            out[max(slot_of(src, n), slot_of(tgt, n + shift), key=SLOTS.index)].append((name, n))
+def place(order: Sequence, items: Iterable[tuple[object, Iterable]]) -> dict[object, list]:
+    """Each item, in the order given, at the last of its keys in order: where a search first has them all."""
+    index = {key: i for i, key in enumerate(order)}
+    out: dict[object, list] = {key: [] for key in order}
+    for item, keys in items:
+        out[max(keys, key=index.__getitem__)].append(item)
     return out
 
 
-SLOT_OPS = _slot_ops()
+# Each (op, degree) instance at the later, in SLOTS order, of its two endpoint slots.
+SLOT_OPS = place(SLOTS, (((name, n), (slot_of(src, n), slot_of(tgt, n + shift)))
+                         for name, (src, tgt, shift) in OP_SPECS.items() for n in range(8)))
 
 
-def search_slots(options: Callable[[tuple[str, int]], Iterable], fits: Callable[[str, int], bool],
-                 choice: dict, tick: Callable[[], None]) -> Iterator[dict]:
-    """Backtrack over SLOTS, assigning choice[slot] from options(slot) in order.
+def backtrack(keys: Sequence, options: Callable[[object], Iterable], fits: Callable[[object], bool],
+              choice: dict, tick: Callable[[], None]) -> Iterator[dict]:
+    """Assign choice[key] from options(key) for each key in order, depth first.
 
-    tick() runs once per candidate tried.  The search descends past a slot
-    only when fits(name, n) holds for every instance of SLOT_OPS[slot], so
-    fits may read choice at both endpoint slots.  The generator yields
-    choice itself, once per full assignment.
+    tick() runs once per candidate tried.  The search descends past a key
+    only when fits(key) holds, so fits may read choice at that key and at
+    every key before it.  The generator yields choice itself, once per full
+    assignment, and pops a key when its options run out.  It yields rather
+    than calls back, so the caller's work runs off the frames of this
+    recursion (56 deep in the Kunneth operation stage): CPython 3.11
+    allocates and frees a frame-stack chunk per call in a loop that
+    straddles a chunk edge.
     """
     def rec(k: int) -> Iterator[dict]:
-        if k == len(SLOTS):
+        if k == len(keys):
             yield choice
             return
-        slot = SLOTS[k]
-        for opt in options(slot):
+        key = keys[k]
+        for opt in options(key):
             tick()
-            choice[slot] = opt
-            if all(fits(name, n) for name, n in SLOT_OPS[slot]):
+            choice[key] = opt
+            if fits(key):
                 yield from rec(k + 1)
-        choice.pop(slot, None)
+        choice.pop(key, None)
 
     return rec(0)
 
@@ -627,7 +632,7 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
 
     An isomorphism in our storage convention repeats with the period of
     each part, so it is one automorphism of each of the 14 slot groups.
-    search_slots assigns them in SLOTS order from candidates built by
+    backtrack assigns them in SLOTS order from candidates built by
     linear algebra (_slot_candidates): the automorphisms of the slot that
     commute with every operation to or from the slots before it.  One
     node is one candidate tried, counted against budget; a search that
@@ -664,7 +669,7 @@ def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
 
     system = functools.cache(lambda slot: _slot_candidates(M, N, slot))  # built on first visit
     choice: dict[tuple[str, int], GroupHom] = {}
-    found = search_slots(lambda slot: system(slot)(choice), lambda name, n: True, choice, tick)
+    found = backtrack(SLOTS, lambda slot: system(slot)(choice), lambda slot: True, choice, tick)
     if next(found, None) is None:
         return None
     return {(p, n): choice[slot_of(p, n)] for p in PARTS for n in range(8)}

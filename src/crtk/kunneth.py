@@ -19,9 +19,14 @@ only candidate is the zero map, which intertwines (both sides of each
 condition pass through the trivial group).  The search is pruned
 further by every relation and exactness node of crt_core.CHECKS, each
 in each degree, at the operation that completes it; a full assignment
-therefore is an acyclic CRT-module, and no final suite runs on it.  A
-search decides each check once for each degree and set of operands, the
-operands keyed by identity (every candidate lives for the whole search).
+therefore is an acyclic CRT-module, and no final suite runs on it.
+Both stages, slots then operations, run on crt_core.backtrack, the
+engine of the isomorphism search too, and one rule (crt_core.place)
+puts each operation instance at the later of its two slots and each
+check at the last operation it reads.  A search lists the candidates of
+an instance once per pair of slot options and decides each check once
+for each degree and set of operands, options and operands keyed by
+identity (every one lives for the whole search).
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -58,11 +63,13 @@ from .crt_core import (
     OP_SPECS,
     PARTS,
     SLOTS,
+    SLOT_OPS,
+    backtrack,
     crt_isomorphic,
     direct_sum,
     make_module,
     module_to_json,
-    search_slots,
+    place,
     slot_of,
     suspend,
     verify_relations,
@@ -148,25 +155,12 @@ def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
 # Operation assignment order; psiT is derived from eps.r.zeta - 1.
 _OP_ORDER = [(name, n) for name in ("zeta", "gamma", "psiU", "c", "r", "tau", "eps")
              for n in range(8)]
-_ORDER_INDEX = {key: i for i, key in enumerate(_OP_ORDER)}
-
-
-def _schedule() -> dict[tuple[str, int], list[tuple[Check, int]]]:
-    """Each (check, degree) of crt_core.CHECKS at the operation that completes it.
-
-    psiT_n is derived when eps_n is assigned, so a read of psiT_n counts as eps_n.
-    """
-    reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in _OP_ORDER}
-    for chk in CHECKS:
-        if chk.name == "eps.r.zeta=1+psiT":
-            continue  # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so it always holds
-        for n in range(8):
-            keys = [("eps" if name == "psiT" else name, (n + off) % 8) for name, off in chk.reads]
-            reg[max(keys, key=_ORDER_INDEX.__getitem__)].append((chk, n))
-    return reg
-
-
-_SCHEDULE = _schedule()
+# Each (check, degree) of crt_core.CHECKS at the operation that completes it; psiT_n is
+# derived when eps_n is assigned, so a read of psiT_n counts as eps_n.  _derive_psiT
+# defines psiT_n as eps_n.r_n.zeta_n - 1, so eps.r.zeta=1+psiT always holds and is left out.
+_SCHEDULE = place(_OP_ORDER, (((chk, n), [("eps" if name == "psiT" else name, (n + off) % 8)
+                                          for name, off in chk.reads])
+                              for chk in CHECKS if chk.name != "eps.r.zeta=1+psiT" for n in range(8)))
 
 
 class _Assigned:
@@ -228,10 +222,13 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[
 class _Search:
     """One Kunneth solve: a slot stage, then an operation stage per full slot choice.
 
-    The slot stage runs crt_core.search_slots over the extension options
-    of each slot and prunes a choice as soon as some operation instance
-    between assigned slots has no candidate; every instance of a full
-    choice thus has one.  Both stages count their nodes against one budget.
+    Both stages run on crt_core.backtrack and count their nodes against
+    one budget.  The slot stage assigns the extension options of each slot
+    and prunes a choice as soon as some operation instance between assigned
+    slots has no candidate (SLOT_OPS); every instance of a full choice thus
+    has one.  The operation stage assigns each key of _OP_ORDER the
+    candidates the gauge table visits and prunes with the checks _SCHEDULE
+    places there.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
@@ -242,8 +239,9 @@ class _Search:
         self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
-        # Per-search memos keyed by operand ids (_cand_cache and _psiT keep every operand alive):
-        # psiT per (eps, r, zeta), and each verdict per (check, degree, operands).
+        # Per-search memos keyed by ids (slot_options keeps every option alive, _cand_cache and
+        # _psiT every operand): candidates per (instance, slot options), psiT per (eps, r, zeta),
+        # and each verdict per (check, degree, operands).
         self._psiT: dict[tuple[int, int, int], GroupHom] = {}
         self._verdicts: dict[tuple, bool] = {}
         self.gauge: Optional[dict[tuple[str, int], Optional[frozenset[int]]]] = None  # _gauge_table(p)
@@ -254,14 +252,13 @@ class _Search:
 
     def run(self):
         self._slot_choice = {}
-        for _ in search_slots(self.slot_options.__getitem__, self._solvable, self._slot_choice,
-                              lambda: self._tick("slot")):
+        # A slot fits when every instance it completes has a candidate (psiT is derived, not searched).
+        for _ in backtrack(SLOTS, self.slot_options.__getitem__,
+                           lambda slot: all(name == "psiT" or self._instance_candidates(name, n)
+                                            for name, n in SLOT_OPS[slot]),
+                           self._slot_choice, lambda: self._tick("slot")):
             self._op_stage()
         return self.solutions
-
-    def _solvable(self, name: str, n: int) -> bool:
-        """Slot-stage pruning: the instance has a candidate (psiT is derived, not searched)."""
-        return name == "psiT" or bool(self._instance_candidates(name, n))
 
     def _tick(self, stage: str):
         self.nodes += 1
@@ -289,16 +286,14 @@ class _Search:
         hom_coords (the order _gauge_table indexes).
         """
         src, tgt, shift = OP_SPECS[name]
-        m = (n + shift) % 8
-        Ks, a_s, b_s = self._option(src, n)
-        Kt, a_t, b_t = self._option(tgt, m)
-        P = self.p.tensor.op(name, n)
-        Q = self.p.tor.op(name, n - 1)
-        cache_key = (name, n, Ks, Kt, a_s.matrix.entries, b_s.matrix.entries,
-                     a_t.matrix.entries, b_t.matrix.entries)
+        opt_s, opt_t = self._option(src, n), self._option(tgt, n + shift)
+        cache_key = (name, n, id(opt_s), id(opt_t))
         hit = self._cand_cache.get(cache_key)
         if hit is not None:
             return hit
+        (Ks, a_s, b_s), (Kt, a_t, b_t) = opt_s, opt_t
+        P = self.p.tensor.op(name, n)
+        Q = self.p.tor.op(name, n - 1)
         if Ks.is_trivial() or Kt.is_trivial():
             # Hom(Ks, Kt) is the zero map alone, and every square through a trivial group commutes.
             out = self._cand_cache[cache_key] = [GroupHom(Ks, Kt, IntMatrix.zeros(Kt.ngens, Ks.ngens))]
@@ -327,32 +322,26 @@ class _Search:
         if self.gauge is None:
             self.gauge = _gauge_table(self.p)
 
-        def rec(i: int):
-            if i == len(_OP_ORDER):
-                yield ops
-                return
-            key = _OP_ORDER[i]
+        def visited(key):
+            """The candidates of key first in their gauge orbit; each other one is ticked and skipped here."""
             visit = self.gauge[key]
             for j, h in enumerate(cand[key]):
-                self._tick("operation")
-                if visit is not None and j not in visit:
+                if visit is None or j in visit:
+                    yield h
+                else:
+                    self._tick("operation")
                     self.skipped += 1
-                    continue
-                ops[key] = h
-                if key[0] == "eps":
-                    n = key[1]
-                    triple = (id(h), id(ops[("r", n)]), id(ops[("zeta", n)]))
-                    if (psiT := self._psiT.get(triple)) is None:
-                        psiT = self._psiT[triple] = self._derive_psiT(ops, n)
-                    ops[("psiT", n)] = psiT
-                if all(self._holds(chk, n, view) for chk, n in _SCHEDULE[key]):
-                    yield from rec(i + 1)
-            ops.pop(key, None)
-            ops.pop(("psiT", key[1]), None)
 
-        # A generator runs _finish and the node checks off this 56-frame recursion: CPython 3.11
-        # allocates and frees a frame-stack chunk per call in a loop that straddles a chunk edge.
-        for full in rec(0):
+        def fits(key) -> bool:
+            name, n = key
+            if name == "eps":  # a psiT_n left by backtracking is never read: its checks come at eps_n or later
+                triple = (id(ops[key]), id(ops[("r", n)]), id(ops[("zeta", n)]))
+                if (psiT := self._psiT.get(triple)) is None:
+                    psiT = self._psiT[triple] = self._derive_psiT(ops, n)
+                ops[("psiT", n)] = psiT
+            return all(self._holds(chk, m, view) for chk, m in _SCHEDULE[key])
+
+        for full in backtrack(_OP_ORDER, visited, fits, ops, lambda: self._tick("operation")):
             self._finish(full)
 
     def _holds(self, chk: Check, n: int, view: _Assigned) -> bool:

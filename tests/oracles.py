@@ -15,8 +15,10 @@ from typing import Callable, Optional, Sequence
 
 from crtk.catalog import cuntz_module
 from crtk.crt_core import (
+    CHECKS,
     BudgetExceeded,
     CRTModule,
+    Check,
     Morphism,
     OP_NAMES,
     OP_SPECS,
@@ -40,6 +42,7 @@ from crtk.free_crt import (
     monogenic,
     realize_morphism,
 )
+from crtk.kunneth import _OP_ORDER
 from crtk.tensor import (
     FreeResolution,
     TensorModule,
@@ -403,6 +406,37 @@ def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -
     if not rec(0):
         return None
     return {(p, n): assignment[slot_of(p, n)] for p in PARTS for n in range(8)}
+
+
+# ---------------------------------------------------------------------------
+# Where each search checks each constraint, as first written
+# ---------------------------------------------------------------------------
+
+
+def slot_ops_oracle() -> dict[tuple[str, int], list[tuple[str, int]]]:
+    """crt_core.SLOT_OPS: each (op, degree) instance at the later, in SLOTS order, of its two endpoint slots."""
+    out: dict[tuple[str, int], list[tuple[str, int]]] = {slot: [] for slot in SLOTS}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            out[max(slot_of(src, n), slot_of(tgt, n + shift), key=SLOTS.index)].append((name, n))
+    return out
+
+
+def schedule_oracle() -> dict[tuple[str, int], list[tuple[Check, int]]]:
+    """kunneth._SCHEDULE: each (check, degree) of crt_core.CHECKS at the operation that completes it.
+
+    psiT_n is derived when eps_n is assigned, so a read of psiT_n counts as eps_n.
+    """
+    order_index = {key: i for i, key in enumerate(_OP_ORDER)}
+    reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in _OP_ORDER}
+    for chk in CHECKS:
+        if chk.name == "eps.r.zeta=1+psiT":
+            continue  # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so it always holds
+        for n in range(8):
+            keys = [("eps" if name == "psiT" else name, (n + off) % 8) for name, off in chk.reads]
+            reg[max(keys, key=order_index.__getitem__)].append((chk, n))
+    return reg
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from crtk.crt_core import (
     PARTS,
     SLOTS,
     SLOT_OPS,
+    backtrack,
     crt_isomorphic,
     direct_sum,
     eta_O,
@@ -51,7 +52,7 @@ from crtk.zlinalg import (
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
 from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, morphism_commutes_oracle,
-                     morphism_is_iso, well_defined_matrix)
+                     morphism_is_iso, slot_ops_oracle, well_defined_matrix)
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -537,6 +538,11 @@ class TestSlotEngine:
                 assert slot == max(ends, key=SLOTS.index)
             assert SLOT_OPS[slot] == sorted(SLOT_OPS[slot], key=lambda i: (OP_NAMES.index(i[0]), i[1]))
 
+    def test_slot_ops_agree_with_oracle(self):
+        """The placement rule gives the table as first written, list order included."""
+        assert SLOT_OPS == slot_ops_oracle()
+        assert list(SLOT_OPS) == SLOTS
+
     def test_self_and_conjugated(self):
         M = cuntz_module(3)
         assert self.agree(M, M) is not None
@@ -581,6 +587,82 @@ class TestSlotEngine:
         assert self.outcome(crt_isomorphic, Z, M, budget=158) is None
         assert self.outcome(crt_isomorphic, Z, M, budget=157) == "budget exceeded"
         assert self.outcome(crt_isomorphic, _twisted(M, 3), M, budget=3) == "budget exceeded"
+
+
+class TestBacktrack:
+    """crt_core.backtrack's contract on hand-made keys and options."""
+
+    KEYS = ["a", "b", "c"]
+    OPTIONS = {"a": [1, 2], "b": [10, 20, 30], "c": [100, 200]}
+
+    def search(self, events=None, fits=lambda key, choice: True, tick=lambda: None, choice=None):
+        """backtrack over KEYS, logging each option offered, tick and fits call in events."""
+        events = [] if events is None else events
+        choice = {} if choice is None else choice
+
+        def options(key):
+            for opt in self.OPTIONS[key]:
+                events.append(("option", key, opt))
+                yield opt
+
+        def ticked():
+            events.append("tick")
+            tick()
+
+        def fitting(key):
+            events.append(("fits", key, choice[key]))
+            return fits(key, choice)
+
+        return backtrack(self.KEYS, options, fitting, choice, ticked)
+
+    @staticmethod
+    def no_twenty(key, choice):
+        return choice[key] != 20
+
+    def test_tick_runs_once_per_candidate_rejected_ones_included(self):
+        events = []
+        list(self.search(events, fits=self.no_twenty))
+        offered = [e for e in events if e[0] == "option"]
+        # a: 2; per a, b: 3, and c only under b = 10 and b = 30: 2 + 2 * (3 + 2 * 2).
+        assert len(offered) == events.count("tick") == 16
+        for i, e in enumerate(events):
+            if e[0] == "option":
+                assert events[i + 1:i + 3] == ["tick", ("fits", e[1], e[2])]
+
+    def test_yields_the_same_dict_once_per_full_assignment_in_option_order(self):
+        choice = {}
+        got = [(full is choice, dict(full)) for full in self.search(fits=self.no_twenty, choice=choice)]
+        want = [{"a": a, "b": b, "c": c} for a in (1, 2) for b in (10, 30) for c in (100, 200)]
+        assert got == [(True, w) for w in want]
+
+    def test_choice_is_empty_after_exhaustion(self):
+        choice = {}
+        assert len(list(self.search(choice=choice))) == 12
+        assert choice == {}
+        self.OPTIONS = {**self.OPTIONS, "c": []}  # no full assignment at all
+        assert list(self.search(choice=choice)) == [] and choice == {}
+
+    def test_errors_from_tick_and_fits_propagate(self):
+        ticks = []
+
+        def tick():
+            ticks.append(None)
+            if len(ticks) == 5:
+                raise BudgetExceeded("out of nodes")
+
+        with pytest.raises(BudgetExceeded, match="out of nodes"):
+            list(self.search(tick=tick))
+        assert len(ticks) == 5
+
+        def fits(key, choice):
+            if choice == {"a": 1, "b": 20}:
+                raise RuntimeError("check failed to run")
+            return True
+
+        found = self.search(fits=fits)
+        assert next(found) == {"a": 1, "b": 10, "c": 100}
+        with pytest.raises(RuntimeError, match="check failed to run"):
+            list(found)
 
 
 class TestEqualModules:

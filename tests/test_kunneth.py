@@ -59,7 +59,7 @@ from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
 from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, _slot_gauge, conjugate,
                             instance_candidates_oracle, solve_middle_oracle, solved_candidates_oracle)
-from oracles import hom_group_elements
+from oracles import hom_group_elements, schedule_oracle
 
 # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
 # search and is not scheduled there; it stays in CHECKS and so in the relation suite.
@@ -259,6 +259,11 @@ class TestCheckSchedule:
         assert registered == Counter({(chk.name, n): 1 for chk in CHECKS for n in range(8)
                                       if chk.name != TAUTOLOGY})
 
+    def test_agrees_with_oracle(self):
+        """The placement rule gives the schedule as first written, list order included."""
+        assert _SCHEDULE == schedule_oracle()
+        assert list(_SCHEDULE) == _OP_ORDER
+
     def test_derived_psiT_relation_is_not_scheduled(self):
         assert TAUTOLOGY in {chk.name for chk in CHECKS}
         assert all(chk.name != TAUTOLOGY for entries in _SCHEDULE.values() for chk, _ in entries)
@@ -297,6 +302,16 @@ class TestPerSearchVerdicts:
             solve_middle(problem)
         assert [r.getMessage() for r in caplog.records] == [
             "Kunneth search: 586 nodes, 1 raw middles, 1 kept, 73 non-canonical candidates skipped"]
+
+    def test_triple_solve_pins(self, monkeypatch):
+        """O3 x middle(O3 x O5): the one search whose operation stage runs at scale."""
+        problem = triple_problem(2, 2, 4)
+        decided = self.counting(monkeypatch, Check, "holds")
+        looked_up = self.counting(monkeypatch, _Search, "_holds")
+        search = _Search(problem, 5_000_000)
+        kept = search.run()
+        assert (search.nodes, search.skipped, search.raw, len(kept)) == (368_494, 191_424, 4, 1)
+        assert (looked_up["_holds"], decided["holds"]) == (288_988, 947)
 
     def test_oracles_decide_every_lookup(self, monkeypatch):
         problem = make_problem(4, 4)
