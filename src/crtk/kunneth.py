@@ -34,10 +34,13 @@ Hom(tor_{n-1}, tensor_n)) fix both maps, so their product G over the
 slots maps middles to CRT-isomorphic middles, and every pruning check
 gives the same answer on a candidate and on its image.  As beta.alpha = 0,
 u_t.theta.u_s^-1 moves the candidate at W to the one at W + h_t.Q - P.h_s
-(P, Q the tensor and Tor operations) for every slot choice.  One table
-per problem (_gauge_table) lists the candidates first in their orbit
-under the stabilizer of the operations before; the search visits only
-those ("orderly" search) and reaches the first copy of each G-orbit.
+(P, Q the tensor and Tor operations) for every slot choice.  These moves
+form one subgroup D(G) of the W coordinates of all operation instances,
+and one echelon form of it (_gauge_table) bounds each coordinate: the W
+below every bound are exactly those first in their orbit under the
+stabilizer of the operations before.  The search builds only the
+candidates in that box ("orderly" search), so it reaches the first copy
+of each G-orbit, and every node is a candidate it tries.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism
 as they arrive; the dedup still catches isomorphisms outside G.  Each
@@ -88,7 +91,6 @@ from .zlinalg import (
     hom_coords,
     hom_matrix,
     identity_hom,
-    kernel_lattice,
     solve_int,
 )
 
@@ -177,46 +179,35 @@ class _Assigned:
             raise LookupError(f"{name}_{n % 8} is not assigned yet") from None
 
 
-def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[int]]]:
-    """For each key of _OP_ORDER, the candidate indices the orderly search visits.
+def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
+    """For each key of _OP_ORDER, the bound of each hom_coord of its W: the box the search visits.
 
-    L spans the stabilizer of the keys before in gauge coordinates (the
-    hom_coords of each slot's Hom(quot, sub)).  Candidate j is visited iff
-    W_j is least (index order is lexicographic) in W_j + D(L), where
-    D(h) = h_t.Q - P.h_s: iff each coordinate of W_j is below the pivot of
-    echelon_mod(D(L)) there.  None if D(L) = 0, so all are visited.
+    The gauge group, the hom_coords of each slot's Hom(quot, sub), moves
+    the W coordinates of all keys at once, in _OP_ORDER order, by
+    D(h) = h_t.Q - P.h_s.  W of a key is least (lexicographically) in its
+    orbit under the stabilizer of the keys before iff each coordinate is
+    below the pivot of echelon_mod(D) there: the elements of D's image
+    that vanish before a coordinate take exactly the multiples of its pivot.
     """
     homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
     zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
-    gauge = [c for slot in SLOTS for c in hom_coords(*homs[slot])]
-    L = IntMatrix.identity(len(gauge))
-    table = dict.fromkeys(_OP_ORDER)
+    rows, orders, sizes = [], [], []
     for name, n in _OP_ORDER:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
         P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
         coords = hom_coords(Q.domain, P.codomain)
-        orders = [order for *_, order in coords]
-        # M = D.L, D in gauge coordinates (zero off slots s and t) read at the hom_coords
-        # of the product D(h), a hom: its entry at a coordinate is a multiple of the step.
+        # D in gauge coordinates (zero off slots s and t) read at the hom_coords of the
+        # product D(h), a hom: its entry at a coordinate is a multiple of the step.
         D = {slot: commutation_rows(*homs[slot], Q.matrix if slot == t else None,
                                     P.matrix if slot == s else None) for slot in {s, t}}
-        M = IntMatrix.from_rows(
-            [[x // st for slot in SLOTS
-              for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
-             for r, c, st, _ in coords], cols=len(gauge)) * L
-
-        pivots = [v[i] for i, v in enumerate(echelon_mod(M.columns(), orders))]
-        if pivots == orders:
-            continue
-        table[(name, n)] = frozenset(j for j, w in enumerate(itertools.product(*map(range, orders)))
-                                     if all(map(int.__lt__, w, pivots)))
-        K = kernel_lattice(M.hstack(IntMatrix.diag(orders)))
-        L = L * IntMatrix.from_rows(K.entries[:L.cols], cols=K.cols)
-        # Entries modulo the gauge orders: D kills those multiples, and L stays small.
-        L = IntMatrix.from_rows([[x % c[3] for x in row] for row, c in zip(L.entries, gauge)],
-                                cols=L.cols)
-    return table
+        rows += [[x // st for slot in SLOTS
+                  for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
+                 for r, c, st, _ in coords]
+        orders += [order for *_, order in coords]
+        sizes.append(len(coords))
+    pivots = iter([v[i] for i, v in enumerate(echelon_mod(list(zip(*rows)), orders))])
+    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OP_ORDER, sizes)}
 
 
 class _Search:
@@ -226,9 +217,10 @@ class _Search:
     one budget.  The slot stage assigns the extension options of each slot
     and prunes a choice as soon as some operation instance between assigned
     slots has no candidate (SLOT_OPS); every instance of a full choice thus
-    has one.  The operation stage assigns each key of _OP_ORDER the
-    candidates the gauge table visits and prunes with the checks _SCHEDULE
-    places there.
+    has one.  The operation stage assigns each key of _OP_ORDER its
+    candidates and prunes with the checks _SCHEDULE places there.  Only the
+    candidates in the gauge table's box are ever built, so a node is a
+    candidate the search tries.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
@@ -236,7 +228,6 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.raw = 0        # middles reaching _finish
-        self.skipped = 0    # operation candidates skipped as not first in their gauge orbit
         self.solutions: list[KunnethSolution] = []
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
         # Per-search memos keyed by ids (slot_options keeps every option alive, _cand_cache and
@@ -244,7 +235,7 @@ class _Search:
         # and each verdict per (check, degree, operands).
         self._psiT: dict[tuple[int, int, int], GroupHom] = {}
         self._verdicts: dict[tuple, bool] = {}
-        self.gauge: Optional[dict[tuple[str, int], Optional[frozenset[int]]]] = None  # _gauge_table(p)
+        self.bounds = _gauge_table(p)  # the gauge box: per key, a bound on each hom_coord of W
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
                              for slot in SLOTS}
 
@@ -278,12 +269,12 @@ class _Search:
         return self._option(part, n)[0]
 
     def _instance_candidates(self, name: str, n: int) -> list[GroupHom]:
-        """All operation matrices satisfying the intertwining constraints.
+        """The operation matrices satisfying the intertwining constraints, inside the gauge box.
 
         theta0 solves theta.alpha_s = alpha_t.P and beta_t.theta = Q.beta_s in
-        the hom_coords of Hom(Ks, Kt); candidate j is theta0 + alpha_t.W_j.beta_s,
-        W_j the j-th element of Hom(quot, sub) in lexicographic order of its
-        hom_coords (the order _gauge_table indexes).
+        the hom_coords of Hom(Ks, Kt); the candidates are theta0 + alpha_t.W.beta_s
+        for the W of Hom(quot, sub) whose hom_coords lie below self.bounds, in
+        lexicographic order of those coordinates.  No W outside the box is built.
         """
         src, tgt, shift = OP_SPECS[name]
         opt_s, opt_t = self._option(src, n), self._option(tgt, n + shift)
@@ -311,7 +302,7 @@ class _Search:
             # W -> alpha_t.W.beta_s is injective (alpha_t is, and beta_s is onto): no repeats.
             theta0, quot, sub = hom_matrix(Ks, Kt, x0[:ncoords]), Q.domain, P.codomain
             out = [GroupHom(Ks, Kt, theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix)
-                   for w in itertools.product(*(range(order) for *_, order in hom_coords(quot, sub)))]
+                   for w in itertools.product(*map(range, self.bounds[(name, n)]))]
         self._cand_cache[cache_key] = out
         return out
 
@@ -319,18 +310,6 @@ class _Search:
         ops: dict[tuple[str, int], GroupHom] = {}
         view = _Assigned(ops, self._k_group)
         cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
-        if self.gauge is None:
-            self.gauge = _gauge_table(self.p)
-
-        def visited(key):
-            """The candidates of key first in their gauge orbit; each other one is ticked and skipped here."""
-            visit = self.gauge[key]
-            for j, h in enumerate(cand[key]):
-                if visit is None or j in visit:
-                    yield h
-                else:
-                    self._tick("operation")
-                    self.skipped += 1
 
         def fits(key) -> bool:
             name, n = key
@@ -341,7 +320,7 @@ class _Search:
                 ops[("psiT", n)] = psiT
             return all(self._holds(chk, m, view) for chk, m in _SCHEDULE[key])
 
-        for full in backtrack(_OP_ORDER, visited, fits, ops, lambda: self._tick("operation")):
+        for full in backtrack(_OP_ORDER, cand.__getitem__, fits, ops, lambda: self._tick("operation")):
             self._finish(full)
 
     def _holds(self, chk: Check, n: int, view: _Assigned) -> bool:
@@ -375,11 +354,12 @@ _SOLVED: dict[tuple[CRTModule, CRTModule, int], list[KunnethSolution]] = {}
 def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolution]:
     """All middles K for the extension problem, up to CRT-isomorphism.
 
-    The operation search visits the first copy of each gauge orbit, as the
-    problem's gauge table says (module docstring), and keeps the first
-    middle of each class in arrival order.  Raises BudgetExceeded when
-    the node budget runs out; an empty result for a pair the tables
-    cover signals a transcription error upstream.
+    The operation search builds and tries only the first copy of each
+    gauge orbit, the candidates in the problem's gauge box (module
+    docstring), and keeps the first middle of each class in arrival
+    order.  Raises BudgetExceeded when the node budget runs out; an empty
+    result for a pair the tables cover signals a transcription error
+    upstream.
 
     The search is a deterministic function of (p.tensor, p.tor, budget),
     so it runs once per distinct value of these in a process; a repeat
@@ -394,9 +374,8 @@ def solve_middle(p: KunnethProblem, budget: int = 5_000_000) -> list[KunnethSolu
         for sol in kept:
             sol.split = split_check(sol, p)
         _SOLVED[key] = kept
-        log.debug("Kunneth search: %d nodes, %d raw middles, %d kept, "
-                  "%d non-canonical candidates skipped",
-                  search.nodes, search.raw, len(kept), search.skipped)
+        log.debug("Kunneth search: %d nodes, %d raw middles, %d kept",
+                  search.nodes, search.raw, len(kept))
     else:
         log.debug("Kunneth search: reused the solve of an equal problem, %d kept", len(kept))
     return [replace(sol, alpha=dict(sol.alpha), beta=dict(sol.beta)) for sol in kept]

@@ -197,7 +197,7 @@ class SmithDecomposition:
 
 
 class _SnfWorker:
-    """Mutable Smith-form computation tracking U, U^-1, V, V^-1."""
+    """Mutable Smith-form computation tracking U, U^-1 and V."""
 
     def __init__(self, A: IntMatrix):
         self.m, self.n = A.rows, A.cols
@@ -205,7 +205,6 @@ class _SnfWorker:
         self.U = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
         self.Ui = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
         self.V = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Vi = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
 
     # Row operations act on the left; mirrored in U, inverted in Ui columns.
     def swap_rows(self, i, j):
@@ -231,7 +230,7 @@ class _SnfWorker:
         for r in self.Ui:
             r[j] -= q * r[i]
 
-    # Column operations act on the right; mirrored in V, inverted in Vi rows.
+    # Column operations act on the right; mirrored in V.
     def swap_cols(self, i, j):
         if i == j:
             return
@@ -239,7 +238,6 @@ class _SnfWorker:
             r[i], r[j] = r[j], r[i]
         for r in self.V:
             r[i], r[j] = r[j], r[i]
-        self.Vi[i], self.Vi[j] = self.Vi[j], self.Vi[i]
 
     def addmul_col(self, i, j, q):
         # col_i += q * col_j
@@ -249,7 +247,6 @@ class _SnfWorker:
             r[i] += q * r[j]
         for r in self.V:
             r[i] += q * r[j]
-        self.Vi[j] = [a - q * b for a, b in zip(self.Vi[j], self.Vi[i])]
 
     def _pivot(self, t):
         """Smallest nonzero absolute value; ties broken by row then column."""
@@ -312,8 +309,8 @@ class _SnfWorker:
 
 
 @functools.cache
-def _snf_full(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """(U, Uinv, D, V, Vinv) with U*A*V = D; deterministic, computed once per matrix."""
+def _snf_full(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """(U, Uinv, D, V) with U*A*V = D; deterministic, computed once per matrix."""
     w = _SnfWorker(A)
     w.run()
     m, n = A.rows, A.cols
@@ -322,7 +319,6 @@ def _snf_full(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix,
         IntMatrix(m, m, tuple(map(tuple, w.Ui))),
         IntMatrix(m, n, tuple(map(tuple, w.M))),
         IntMatrix(n, n, tuple(map(tuple, w.V))),
-        IntMatrix(n, n, tuple(map(tuple, w.Vi))),
     )
 
 
@@ -332,7 +328,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors
     (2, 4)
     """
-    U, _, D, V, _ = _snf_full(A)
+    U, _, D, V = _snf_full(A)
     diag = [D.entries[i][i] for i in range(min(A.rows, A.cols))]
     inv = tuple(d for d in diag if d != 0)
     return SmithDecomposition(U, D, V, inv)
@@ -349,7 +345,7 @@ def _diag_of(A: IntMatrix, k: int) -> list[int]:
 
 def solve_int(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """One integer solution of A x = b, or None."""
-    U, _, D, V, _ = _snf_full(A)
+    U, _, D, V = _snf_full(A)
     c = U.apply(b)
     y = [0] * A.cols
     d = _diag_of(D, max(A.rows, A.cols))
@@ -367,7 +363,7 @@ def solve_int(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
 
 def kernel_lattice(A: IntMatrix) -> IntMatrix:
     """Columns generate {x : A x = 0} as a lattice."""
-    _, _, D, V, _ = _snf_full(A)
+    _, _, D, V = _snf_full(A)
     d = _diag_of(D, A.cols)
     cols = [V.col(j) for j in range(A.cols) if d[j] == 0]
     return IntMatrix.from_cols(cols, rows=A.cols)
@@ -375,7 +371,7 @@ def kernel_lattice(A: IntMatrix) -> IntMatrix:
 
 def lattice_basis(L: IntMatrix) -> IntMatrix:
     """A Z-basis (as columns) of the column span of L."""
-    _, Ui, D, _, _ = _snf_full(L)
+    _, Ui, D, _ = _snf_full(L)
     d = _diag_of(D, min(L.rows, L.cols))
     cols = [tuple(d[i] * x for x in Ui.col(i)) for i in range(len(d)) if d[i] != 0]
     return IntMatrix.from_cols(cols, rows=L.rows)
@@ -483,7 +479,7 @@ def _quotient_data(n: int, rels: IntMatrix) -> tuple[FinAbGroup, IntMatrix, IntM
     """
     if rels.rows != n:
         raise ValueError("relation matrix has wrong number of rows")
-    U, Ui, D, _, _ = _snf_full(rels)
+    U, Ui, D, _ = _snf_full(rels)
     d = _diag_of(D, n)
     keep = [i for i in range(n) if d[i] != 1]
     torsion = tuple(d[i] for i in keep if d[i] >= 2)

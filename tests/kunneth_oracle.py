@@ -12,8 +12,11 @@ deduplicated pairwise up to CRT-isomorphism afterwards.
 EnumeratedGauge keeps the gauge fixing as it was first written: the
 gauge group is a list of index tuples into the per-slot automorphism
 lists of _slot_gauge, and each candidate filters the stabilizer of the
-operations before it element by element.  The solver reads the same
-verdicts from one table per problem (kunneth._gauge_table).
+operations before it element by element.  gauge_table_oracle keeps the
+table that came next: a stabilizer chain, one kernel_lattice per
+operation, and the visited candidate indices listed.  The solver reads
+the same verdicts from the bounds of one echelon form per problem
+(kunneth._gauge_table) and builds only the candidates inside them.
 
 instance_candidates_oracle keeps the operation candidates as first
 written: one unknown per entry of the operation matrix, explicit
@@ -28,6 +31,7 @@ zero map.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from crtk.crt_core import (
     OP_NAMES,
@@ -49,10 +53,59 @@ from crtk.kunneth import (
     _Search,
     split_check,
 )
-from crtk.zlinalg import (FinAbGroup, GroupHom, IntMatrix, commutation_rows, hom_compose, hom_coords,
-                          hom_matrix, identity_hom, solve_int)
+from crtk.zlinalg import (FinAbGroup, GroupHom, IntMatrix, commutation_rows, echelon_mod, hom_compose,
+                          hom_coords, hom_matrix, identity_hom, kernel_lattice, solve_int)
 
 from oracles import hom_group_elements, hom_preimage, solve_matrix_system
+
+
+def full_boxes(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
+    """Each hom_coord of each key's W at its order: the box that holds every candidate."""
+    return {(name, n): [order for *_, order in hom_coords(p.tor.op(name, n - 1).domain,
+                                                         p.tensor.op(name, n).codomain)]
+            for name, n in _OP_ORDER}
+
+
+def gauge_table_oracle(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[int]]]:
+    """For each key of _OP_ORDER, the candidate indices the orderly search visits.
+
+    L spans the stabilizer of the keys before in gauge coordinates (the
+    hom_coords of each slot's Hom(quot, sub)).  Candidate j is visited iff
+    W_j is least (index order is lexicographic) in W_j + D(L), where
+    D(h) = h_t.Q - P.h_s: iff each coordinate of W_j is below the pivot of
+    echelon_mod(D(L)) there.  None if D(L) = 0, so all are visited.
+    """
+    homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
+    zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
+    gauge = [c for slot in SLOTS for c in hom_coords(*homs[slot])]
+    L = IntMatrix.identity(len(gauge))
+    table = dict.fromkeys(_OP_ORDER)
+    for name, n in _OP_ORDER:
+        src, tgt, shift = OP_SPECS[name]
+        s, t = slot_of(src, n), slot_of(tgt, n + shift)
+        P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
+        coords = hom_coords(Q.domain, P.codomain)
+        orders = [order for *_, order in coords]
+        # M = D.L, D in gauge coordinates (zero off slots s and t) read at the hom_coords
+        # of the product D(h), a hom: its entry at a coordinate is a multiple of the step.
+        D = {slot: commutation_rows(*homs[slot], Q.matrix if slot == t else None,
+                                    P.matrix if slot == s else None) for slot in {s, t}}
+        M = IntMatrix.from_rows(
+            [[x // st for slot in SLOTS
+              for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
+             for r, c, st, _ in coords], cols=len(gauge)) * L
+
+        pivots = [v[i] for i, v in enumerate(echelon_mod(M.columns(), orders))]
+        if pivots == orders:
+            continue
+        table[(name, n)] = frozenset(j for j, w in enumerate(itertools.product(*map(range, orders)))
+                                     if all(map(int.__lt__, w, pivots)))
+        K = kernel_lattice(M.hstack(IntMatrix.diag(orders)))
+        L = L * IntMatrix.from_rows(K.entries[:L.cols], cols=K.cols)
+        # Entries modulo the gauge orders: D kills those multiples, and L stays small.
+        L = IntMatrix.from_rows([[x % c[3] for x in row] for row, c in zip(L.entries, gauge)],
+                                cols=L.cols)
+    return table
 
 
 class CheckEveryCopy(_Search):
@@ -60,7 +113,7 @@ class CheckEveryCopy(_Search):
 
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
-        self.gauge = dict.fromkeys(_OP_ORDER)  # the gauge table that visits every candidate
+        self.bounds = full_boxes(p)  # no gauge fixing: every candidate is built and tried
 
     def _holds(self, chk, n, view):
         return chk.holds(view, n)  # every visit decides its checks anew: no per-search verdicts
@@ -152,7 +205,15 @@ def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHo
 
 
 class EnumeratedGauge(_Search):
-    """The solver with its gauge group listed and each stabilizer filtered element by element."""
+    """The solver with its gauge group listed and each stabilizer filtered element by element.
+
+    Every candidate is built and ticked; skipped counts those not first in their gauge orbit.
+    """
+
+    def __init__(self, p: KunnethProblem, budget: int):
+        super().__init__(p, budget)
+        self.bounds = full_boxes(p)
+        self.skipped = 0
 
     def _op_stage(self):
         ops = {}
