@@ -474,7 +474,8 @@ class SumLayout:
 
     Raw coordinates are the concatenated generators of the components;
     proj maps raw to canonical coordinates and reps lifts canonical
-    generators back to raw coordinates.
+    generators back to raw coordinates.  identity records that both are
+    identity matrices, i.e. raw coordinates are already canonical.
     """
 
     group: FinAbGroup
@@ -482,6 +483,7 @@ class SumLayout:
     reps: IntMatrix
     offsets: tuple[int, ...]
     widths: tuple[int, ...]
+    identity: bool
 
 
 def sum_layout(components: Sequence[FinAbGroup]) -> SumLayout:
@@ -499,10 +501,24 @@ def _sum_layout(components: tuple[FinAbGroup, ...]) -> SumLayout:
         widths.append(G.ngens)
         invs.extend(G.invariants)
     group, proj, reps = _quotient_data(len(invs), IntMatrix.diag(invs))
-    return SumLayout(group, proj, reps, tuple(offsets), tuple(widths))
+    one = IntMatrix.identity(len(invs))
+    return SumLayout(group, proj, reps, tuple(offsets), tuple(widths), proj == one and reps == one)
+
+
+def between_sums(lay_t: SumLayout, raw: IntMatrix, lay_s: SumLayout) -> IntMatrix:
+    """lay_t.proj * raw * lay_s.reps: a map of raw coordinates in canonical ones.
+
+    A product with an identity layout is skipped, so between two identity
+    layouts the raw matrix itself is returned.
+    """
+    if not lay_t.identity:
+        raw = lay_t.proj * raw
+    return raw if lay_s.identity else raw * lay_s.reps
 
 
 def _block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
+    if len(blocks) == 1:
+        return blocks[0]
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
     out = [[0] * cols for _ in range(rows)]
@@ -532,9 +548,7 @@ def direct_sum_with_layout(modules: Sequence[CRTModule]) -> tuple[CRTModule, dic
         fam = []
         for n in range(8):
             raw = _block_diag([m.op(name, n).matrix for m in modules])
-            lay_s = layouts[(src, n)]
-            lay_t = layouts[(tgt, (n + shift) % 8)]
-            fam.append(lay_t.proj * raw * lay_s.reps)
+            fam.append(between_sums(layouts[(tgt, (n + shift) % 8)], raw, layouts[(src, n)]))
         mats[name] = fam
     return make_module(groups, mats), layouts
 

@@ -291,7 +291,7 @@ def realize_morphism(source: FreeCRT, target_module: CRTModule,
                     cols.append([sign * v for v in y.vec])
             raw = IntMatrix.from_cols(cols, rows=tgt_group.ngens)
             lay = source.layouts[(part, n)]
-            fam[(part, n)] = GroupHom(src_group, tgt_group, raw * lay.reps)
+            fam[(part, n)] = GroupHom(src_group, tgt_group, raw if lay.identity else raw * lay.reps)
     if not morphism_commutes(source.realized, target_module, fam):
         raise ValueError("realized family does not commute with the operations")
     return fam

@@ -412,6 +412,20 @@ def classical_complex_kunneth(k: int, l: int) -> list[FinAbGroup]:
 # ---------------------------------------------------------------------------
 
 
+class MultipleMiddles(RuntimeError):
+    """More than one class of middles survives for a table-covered pair.
+
+    middles holds one middle per class; the message lists them as module JSON.
+    """
+
+    def __init__(self, middles: tuple[CRTModule, ...]):
+        payload = json.dumps([module_to_json(M) for M in middles], indent=1)
+        super().__init__(
+            "multiple non-isomorphic middles survive for a table-covered pair; "
+            "this contradicts the printed determination and needs review:\n" + payload)
+        self.middles = middles
+
+
 @dataclass(eq=False)
 class KunnethReport:
     name_a: str
@@ -451,10 +465,7 @@ def kunneth_pipeline(name_a: str, name_b: str, budget: int = 5_000_000) -> Kunne
     expected = expected_product(k, l)
     matches = [crt_isomorphic(s.middle, expected) is not None for s in solutions]
     if len(solutions) > 1:
-        payload = json.dumps([module_to_json(s.middle) for s in solutions], indent=1)
-        raise RuntimeError(
-            "multiple non-isomorphic middles survive for a table-covered pair; "
-            "this contradicts the printed determination and needs review:\n" + payload)
+        raise MultipleMiddles(tuple(s.middle for s in solutions))
     split = solutions[0].split if solutions else None
     return KunnethReport(name_a, name_b, k, l, tp.tensor, tp.tor,
                          solutions, expected, matches, split)

@@ -8,6 +8,14 @@ matrices by mechanically crossing operation words over the tensor sign.
 The assembled module is validated by the relation suite on construction,
 so a wrong crossing rule cannot survive silently.
 
+What the structure fixes is not recomputed.  A real summand with twist 1
+contributes N's stored matrix itself, a single summand needs no block
+sum, and a raw matrix between identity layouts (crt_core.SumLayout.identity)
+is already canonical, so R(0) ⊗ N is assembled from N's own matrices.
+The induced map id_F ⊗ 1 of a monogenic F is the identity family
+(functoriality), so the odd Cuntz resolutions expand no pure tensor;
+every other unit map is expanded and checked natural.
+
 Sign bookkeeping: the axioms for gamma and tau across a product carry
 (-1)^degree factors; window degrees preserve parity, so the signs below
 depend only on the generator degree parity and fixed offsets.
@@ -31,6 +39,7 @@ from .crt_core import (
     OP_SPECS,
     PARTS,
     _block_diag,
+    between_sums,
     eta_O,
     eta_T,
     make_module,
@@ -56,6 +65,7 @@ from .zlinalg import (
     cokernel_data,
     hom_compose,
     hom_kernel,
+    identity_hom,
     is_exact_at,
     solve_int,
 )
@@ -99,7 +109,8 @@ def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMa
 
     if kind == "R":
         twist = s if name in ("gamma", "tau") else 1
-        return N.op(name, o % 8).matrix.scale(twist)
+        mat = N.op(name, o % 8).matrix
+        return mat if twist == 1 else mat.scale(twist)
 
     if kind == "C":
         psi = op("psiU", o)
@@ -229,9 +240,7 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
                       for s in summands]
             raw = _block_diag(blocks)
             raw_ops[(name, m)] = raw
-            lay_s = layouts[(src, m)]
-            lay_t = layouts[(tgt, (m + shift) % 8)]
-            mats[name].append(lay_t.proj * raw * lay_s.reps)
+            mats[name].append(between_sums(layouts[(tgt, (m + shift) % 8)], raw, layouts[(src, m)]))
     module = make_module(groups, mats)
     rep = verify_relations(module)
     if not rep.ok():
@@ -386,12 +395,16 @@ def induced_tensor_map(mor: FreeMorphism, N: CRTModule) -> Morphism:
 @functools.cache
 def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[MonogenicKind, ...],
               j: int, N: CRTModule) -> Morphism:
-    """Phi_ij ⊗ 1, Phi_ij sending generator i to e_j and the others to 0; checked natural.
+    """Phi_ij ⊗ 1, Phi_ij sending generator i to e_j and the others to 0; natural.
 
-    Built once per distinct arguments in a process by expanding each slot
-    generator: an operation word applied to a pure tensor, so its image is
+    When source and target are the same monogenic module and e_j is its
+    generator, Phi_ij is the identity, and so is Phi_ij ⊗ 1 by
+    functoriality: the identity family of the tensor is returned, with
+    nothing expanded.  Every other unit map is built by expanding each slot
+    generator, an operation word applied to a pure tensor, so its image is
     the same word applied (through the target's raw operations) to the
-    expansion of (generator image) ⊗ n.  Nothing mutates the family.
+    expansion of (generator image) ⊗ n; that family is checked natural.
+    Built once per distinct arguments in a process; nothing mutates the family.
     """
     F, G = free_module(source), free_module(target)
     images = []
@@ -399,7 +412,10 @@ def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[Monogenic
         part, deg = smd.generator_part, smd.generator_degree
         width = G.realized.group(part, deg).ngens
         images.append(Element(part, deg, tuple(int(s == i and t == j) for t in range(width))))
-    tf, tg = tensor_free(F, N), tensor_free(G, N)
+    tf = tensor_free(F, N)
+    if source == target and len(source) == 1 and images[0] == F.generator(0):
+        return {(p, m): identity_hom(tf.module.group(p, m)) for p in PARTS for m in range(8)}
+    tg = tensor_free(G, N)
     fam = _expand_induced_map(FreeMorphism(F, G, images), tf, tg)
     if not morphism_commutes(tf.module, tg.module, fam):
         raise ValueError("induced tensor map fails naturality")
@@ -419,11 +435,9 @@ def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule)
                         continue
                     for col in _slot_generator_images(tgt, mor, smd.kind, x, sl, part, m):
                         cols.append(col)
-            lay_s = src.layouts[(part, m)]
-            lay_t = tgt.layouts[(part, m)]
             raw = IntMatrix.from_cols(cols, rows=sum(s.width for s in tgt.slots[(part, m)]))
             fam[(part, m)] = GroupHom(src.module.group(part, m), tgt.module.group(part, m),
-                                      lay_t.proj * raw * lay_s.reps)
+                                      between_sums(tgt.layouts[(part, m)], raw, src.layouts[(part, m)]))
     return fam
 
 

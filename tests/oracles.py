@@ -30,6 +30,8 @@ from crtk.crt_core import (
     make_module,
     morphism_commutes,
     slot_of,
+    sum_layout,
+    verify_relations,
     xi,
 )
 from crtk.free_crt import (
@@ -44,9 +46,12 @@ from crtk.free_crt import (
 )
 from crtk.kunneth import _OP_ORDER
 from crtk.tensor import (
+    _SLOTS,
     FreeResolution,
     TensorModule,
-    _expand_induced_map,
+    TensorSlot,
+    _slot_generator_images,
+    _summand_raw_op,
     restrict_to_kernels,
     tensor_and_tor,
     tensor_free,
@@ -517,14 +522,87 @@ def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
     return tensor_free(monogenic(kind, k), N)
 
 
+def _block_diag_oracle(blocks: Sequence[IntMatrix]) -> IntMatrix:
+    """The block diagonal matrix, built entry by entry also for one block."""
+    cols = sum(b.cols for b in blocks)
+    out = []
+    c0 = 0
+    for b in blocks:
+        out.extend((0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries)
+        c0 += b.cols
+    return IntMatrix(len(out), cols, tuple(out))
+
+
+def _summand_raw_op_oracle(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMatrix:
+    """tensor._summand_raw_op with every real block a scaled copy of N's matrix, twist 1 included."""
+    if kind == "R":
+        twist = (-1 if g % 2 else 1) if name in ("gamma", "tau") else 1
+        return N.op(name, (m - g) % 8).matrix.scale(twist)
+    return _summand_raw_op(kind, g, N, name, m)
+
+
+@functools.cache
+def tensor_free_oracle(summands: tuple[MonogenicKind, ...], N: CRTModule) -> TensorModule:
+    """tensor.tensor_free by the generic path.
+
+    Every operation is the raw block sum wrapped as proj * raw * reps, also
+    where the layouts are identities; real blocks are scaled copies.
+    """
+    slots: dict = {}
+    layouts: dict = {}
+    groups = {p: [] for p in PARTS}
+    for p in PARTS:
+        for m in range(8):
+            lst, comps, offset = [], [], 0
+            for i, smd in enumerate(summands):
+                for label, npart, rel in _SLOTS[smd.kind][p]:
+                    d = (m - smd.generator_degree + rel) % 8
+                    grp = N.group(npart, d)
+                    lst.append(TensorSlot(i, label, npart, d, offset, grp.ngens))
+                    comps.append(grp)
+                    offset += grp.ngens
+            slots[(p, m)] = lst
+            layouts[(p, m)] = sum_layout(comps)
+            groups[p].append(layouts[(p, m)].group)
+    raw_ops: dict = {}
+    mats: dict = {name: [] for name in OP_NAMES}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for m in range(8):
+            raw = _block_diag_oracle([_summand_raw_op_oracle(s.kind, s.generator_degree, N, name, m)
+                                      for s in summands])
+            raw_ops[(name, m)] = raw
+            mats[name].append(layouts[(tgt, (m + shift) % 8)].proj * raw * layouts[(src, m)].reps)
+    module = make_module(groups, mats)
+    if not verify_relations(module).ok():
+        raise ValueError("assembled tensor fails relations")
+    return TensorModule(module, free_module(summands), N, slots, layouts, raw_ops)
+
+
+def expand_induced_map_oracle(mor: FreeMorphism, src: TensorModule, tgt: TensorModule) -> Morphism:
+    """tensor._expand_induced_map with every degree wrapped as proj * raw * reps."""
+    fam: Morphism = {}
+    for part in PARTS:
+        for m in range(8):
+            cols = [col for i, smd in enumerate(mor.source.summands)
+                    for sl in src.slots[(part, m)] if sl.summand == i
+                    for col in _slot_generator_images(tgt, mor, smd.kind, mor.images[i], sl, part, m)]
+            raw = IntMatrix.from_cols(cols, rows=sum(s.width for s in tgt.slots[(part, m)]))
+            fam[(part, m)] = GroupHom(src.module.group(part, m), tgt.module.group(part, m),
+                                      tgt.layouts[(part, m)].proj * raw * src.layouts[(part, m)].reps)
+    return fam
+
+
 def induced_tensor_map_oracle(mor: FreeMorphism, N: CRTModule) -> Morphism:
     """tensor.induced_tensor_map by the per-pair path.
 
-    The slot expansion of mor's own generator images, then the naturality
-    check on the whole family; no unit maps and no sums.
+    The slot expansion of mor's own generator images over the generic
+    tensors, then the naturality check on the whole family; no unit maps,
+    no sums and no identity read off the structure.
     """
-    src, tgt = tensor_free(mor.source, N), tensor_free(mor.target, N)
-    fam = _expand_induced_map(mor, src, tgt)
+    src = tensor_free_oracle(mor.source.summands, N)
+    tgt = tensor_free_oracle(mor.target.summands, N)
+    fam = expand_induced_map_oracle(mor, src, tgt)
     if not morphism_commutes(src.module, tgt.module, fam):
         raise ValueError("induced tensor map fails naturality")
     return fam

@@ -11,6 +11,7 @@ from math import gcd, prod
 
 import pytest
 
+from crtk import kunneth
 from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.crt_core import (
     CHECKS,
@@ -27,12 +28,14 @@ from crtk.crt_core import (
     slot_of,
     verify_relations,
 )
+from crtk.cli import main
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
     _OP_ORDER,
     _SCHEDULE,
     _SOLVED,
     KunnethProblem,
+    MultipleMiddles,
     _Assigned,
     _extension_options,
     _gauge_table,
@@ -654,3 +657,29 @@ class TestPipeline:
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):
             kunneth_pipeline("R", "O3")
+
+
+class TestMultipleMiddles:
+    """Two surviving classes for a table-covered pair: a typed failure, exit code 1 on the CLI."""
+
+    @pytest.fixture
+    def two_classes(self, monkeypatch):
+        # O3 (x) O3 answered with its own middle and O3 (x) O5's, which is not isomorphic.
+        (own,) = solve(2, 2)[1]
+        (other,) = solve(2, 4)[1]
+        assert crt_isomorphic(own.middle, other.middle) is None
+        monkeypatch.setattr(kunneth, "solve_middle", lambda problem, budget: [own, other])
+        return own.middle, other.middle
+
+    def test_pipeline_raises_with_the_middles(self, two_classes):
+        with pytest.raises(MultipleMiddles, match="^multiple non-isomorphic middles survive") as exc:
+            kunneth_pipeline("O3", "O3")
+        assert isinstance(exc.value, RuntimeError)
+        assert exc.value.middles == two_classes
+        payload = str(exc.value).split("\n", 1)[1]
+        assert json.loads(payload) == [module_to_json(M) for M in two_classes]
+
+    def test_cli_exits_1(self, two_classes, capsys):
+        assert main(["kunneth", "O3", "O3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: multiple non-isomorphic middles survive")

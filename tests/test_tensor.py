@@ -20,6 +20,7 @@ from crtk.crt_core import (
     crt_isomorphic,
     direct_sum,
     is_acyclic,
+    morphism_commutes,
     suspend,
     zero_module,
 )
@@ -39,9 +40,11 @@ from cold_path import clear_caches
 from oracles import (
     complex_tensor_groups,
     complex_tor_groups,
+    expand_induced_map_oracle,
     find_free_isomorphism,
     induced_tensor_map_oracle,
     restrict_to_kernels_oracle,
+    tensor_free_oracle,
     tensor_monogenic,
     tensor_symmetric_check,
     zero_hom,
@@ -61,8 +64,10 @@ class TestUnitLaw:
     @pytest.mark.parametrize("N", [R, C, T, cuntz_module(2), cuntz_module(3), cuntz_module(4)],
                              ids=["R", "C", "T", "O3", "O4", "O5"])
     def test_real_unit(self, N):
+        # R(0) (x) N is assembled from N's own matrices over identity layouts.
         TT = tensor_monogenic("R", 0, N)
         assert modules_equal(TT.module, N)
+        assert all(lay.identity for lay in TT.layouts.values())
 
 
 class TestMonogenicTensors:
@@ -206,10 +211,14 @@ class TestInducedMapBySums:
         assert induced_tensor_map(mor, N) == induced_tensor_map_oracle(mor, N)
 
     def test_naturality_is_still_enforced(self, monkeypatch):
-        # Negate the pure tensor b~ (x) n of a real summand, which every unit map
-        # of O4 (x) O5 reads.  O5 (x) O5 cannot show a sign change here: all its
-        # expansions are a real summand's one U rule, and C (x) O5 splits by the
-        # degree of n, so any signs give an automorphism of a natural family.
+        # Negate the pure tensor b~ (x) n of a real summand.  The unit map of O4's
+        # resolution is id (x) 1, read off without expansion, so the flip goes
+        # through R(0) -> R(0) + R(0), generator to the first generator: a unit map
+        # that is expanded and reads the rule.  Against O5 it negates the real part
+        # and not the complex part, and c is not 2-torsion there.  O5 (x) O5 cannot
+        # show a sign change: all its expansions are a real summand's one U rule,
+        # and C (x) O5 splits by the degree of n, so any signs give an automorphism
+        # of a natural family.  The generic id (x) 1 of O4 (x) O5 fails too.
         expand = tensor._expand_basis
 
         def flipped(kind, off, idx, g, part, N, d2):
@@ -219,13 +228,59 @@ class TestInducedMapBySums:
                 terms = [(label, -sign, h), *rest]
             return terms
 
+        F = monogenic("R", 0)
+        mor = FreeMorphism(F, free_module([MonogenicKind("R", 0)] * 2), [Element("O", 0, (1, 0))])
         clear_caches()
         monkeypatch.setattr(tensor, "_expand_basis", flipped)
         try:
             with pytest.raises(ValueError, match="fails naturality"):
-                tensor_and_tor(cuntz_resolution(3), cuntz_module(4))
+                induced_tensor_map(mor, cuntz_module(4))
+            with pytest.raises(ValueError, match="fails naturality"):
+                induced_tensor_map_oracle(cuntz_resolution(3).mu1, cuntz_module(4))
         finally:
             clear_caches()
+
+
+def unit_morphisms(F):
+    """F -> F sending the generator to each basis element of its group, then to 3 times itself."""
+    s = F.summands[0]
+    part, deg = s.generator_part, s.generator_degree
+    width = F.realized.group(part, deg).ngens
+    for j in range(width):
+        yield FreeMorphism(F, F, [Element(part, deg, tuple(int(t == j) for t in range(width)))])
+    yield FreeMorphism(F, F, [scale_element(F.generator(0), 3)])
+
+
+class TestStructuralShortcuts:
+    """Identity layouts, real summands as N and id (x) 1 against the generic path."""
+
+    @staticmethod
+    def factors():
+        yield from (catalog_entry(name).module for name in ["R", "C", "T"] + [f"O{m}" for m in range(2, 14)])
+        yield solver_middle(4, 4)
+
+    @pytest.mark.parametrize("deg", range(4))
+    @pytest.mark.parametrize("kind", ["R", "C", "T"])
+    def test_agrees_with_the_generic_path(self, kind, deg):
+        F = monogenic(kind, deg)
+        for N in self.factors():
+            got, want = tensor_free(F, N), tensor_free_oracle(F.summands, N)
+            assert modules_equal(got.module, want.module)
+            assert got.layouts == want.layouts and got.raw_ops == want.raw_ops
+            assert ({key: [vars(sl) for sl in lst] for key, lst in got.slots.items()}
+                    == {key: [vars(sl) for sl in lst] for key, lst in want.slots.items()})
+            for mor in unit_morphisms(F):
+                assert induced_tensor_map(mor, N) == induced_tensor_map_oracle(mor, N)
+
+    @pytest.mark.parametrize("kind", ["R", "C", "T"])
+    def test_generic_identity_is_natural(self, kind):
+        for deg in range(4):
+            F = monogenic(kind, deg)
+            for N in self.factors():
+                TT = tensor_free_oracle(F.summands, N)
+                fam = expand_induced_map_oracle(FreeMorphism(F, F, [F.generator(0)]), TT, TT)
+                assert morphism_commutes(TT.module, TT.module, fam)
+                assert fam == {key: identity_hom(TT.module.group(*key)) for key in fam}
 
 
 @functools.cache
