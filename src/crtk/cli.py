@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
     if not rel.ok():
         print(f"relations: FAIL ({rel})")
         return 1
-    acy = is_acyclic(M, check_relations=False)
+    acy = is_acyclic(M)
     free = is_free(M) if acy.ok() else False
     print(f"relations: pass, acyclic: {'pass' if acy.ok() else 'FAIL (' + str(acy) + ')'}, "
           f"free: {'pass' if free else 'no'}")

@@ -17,6 +17,11 @@ compares its sides, and a node runs is_exact_at on them.  Each suite
 runs once per distinct module value in a process (failures cached by
 module and suite); every call gets a fresh report.
 
+Direct sums, free tensors, cokernels and the printed tables are presented
+modules (presented_module): at each part and degree, raw coordinates
+modulo relations read through a zlinalg.Layout, and each raw operation
+carried into canonical coordinates by between_sums.
+
 Operation families (domain part, codomain part, degree shift):
 
     c: O->U    r: U->O    eps: O->T     zeta: T->U
@@ -38,8 +43,7 @@ from .zlinalg import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
-    ZERO_GROUP,
-    _quotient_data,
+    Layout,
     checked_entries,
     commutation_rows,
     echelon_mod,
@@ -50,6 +54,7 @@ from .zlinalg import (
     is_automorphism,
     is_exact_at,
     kernel_lattice,
+    layout,
     solve_int,
 )
 
@@ -221,9 +226,8 @@ def _assemble(groups: tuple[tuple[FinAbGroup, ...], ...],
 
 
 def zero_module() -> CRTModule:
-    g = {p: [ZERO_GROUP] * 8 for p in PARTS}
-    m = {name: [IntMatrix.zeros(0, 0)] * 8 for name in OP_NAMES}
-    return make_module(g, m)
+    """The empty direct sum."""
+    return direct_sum()
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +449,14 @@ def verify_relations(M: CRTModule) -> CheckReport:
     return CheckReport(list(_failures(M, "relations")))
 
 
-def is_acyclic(M: CRTModule, check_relations: bool = True) -> CheckReport:
-    """Exactness of the U/T, O/U and O/T sequences at every node (see CHECKS)."""
-    if check_relations:
-        rel = verify_relations(M)
-        if not rel.ok():
-            raise ValueError(f"relations fail: {rel}")
+def is_acyclic(M: CRTModule) -> CheckReport:
+    """Exactness of the U/T, O/U and O/T sequences at every node (see CHECKS).
+
+    Failing relations raise ValueError; a repeat of verify_relations is a cache hit.
+    """
+    rel = verify_relations(M)
+    if not rel.ok():
+        raise ValueError(f"relations fail: {rel}")
     return CheckReport(list(_failures(M, "nodes")))
 
 
@@ -460,7 +466,7 @@ def is_free(M: CRTModule) -> bool:
         return False
     if not verify_relations(M).ok():
         return False
-    return is_acyclic(M, check_relations=False).ok()
+    return is_acyclic(M).ok()
 
 
 # ---------------------------------------------------------------------------
@@ -468,44 +474,12 @@ def is_free(M: CRTModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SumLayout:
-    """Canonicalization of a degreewise direct sum.
-
-    Raw coordinates are the concatenated generators of the components;
-    proj maps raw to canonical coordinates and reps lifts canonical
-    generators back to raw coordinates.  identity records that both are
-    identity matrices, i.e. raw coordinates are already canonical.
-    """
-
-    group: FinAbGroup
-    proj: IntMatrix
-    reps: IntMatrix
-    offsets: tuple[int, ...]
-    widths: tuple[int, ...]
-    identity: bool
+def sum_layout(components: Sequence[FinAbGroup]) -> Layout:
+    """The layout of the direct sum of components: their invariants listed in order."""
+    return layout(tuple(i for G in components for i in G.invariants))
 
 
-def sum_layout(components: Sequence[FinAbGroup]) -> SumLayout:
-    """The layout of the direct sum of components, built once per distinct tuple in a process."""
-    return _sum_layout(tuple(components))
-
-
-@functools.cache
-def _sum_layout(components: tuple[FinAbGroup, ...]) -> SumLayout:
-    invs = []
-    offsets = []
-    widths = []
-    for G in components:
-        offsets.append(len(invs))
-        widths.append(G.ngens)
-        invs.extend(G.invariants)
-    group, proj, reps = _quotient_data(len(invs), IntMatrix.diag(invs))
-    one = IntMatrix.identity(len(invs))
-    return SumLayout(group, proj, reps, tuple(offsets), tuple(widths), proj == one and reps == one)
-
-
-def between_sums(lay_t: SumLayout, raw: IntMatrix, lay_s: SumLayout) -> IntMatrix:
+def between_sums(lay_t: Layout, raw: IntMatrix, lay_s: Layout) -> IntMatrix:
     """lay_t.proj * raw * lay_s.reps: a map of raw coordinates in canonical ones.
 
     A product with an identity layout is skipped, so between two identity
@@ -514,6 +488,22 @@ def between_sums(lay_t: SumLayout, raw: IntMatrix, lay_s: SumLayout) -> IntMatri
     if not lay_t.identity:
         raw = lay_t.proj * raw
     return raw if lay_s.identity else raw * lay_s.reps
+
+
+def presented_module(layouts: Mapping[tuple[str, int], Layout],
+                     raw_op: Callable[[str, int], IntMatrix]) -> CRTModule:
+    """The module whose group at (part, degree) is layouts[(part, degree)].group.
+
+    raw_op(name, n) is operation name at degree n in raw coordinates, and
+    it is carried into canonical ones by between_sums.  Direct sums, free
+    tensors, cokernels and the printed tables are all built this way.
+    """
+    groups = {p: [layouts[(p, n)].group for n in range(8)] for p in PARTS}
+    mats = {}
+    for name, (src, tgt, shift) in OP_SPECS.items():
+        mats[name] = [between_sums(layouts[(tgt, (n + shift) % 8)], raw_op(name, n), layouts[(src, n)])
+                      for n in range(8)]
+    return make_module(groups, mats)
 
 
 def _block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -534,29 +524,13 @@ def _block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 def direct_sum_with_layout(modules: Sequence[CRTModule]) -> tuple[CRTModule, dict]:
     """Degreewise block sum, canonicalized; layouts keyed by (part, degree)."""
-    layouts = {}
-    groups = {}
-    for p in PARTS:
-        groups[p] = []
-        for n in range(8):
-            lay = sum_layout([m.group(p, n) for m in modules])
-            layouts[(p, n)] = lay
-            groups[p].append(lay.group)
-    mats = {}
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        fam = []
-        for n in range(8):
-            raw = _block_diag([m.op(name, n).matrix for m in modules])
-            fam.append(between_sums(layouts[(tgt, (n + shift) % 8)], raw, layouts[(src, n)]))
-        mats[name] = fam
-    return make_module(groups, mats), layouts
+    layouts = {(p, n): sum_layout([m.group(p, n) for m in modules]) for p in PARTS for n in range(8)}
+    module = presented_module(layouts, lambda name, n: _block_diag([m.op(name, n).matrix for m in modules]))
+    return module, layouts
 
 
 def direct_sum(*modules: CRTModule) -> CRTModule:
-    if not modules:
-        return zero_module()
-    return direct_sum_with_layout(list(modules))[0]
+    return direct_sum_with_layout(modules)[0]
 
 
 def suspend(M: CRTModule, s: int) -> CRTModule:

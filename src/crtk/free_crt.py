@@ -5,7 +5,9 @@ are integer vectors in the preferred generators and a morphism out of it
 is determined by the images of the summand generators.  Realizing a
 morphism pushes every basis word through the target's stored operation
 matrices, so a transcription error in any table surfaces as a naturality
-failure.
+failure.  The base modules R, C and T, like every printed table, are read
+as presentations (table_module): a listed group is Z^n modulo its listed
+invariants.
 """
 
 from __future__ import annotations
@@ -18,19 +20,18 @@ from . import _tables
 from .crt_core import (
     CRTModule,
     Morphism,
-    OP_NAMES,
     OP_SPECS,
     PARTS,
     direct_sum_with_layout,
     eta_O,
     eta_T,
-    make_module,
     morphism_commutes,
     omega,
+    presented_module,
     suspend,
     xi,
 )
-from .zlinalg import FinAbGroup, GroupHom, IntMatrix
+from .zlinalg import GroupHom, IntMatrix, layout
 
 KINDS = ("R", "C", "T")
 
@@ -133,48 +134,20 @@ class MonogenicKind:
         return (self.shift + GEN_OFFSET[self.kind]) % 8
 
 
-def _canonical_perm(invs: Sequence[int]) -> dict[int, int]:
-    """Canonical slot of each kept listed generator (invariant-1 slots drop)."""
-    kept = [i for i in range(len(invs)) if invs[i] != 1]
-    order = sorted(kept, key=lambda i: (invs[i] == 0, invs[i], i))
-    return {i: k for k, i in enumerate(order)}
-
-
-def table_group(invs: Sequence[int]) -> FinAbGroup:
-    """Canonical group for a listed invariant sequence (1 entries vanish)."""
-    return FinAbGroup(tuple(sorted(t for t in invs if t >= 2)), list(invs).count(0))
-
-
-def table_matrix(value, dom_invs: Sequence[int], cod_invs: Sequence[int]) -> IntMatrix:
-    """Read a table entry into canonical generator order.
-
-    Tables list generators in the source's printed order (e.g. Z + Z_2 with
-    the free generator first); canonical groups put torsion first, so rows
-    and columns are permuted accordingly.  Generators whose instantiated
-    invariant is 1 are dropped together with their rows and columns, which
-    realizes the Z_1 = 0 convention for parameterized tables.
-    """
-    raw = _shape(value, len(cod_invs), len(dom_invs))
-    pr, pc = _canonical_perm(cod_invs), _canonical_perm(dom_invs)
-    out = [[0] * len(pc) for _ in range(len(pr))]
-    for i, row in enumerate(raw.entries):
-        if i not in pr:
-            continue
-        for j, x in enumerate(row):
-            if j in pc:
-                out[pr[i]][pc[j]] = x
-    return IntMatrix.from_rows(out, cols=len(pc))
-
-
 def table_module(groups_listed: dict, ops_listed: dict) -> CRTModule:
-    """A module from listed invariants per part and raw table entries per operation."""
-    groups = {p: [table_group(invs) for invs in groups_listed[p]] for p in PARTS}
-    mats = {}
-    for name in OP_NAMES:
+    """A module from listed invariants per part and raw table entries per operation.
+
+    A listed group is Z^n modulo its listed invariants (zlinalg.layout), so
+    a generator listed with invariant 1 vanishes and torsion comes first.
+    """
+    layouts = {(p, n): layout(tuple(groups_listed[p][n])) for p in PARTS for n in range(8)}
+
+    def raw_op(name: str, n: int) -> IntMatrix:
         src, tgt, shift = OP_SPECS[name]
-        mats[name] = [table_matrix(ops_listed[name][n], groups_listed[src][n],
-                                   groups_listed[tgt][(n + shift) % 8]) for n in range(8)]
-    return make_module(groups, mats)
+        return _shape(ops_listed[name][n], len(groups_listed[tgt][(n + shift) % 8]),
+                      len(groups_listed[src][n]))
+
+    return presented_module(layouts, raw_op)
 
 
 @functools.cache
@@ -214,9 +187,9 @@ class FreeCRT:
         deg = s.generator_degree
         _, _, coords = _tables.GENERATOR[s.kind]
         lay = self.layouts[(part, deg)]
-        raw = [0] * sum(lay.widths)
-        for j, v in enumerate(coords):
-            raw[lay.offsets[i] + j] = v
+        raw = [0] * lay.proj.cols
+        offset = sum(base_module(t.kind).group(part, deg - t.shift).ngens for t in self.summands[:i])
+        raw[offset:offset + len(coords)] = coords
         G = self.realized.group(part, deg)
         return Element(part, deg, G.reduce(lay.proj.apply(raw)))
 

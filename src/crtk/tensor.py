@@ -10,7 +10,7 @@ so a wrong crossing rule cannot survive silently.
 
 What the structure fixes is not recomputed.  A real summand with twist 1
 contributes N's stored matrix itself, a single summand needs no block
-sum, and a raw matrix between identity layouts (crt_core.SumLayout.identity)
+sum, and a raw matrix between identity layouts (zlinalg.Layout.identity)
 is already canonical, so R(0) ⊗ N is assembled from N's own matrices.
 The induced map id_F ⊗ 1 of a monogenic F is the identity family
 (functoriality), so the odd Cuntz resolutions expand no pure tensor;
@@ -21,7 +21,8 @@ Sign bookkeeping: the axioms for gamma and tau across a product carry
 depend only on the generator degree parity and fixed offsets.
 
 Tor and the tensor of a resolved module are the degreewise kernel and
-cokernel of the induced map of a length-one free resolution; Tor's
+cokernel of the induced map of a length-one free resolution; the cokernel,
+like the tensor of a free module, is a crt_core.presented_module.  Tor's
 operations are solved in one linear system per target degree, and an
 operation that leaves the kernel is a fatal error.
 """
@@ -45,6 +46,7 @@ from .crt_core import (
     make_module,
     morphism_commutes,
     omega,
+    presented_module,
     sum_layout,
     verify_relations,
     xi,
@@ -63,6 +65,7 @@ from .zlinalg import (
     GroupHom,
     IntMatrix,
     cokernel_data,
+    cokernel_layout,
     hom_compose,
     hom_kernel,
     identity_hom,
@@ -213,35 +216,22 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
     """(module, slots, layouts, raw operations) of tensor_free, validated."""
     slots: dict = {}
     layouts: dict = {}
-    groups = {p: [] for p in PARTS}
     for p in PARTS:
         for m in range(8):
-            lst = []
-            offset = 0
-            comps = []
+            lst, comps, offset = [], [], 0
             for i, smd in enumerate(summands):
-                g = smd.generator_degree
                 for label, npart, rel in _SLOTS[smd.kind][p]:
-                    d = (m - g + rel) % 8
+                    d = (m - smd.generator_degree + rel) % 8
                     grp = N.group(npart, d)
                     lst.append(TensorSlot(i, label, npart, d, offset, grp.ngens))
                     comps.append(grp)
                     offset += grp.ngens
             slots[(p, m)] = lst
-            lay = sum_layout(comps)
-            layouts[(p, m)] = lay
-            groups[p].append(lay.group)
-    raw_ops: dict = {}
-    mats: dict = {name: [] for name in OP_NAMES}
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        for m in range(8):
-            blocks = [_summand_raw_op(s.kind, s.generator_degree, N, name, m)
-                      for s in summands]
-            raw = _block_diag(blocks)
-            raw_ops[(name, m)] = raw
-            mats[name].append(between_sums(layouts[(tgt, (m + shift) % 8)], raw, layouts[(src, m)]))
-    module = make_module(groups, mats)
+            layouts[(p, m)] = sum_layout(comps)
+    raw_ops = {(name, m): _block_diag([_summand_raw_op(s.kind, s.generator_degree, N, name, m)
+                                       for s in summands])
+               for name in OP_NAMES for m in range(8)}
+    module = presented_module(layouts, lambda name, m: raw_ops[(name, m)])
     rep = verify_relations(module)
     if not rep.ok():
         raise ValueError(f"assembled tensor fails relations: {rep}")
@@ -564,19 +554,8 @@ def restrict_to_kernels(M: CRTModule, fam: Morphism) -> tuple[CRTModule, Morphis
 
 def quotient_by_image(M: CRTModule, fam: Morphism) -> CRTModule:
     """The degreewise cokernel of a morphism into M, with induced operations."""
-    coker = {key: cokernel_data(f) for key, f in fam.items()}
-    groups = {p: [coker[(p, n)][0] for n in range(8)] for p in PARTS}
-    mats = {name: [] for name in OP_NAMES}
-    for name in OP_NAMES:
-        src, tgt, shift = OP_SPECS[name]
-        for n in range(8):
-            Q_s, _, reps_s = coker[(src, n)]
-            Q_t, proj_t, _ = coker[(tgt, (n + shift) % 8)]
-            if Q_s.ngens and Q_t.ngens:
-                mats[name].append(proj_t.matrix * M.op(name, n).matrix * reps_s)
-            else:
-                mats[name].append(IntMatrix.zeros(Q_t.ngens, Q_s.ngens))
-    return make_module(groups, mats)
+    return presented_module({key: cokernel_layout(f) for key, f in fam.items()},
+                            lambda name, n: M.op(name, n).matrix)
 
 
 @dataclass(eq=False)

@@ -462,7 +462,7 @@ def Zmod(n: int) -> FinAbGroup:
 
 def group_from_invariants(values: Sequence[int]) -> FinAbGroup:
     """Canonical form of a direct sum of Z_{n_i} (n_i = 0 meaning Z)."""
-    return _quotient_data(len(values), IntMatrix.diag(list(values)))[0]
+    return layout(tuple(values)).group
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +489,39 @@ def _quotient_data(n: int, rels: IntMatrix) -> tuple[FinAbGroup, IntMatrix, IntM
     proj = IntMatrix.from_rows(proj_rows, cols=n)
     reps = IntMatrix.from_cols([Ui.col(i) for i in keep], rows=n)
     return group, proj, reps
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Raw coordinates Z^n modulo relations, read in canonical coordinates.
+
+    proj maps raw to canonical coordinates and reps lifts canonical
+    generators back to raw ones (_quotient_data); identity records that
+    both are identity matrices, i.e. raw coordinates are already canonical.
+    """
+
+    group: FinAbGroup
+    proj: IntMatrix
+    reps: IntMatrix
+    identity: bool
+
+
+@functools.cache
+def layout(presentation: Vec | IntMatrix) -> Layout:
+    """The layout of a presentation, built once per distinct presentation in a process.
+
+    A tuple lists one invariant per raw coordinate (0 a free coordinate,
+    1 a vanishing one): Z^n modulo the diagonal.  A matrix's columns span
+    the relations of Z^rows.
+
+    >>> lay = layout((0, 1, 2))
+    >>> lay.group, lay.proj.entries, lay.identity
+    (FinAbGroup(torsion=(2,), free_rank=1), ((0, 0, 1), (1, 0, 0)), False)
+    """
+    rels = presentation if isinstance(presentation, IntMatrix) else IntMatrix.diag(presentation)
+    group, proj, reps = _quotient_data(rels.rows, rels)
+    one = IntMatrix.identity(rels.rows)
+    return Layout(group, proj, reps, proj == one and reps == one)
 
 
 def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
@@ -631,9 +664,13 @@ def hom_cokernel(f: GroupHom) -> tuple[FinAbGroup, GroupHom]:
 @functools.cache
 def cokernel_data(f: GroupHom) -> tuple[FinAbGroup, GroupHom, IntMatrix]:
     """Cokernel, projection, and a lift matrix for the canonical generators."""
-    rels = f.matrix.hstack(f.codomain.relation_matrix())
-    Q, proj, reps = _quotient_data(f.codomain.ngens, rels)
-    return Q, GroupHom(f.codomain, Q, proj), reps
+    lay = cokernel_layout(f)
+    return lay.group, GroupHom(f.codomain, lay.group, lay.proj), lay.reps
+
+
+def cokernel_layout(f: GroupHom) -> Layout:
+    """The codomain's coordinates modulo the image of f and the codomain relations."""
+    return layout(f.matrix.hstack(f.codomain.relation_matrix()))
 
 
 def _subquotient(L: IntMatrix, ambient: FinAbGroup) -> tuple[FinAbGroup, GroupHom]:

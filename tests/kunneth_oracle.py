@@ -127,7 +127,7 @@ class CheckEveryCopy(_Search):
             return
         if not verify_relations(middle).ok():
             return
-        if not is_acyclic(middle, check_relations=False).ok():
+        if not is_acyclic(middle).ok():
             return
         alpha = {(p, n): self._option(p, n)[1] for p in PARTS for n in range(8)}
         beta = {(p, n): self._option(p, n)[2] for p in PARTS for n in range(8)}

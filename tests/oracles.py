@@ -39,6 +39,7 @@ from crtk.free_crt import (
     FreeCRT,
     FreeMorphism,
     MonogenicKind,
+    _shape,
     _words_for,
     free_module,
     monogenic,
@@ -64,6 +65,7 @@ from crtk.zlinalg import (
     Vec,
     ZERO_GROUP,
     checked_entries,
+    cokernel_data,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -504,6 +506,48 @@ def find_free_isomorphism(F: FreeCRT, M: CRTModule, bound: int = 2) -> Optional[
     return None
 
 
+def _canonical_perm(invs: Sequence[int]) -> dict[int, int]:
+    """Canonical slot of each kept listed generator (invariant-1 slots drop)."""
+    kept = [i for i in range(len(invs)) if invs[i] != 1]
+    order = sorted(kept, key=lambda i: (invs[i] == 0, invs[i], i))
+    return {i: k for k, i in enumerate(order)}
+
+
+def table_group_oracle(invs: Sequence[int]) -> FinAbGroup:
+    """Canonical group for a listed invariant sequence (1 entries vanish)."""
+    return FinAbGroup(tuple(sorted(t for t in invs if t >= 2)), list(invs).count(0))
+
+
+def table_matrix_oracle(value, dom_invs: Sequence[int], cod_invs: Sequence[int]) -> IntMatrix:
+    """A table entry read into canonical generator order by permutation.
+
+    Rows and columns are permuted from the listed order to torsion first,
+    ascending, then free generators in listed order; generators listed with
+    invariant 1 are dropped with their rows and columns (Z_1 = 0).
+    """
+    raw = _shape(value, len(cod_invs), len(dom_invs))
+    pr, pc = _canonical_perm(cod_invs), _canonical_perm(dom_invs)
+    out = [[0] * len(pc) for _ in range(len(pr))]
+    for i, row in enumerate(raw.entries):
+        if i not in pr:
+            continue
+        for j, x in enumerate(row):
+            if j in pc:
+                out[pr[i]][pc[j]] = x
+    return IntMatrix.from_rows(out, cols=len(pc))
+
+
+def table_module_oracle(groups_listed: dict, ops_listed: dict) -> CRTModule:
+    """free_crt.table_module by the permutation reader."""
+    groups = {p: [table_group_oracle(invs) for invs in groups_listed[p]] for p in PARTS}
+    mats = {}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        mats[name] = [table_matrix_oracle(ops_listed[name][n], groups_listed[src][n],
+                                          groups_listed[tgt][(n + shift) % 8]) for n in range(8)]
+    return make_module(groups, mats)
+
+
 def free_to_json(F: FreeCRT) -> dict:
     """Summand list; the realized module is reconstructed on load."""
     return {"summands": [[s.kind, s.shift] for s in F.summands]}
@@ -635,6 +679,27 @@ def restrict_to_kernels_oracle(M: CRTModule, fam: Morphism) -> tuple[CRTModule, 
             mats[name].append(IntMatrix.from_cols(cols, rows=K_t.ngens))
     module = make_module(groups, mats)
     return module, {key: kern[key][1] for key in kern}
+
+
+def quotient_by_image_oracle(M: CRTModule, fam: Morphism) -> CRTModule:
+    """tensor.quotient_by_image by cokernel_data, degree by degree.
+
+    Each operation is proj_t * op * reps_s, with the zero matrix wherever
+    either cokernel is trivial; no identity read off the structure.
+    """
+    coker = {key: cokernel_data(f) for key, f in fam.items()}
+    groups = {p: [coker[(p, n)][0] for n in range(8)] for p in PARTS}
+    mats = {name: [] for name in OP_NAMES}
+    for name in OP_NAMES:
+        src, tgt, shift = OP_SPECS[name]
+        for n in range(8):
+            Q_s, _, reps_s = coker[(src, n)]
+            Q_t, proj_t, _ = coker[(tgt, (n + shift) % 8)]
+            if Q_s.ngens and Q_t.ngens:
+                mats[name].append(proj_t.matrix * M.op(name, n).matrix * reps_s)
+            else:
+                mats[name].append(IntMatrix.zeros(Q_t.ngens, Q_s.ngens))
+    return make_module(groups, mats)
 
 
 def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,

@@ -68,12 +68,12 @@ def test_criterion_1_transcription_integrity():
     base = {name: monogenic(name, 0).realized for name in ("R", "C", "T")}
     for name, M in base.items():
         assert verify_relations(M).ok(), name
-        assert is_acyclic(M, check_relations=False).ok(), name
+        assert is_acyclic(M).ok(), name
         assert is_free(M), name
     for k in range(1, 13):
         M = cuntz_module(k)
         assert verify_relations(M).ok(), k
-        assert is_acyclic(M, check_relations=False).ok(), k
+        assert is_acyclic(M).ok(), k
     report(1, "tables 1-6 fixtures", t0, 5)
 
 
@@ -213,7 +213,7 @@ def test_criterion_7_acyclic_flat_grid():
             F = free_module([MonogenicKind(kind, s)])
             for name, N in factors.items():
                 TT = tensor_free(F, N)
-                assert is_acyclic(TT.module, check_relations=False).ok(), (kind, s, name)
+                assert is_acyclic(TT.module).ok(), (kind, s, name)
     report(7, "96 free x acyclic tensor products", t0, 120)
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from crtk import catalog
 from crtk.catalog import (
     _params,
     catalog_entry,
@@ -19,7 +20,7 @@ from crtk.crt_core import OP_NAMES, PARTS, is_acyclic, verify_relations
 from crtk.free_crt import monogenic, morphism_realize
 from crtk.zlinalg import FinAbGroup, Zmod, hom_image
 
-from oracles import cuntz_resolution_by_search, subgroups_equal
+from oracles import cuntz_resolution_by_search, subgroups_equal, table_module_oracle
 
 ZERO = FinAbGroup()
 
@@ -119,13 +120,37 @@ class TestExpectedTables:
     def test_products_acyclic(self, pair):
         M = expected_product(*pair)
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()
 
     def test_parity_parameters(self):
         assert _params(4, 4) == {"k": 4, "l": 4, "g": 4, "kp": 1, "lp": 1}
         assert _params(4, 8)["kp"] == 1
         assert _params(4, 8)["lp"] == 0
         assert _params(12, 8) == {"k": 12, "l": 8, "g": 4, "kp": 1, "lp": 0}
+
+
+class TestTableReader:
+    """Every printed table, read as a presentation, against the permutation reader."""
+
+    def test_every_table_agrees_with_the_permutation_reader(self, monkeypatch):
+        read = []
+
+        def checked(groups_listed, ops_listed, _fn=catalog.table_module):
+            M = _fn(groups_listed, ops_listed)
+            assert M == table_module_oracle(groups_listed, ops_listed), groups_listed
+            read.append(M)
+            return M
+
+        monkeypatch.setattr(catalog, "table_module", checked)
+        for k in range(1, 41):
+            cuntz_module(k)
+        for k in range(1, 25):
+            for l in range(1, 25):
+                expected_product(k, l)
+                if k % 2 or l % 2 or (k % 4 == 0 and l % 4 == 0):
+                    expected_tensor(k, l)
+                    expected_tor(k, l)
+        assert len(read) > 40
 
 
 class TestEntriesAndData:
@@ -184,4 +209,4 @@ class TestEntriesAndData:
         M = catalog_entry(name).module
         assert M == monogenic(name, 0).realized
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()

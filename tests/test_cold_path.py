@@ -54,9 +54,9 @@ def dict_sizes_at_import() -> dict:
 def test_clear_caches_empties_every_cache():
     kunneth_pipeline("O5", "O5")
     warm = cache_sizes(crtk_modules())
-    # The by-value module assembly, the direct-sum layouts and the unit maps of mu1 (x) 1
-    # are among the caches seen.
-    assert warm["crtk.crt_core._assemble"] and warm["crtk.crt_core._sum_layout"]
+    # The by-value module assembly, the layouts of presented groups and the unit maps
+    # of mu1 (x) 1 are among the caches seen.
+    assert warm["crtk.crt_core._assemble"] and warm["crtk.zlinalg.layout"]
     assert warm["crtk.tensor._unit_map"]
     clear_caches()
     # A module-level or class-level dict that a run grows is a cache that clear_caches must empty.

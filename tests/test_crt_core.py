@@ -68,14 +68,14 @@ class TestCatalogFixtures:
     @pytest.mark.parametrize("M", [R, C, T], ids=["R", "C", "T"])
     def test_base_modules(self, M):
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()
         assert is_free(M)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_cuntz_modules(self, k):
         M = cuntz_module(k)
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()
         # torsion complex part: free only in the degenerate case
         assert is_free(M) == (k == 1)
 
@@ -114,7 +114,7 @@ class TestRelationFailures:
             ("cr=1+psiU", 0), ("psiU.zeta=zeta", 0), ("gamma.psiU=gamma", 0),
             ("psiU.betaU=-betaU.psiU", 0), ("psiU.betaU=-betaU.psiU", 6)]
         # Exactness nodes report at their node's degree, unreduced (8, not 0).
-        assert is_acyclic(lone_O_module(), check_relations=False).failures == [
+        assert is_acyclic(lone_O_module()).failures == [
             ("seq2@O.ker(etaO)", 0), ("seq3@O.ker(etaO^2)", 0), ("seq3@O", 8), ("seq2@O", 8)]
         M = cuntz_module(2)
         groups = {p: [M.group(p, n) for n in range(8)] for p in PARTS}
@@ -172,7 +172,7 @@ class TestSuiteCache:
 
     def test_reports_are_fresh(self):
         Z = zero_module()
-        for check in (verify_relations, lambda M: is_acyclic(M, check_relations=False)):
+        for check in (verify_relations, is_acyclic):
             check(Z).failures.append(("tampered", 0))
             assert check(Z).failures == []
 
@@ -356,14 +356,14 @@ class TestAcyclicity:
     def test_lone_real_part_not_acyclic(self):
         M = lone_O_module()
         assert verify_relations(M).ok()
-        rep = is_acyclic(M, check_relations=False)
+        rep = is_acyclic(M)
         assert not rep.ok()
 
     def test_acyclic_vanishing(self):
         # any module with trivial complex part is acyclic only if totally trivial
         M = lone_O_module()
         assert all(M.group("U", n).is_trivial() for n in range(8))
-        assert not is_acyclic(M, check_relations=False).ok()
+        assert not is_acyclic(M).ok()
         assert is_acyclic(zero_module()).ok()
 
 
@@ -380,7 +380,7 @@ class TestSumsAndSuspension:
         for s in range(8):
             M = suspend(T, s)
             assert verify_relations(M).ok()
-            assert is_acyclic(M, check_relations=False).ok()
+            assert is_acyclic(M).ok()
 
     def test_direct_sum_with_zero(self):
         M = cuntz_module(3)
@@ -398,7 +398,7 @@ class TestSumsAndSuspension:
     def test_direct_sum_verifies(self):
         M = direct_sum(cuntz_module(2), cuntz_module(4))
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()
 
 
 class TestIsomorphism:
@@ -426,7 +426,7 @@ class TestIsomorphism:
             twist[slot] = auts[data.draw(st.integers(0, len(auts) - 1), label=str(slot))]
         N = conjugate(M, twist)
         assert verify_relations(N).ok()
-        assert is_acyclic(N, check_relations=False).ok()
+        assert is_acyclic(N).ok()
         assert crt_isomorphic(N, M) is not None
 
     def test_distinguished_products(self):

@@ -3,23 +3,24 @@
 import pytest
 
 from crtk import _tables
-from crtk.crt_core import OP_NAMES, PARTS, is_acyclic, is_free, verify_relations
+from crtk.crt_core import OP_NAMES, OP_SPECS, PARTS, between_sums, is_acyclic, is_free, verify_relations
 from crtk.free_crt import (
+    KINDS,
     Element,
     FreeMorphism,
     MonogenicKind,
+    _shape,
     _words_for,
     act,
+    base_module,
     free_module,
     monogenic,
     morphism_realize,
     scale_element,
-    table_group,
-    table_matrix,
 )
-from crtk.zlinalg import FinAbGroup, IntMatrix, hom_scale, identity_hom
+from crtk.zlinalg import FinAbGroup, IntMatrix, hom_scale, identity_hom, layout
 
-from oracles import basis, compose_morphisms, find_free_isomorphism
+from oracles import basis, compose_morphisms, find_free_isomorphism, table_module_oracle
 
 # Degree-8 column of each source table: it must restate degree 0 under the
 # periodicity identification (an independent transcription checksum).
@@ -44,19 +45,25 @@ class TestTables:
         data = DEGREE8[kind]
         listed = _tables.BASE_TABLES[kind]["groups"]
         for p in PARTS:
-            assert table_group(data["groups"][p]) == M.group(p, 0)
-        from crtk.crt_core import OP_SPECS
+            assert layout(tuple(data["groups"][p])).group == M.group(p, 0)
         for name in OP_NAMES:
             src, tgt, shift = OP_SPECS[name]
-            got = table_matrix(data["ops"][name], listed[src][0], listed[tgt][shift % 8])
+            dom, cod = listed[src][0], listed[tgt][shift % 8]
+            got = between_sums(layout(tuple(cod)), _shape(data["ops"][name], len(cod), len(dom)),
+                               layout(tuple(dom)))
             assert M.op(name, 0).matrix == got, name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_base_table_agrees_with_the_permutation_reader(self, kind):
+        table = _tables.BASE_TABLES[kind]
+        assert base_module(kind) == table_module_oracle(table["groups"], table["ops"])
 
     @pytest.mark.parametrize("kind", ["R", "C", "T"])
     @pytest.mark.parametrize("shift", range(8))
     def test_monogenic_relations_acyclic_free(self, kind, shift):
         M = monogenic(kind, shift).realized
         assert verify_relations(M).ok()
-        assert is_acyclic(M, check_relations=False).ok()
+        assert is_acyclic(M).ok()
         assert is_free(M)
 
     @pytest.mark.parametrize("kind", ["R", "C", "T"])

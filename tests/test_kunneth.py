@@ -138,7 +138,7 @@ class TestDedupOnArrival:
         assert [s.split for s in kept] == [s.split for s in want]
         for copy in raw:
             assert verify_relations(copy.middle).ok()
-            assert is_acyclic(copy.middle, check_relations=False).ok()
+            assert is_acyclic(copy.middle).ok()
             assert any(crt_isomorphic(copy.middle, s.middle) is not None for s in kept)
 
     def test_runs_no_final_suite(self, monkeypatch):
@@ -160,7 +160,7 @@ class TestDedupOnArrival:
             assert len(middles) == len(kept) == 1, (k, l)
             for middle in middles:
                 assert verify_relations(middle).ok(), (k, l)
-                assert is_acyclic(middle, check_relations=False).ok(), (k, l)
+                assert is_acyclic(middle).ok(), (k, l)
 
     def test_budget_message_names_stage_and_progress(self):
         problem = make_problem(2, 4)
@@ -394,7 +394,7 @@ class TestGaugeFixing:
             if moved not in seen:
                 seen.add(moved)
                 assert verify_relations(moved).ok()
-                assert is_acyclic(moved, check_relations=False).ok()
+                assert is_acyclic(moved).ok()
         assert len(seen) > 1
 
     @pytest.mark.parametrize("k, l", [(2, 4), (4, 4), (5, 5), (6, 6), (4, 8)])
