@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .catalog import catalog_entry, catalog_names, cuntz_parameter, cuntz_resolution
 from .crt_core import (
@@ -54,14 +53,13 @@ def _load_module(source: str) -> CRTModule:
         return catalog_entry(name).module
     except KeyError:
         pass
-    path = Path(source)
-    if not path.exists():
-        raise UsageError(f"not a catalog name or file: {source!r}")
     try:
-        with open(path) as fh:
+        with open(source) as fh:
             return module_from_json(json.load(fh))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise UsageError(f"cannot parse module file {source!r}: {exc}")
+    except OSError:  # no such file, a directory, no permission
+        raise UsageError(f"not a catalog name or file: {source!r}") from None
+    except (KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise UsageError(f"cannot parse module file {source!r}: {exc}") from None
 
 
 def _fmt_matrix(h: GroupHom) -> str:

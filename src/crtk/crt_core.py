@@ -672,8 +672,26 @@ def group_to_json(G: FinAbGroup) -> dict:
     return {"torsion": list(G.torsion), "rank": G.free_rank}
 
 
-def group_from_json(obj: dict) -> FinAbGroup:
-    return FinAbGroup(tuple(obj["torsion"]), obj["rank"])
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, field: str, length: Optional[int] = None):
+    """value, if its type is kind itself (no bool or float passes for an int) and it has length entries.
+
+    Otherwise a ValueError names field: JSON input is checked where it enters.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{field} must have {length} entries, not {len(value)}")
+    return value
+
+
+def group_from_json(obj: dict, field: str = "group") -> FinAbGroup:
+    _typed(obj, dict, field)
+    torsion = _typed(obj["torsion"], list, f"{field}.torsion")
+    return FinAbGroup(tuple(_typed(t, int, f"{field}.torsion[{i}]") for i, t in enumerate(torsion)),
+                      _typed(obj["rank"], int, f"{field}.rank"))
 
 
 def hom_to_json(h: GroupHom) -> dict:
@@ -681,10 +699,13 @@ def hom_to_json(h: GroupHom) -> dict:
             "matrix": [list(row) for row in h.matrix.entries]}
 
 
-def hom_from_json(obj: dict) -> GroupHom:
-    dom = group_from_json(obj["dom"])
-    cod = group_from_json(obj["cod"])
-    return GroupHom(dom, cod, IntMatrix.from_rows(obj["matrix"], cols=dom.ngens))
+def hom_from_json(obj: dict, field: str = "hom") -> GroupHom:
+    _typed(obj, dict, field)
+    dom = group_from_json(obj["dom"], f"{field}.dom")
+    cod = group_from_json(obj["cod"], f"{field}.cod")
+    rows = [[_typed(x, int, f"{field}.matrix[{i}][{j}]") for j, x in enumerate(_typed(row, list, f"{field}.matrix[{i}]"))]
+            for i, row in enumerate(_typed(obj["matrix"], list, f"{field}.matrix"))]
+    return GroupHom(dom, cod, IntMatrix.from_rows(rows, cols=dom.ngens))
 
 
 def module_to_json(M: CRTModule) -> dict:
@@ -697,13 +718,18 @@ def module_to_json(M: CRTModule) -> dict:
 
 
 def module_from_json(obj: dict) -> CRTModule:
-    groups = {
-        "O": [group_from_json(g) for g in obj["MO"]],
-        "U": [group_from_json(g) for g in obj["MU"]],
-        "T": [group_from_json(g) for g in obj["MT"]],
-    }
+    """The module of a JSON object; a ValueError or KeyError names what is malformed or missing."""
+    _typed(obj, dict, "module")
+    groups = {p: [group_from_json(g, f"{key}[{n}]") for n, g in enumerate(_typed(obj[key], list, key, 8))]
+              for p, key in _PART_FIELD.items()}
+    ops = _typed(obj["ops"], dict, "ops")
     mats = {}
-    for name in OP_NAMES:
-        homs = [hom_from_json(h) for h in obj["ops"][name]]
-        mats[name] = [h.matrix for h in homs]
+    for name, (src, tgt, shift) in OP_SPECS.items():
+        mats[name] = []
+        for n, h in enumerate(_typed(ops[name], list, f"ops.{name}", 8)):
+            h = hom_from_json(h, f"ops.{name}[{n}]")
+            want = groups[src][n], groups[tgt][(n + shift) % 8]
+            if (h.domain, h.codomain) != want:
+                raise ValueError(f"ops.{name}[{n}] maps {h.domain} -> {h.codomain}, not {want[0]} -> {want[1]}")
+            mats[name].append(h.matrix)
     return make_module(groups, mats)

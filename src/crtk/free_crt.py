@@ -55,11 +55,7 @@ class Element:
 
 
 # Window shifts of the Bott tokens; coordinates are unchanged.
-_BETA_TOKENS = {
-    "betaU": ("U", 2), "betaU_inv": ("U", -2),
-    "betaT": ("T", 4), "betaT_inv": ("T", -4),
-    "betaO": ("O", 8), "betaO_inv": ("O", -8),
-}
+_BETA_TOKENS = {"betaU": ("U", 2), "betaU_inv": ("U", -2), "betaT": ("T", 4)}
 _DERIVED_TOKENS = {
     "etaO": (eta_O, "O", 1),
     "etaT": (eta_T, "T", 1),
@@ -71,9 +67,9 @@ _DERIVED_TOKENS = {
 def act(M: CRTModule, word: Sequence[str], x: Element) -> Element:
     """Apply an operation word (composition order, rightmost first).
 
-    Tokens are the eight operation names, Bott shifts (betaU, betaT, betaO
-    and their inverses) and the derived ring elements etaO, etaT, omega,
-    xi acting through their defining composites.
+    Tokens are the eight operation names, the Bott shifts betaU, betaU_inv
+    and betaT, and the derived ring elements etaO, etaT, omega, xi acting
+    through their defining composites.
     """
     for tok in reversed(list(word)):
         if tok in OP_SPECS:

@@ -1,24 +1,30 @@
 """Tensor product and Tor in the CRT category.
 
-Tensoring a free module against an arbitrary module N is computed from
-the pairing axioms: every part of the result is a direct sum of copies of
-N's parts indexed by provenance slots (pure tensors decorated by
-operations), and the eight operations are assembled from N's stored
-matrices by mechanically crossing operation words over the tensor sign.
-The assembled module is validated by the relation suite on construction,
-so a wrong crossing rule cannot survive silently.
+Tensoring a free module F against an arbitrary module N follows the
+pairing axioms of the monogenic modules R, C and T.  They are data, three
+tables in the word notation of crt_core.CHECKS, and every word is read by
+its evaluator (crt_core._side_value):
 
-What the structure fixes is not recomputed.  A real summand with twist 1
-contributes N's stored matrix itself, a single summand needs no block
-sum, and a raw matrix between identity layouts (zlinalg.Layout.identity)
-is already canonical, so R(0) ⊗ N is assembled from N's own matrices.
-The induced map id_F ⊗ 1 of a monogenic F is the identity family
-(functoriality), so the odd Cuntz resolutions expand no pure tensor;
-every other unit map is expanded and checked natural.
+- _SLOTS: each part of (summand ⊗ N) is a direct sum of N's groups, one
+  per provenance slot, whose generators are operation words applied to
+  pure tensors;
+- _BLOCKS: each raw operation of (summand ⊗ N) is a block matrix over
+  the slots, every block a sign times a word in N's operations;
+- _EXPANSION: a basis vector of F tensored with n, in slot coordinates,
+  is a sum of signs times words in N's operations applied to n.
 
-Sign bookkeeping: the axioms for gamma and tau across a product carry
-(-1)^degree factors; window degrees preserve parity, so the signs below
-depend only on the generator degree parity and fixed offsets.
+A sign is 1, -1, s or -s, where s = (-1)^g for the summand's generator
+degree g: the axioms for gamma and tau across a product carry
+(-1)^degree factors, and window degrees preserve parity.  The assembled
+module is validated by the relation suite on construction and every
+expanded unit map is checked natural, so a wrong rule cannot survive
+silently.
+
+What the structure fixes is not recomputed.  A raw matrix between
+identity layouts (zlinalg.Layout.identity) is already canonical, so
+R(0) ⊗ N has N's own groups and matrices.  The induced map id_F ⊗ 1 of a
+monogenic F is the identity family (functoriality), so the odd Cuntz
+resolutions expand no pure tensor.
 
 Tor and the tensor of a resolved module are the degreewise kernel and
 cokernel of the induced map of a length-one free resolution; the cokernel,
@@ -30,6 +36,7 @@ operation that leaves the kernel is a fatal error.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,18 +45,18 @@ from .crt_core import (
     Morphism,
     OP_NAMES,
     OP_SPECS,
+    PART_PERIOD,
     PARTS,
-    _block_diag,
-    between_sums,
-    eta_O,
-    eta_T,
+    _checked,
+    _parse_side,
+    _product,
+    _side_hom,
+    _side_value,
     make_module,
     morphism_commutes,
-    omega,
     presented_module,
     sum_layout,
     verify_relations,
-    xi,
 )
 from .free_crt import (
     Element,
@@ -57,7 +64,6 @@ from .free_crt import (
     FreeMorphism,
     MonogenicKind,
     _words_for,
-    act,
     free_module,
     morphism_realize,
 )
@@ -66,115 +72,117 @@ from .zlinalg import (
     IntMatrix,
     cokernel_data,
     cokernel_layout,
-    hom_compose,
     hom_kernel,
     identity_hom,
     is_exact_at,
     solve_int,
 )
 
-# Provenance slots per summand kind: (slot label, N part, degree offset).
-# A slot at window m of a summand with generator degree g holds the group
-# N^{part}_{m - g + rel}.
+# A sign by the parity of the generator degree g: s = (-1)^g.
+_SIGN = {1: (1, 1), -1: (-1, -1), "s": (1, -1), "-s": (-1, 1)}
+
+
+def _signed(sign, word: str) -> tuple:
+    """(the sign's values for even and odd g, the parsed word)."""
+    return _SIGN[sign], _parse_side(word)
+
+
+def _slot(label: str, n_part: str, offset: int, pre: str, post: str, n_word: str) -> tuple:
+    """A slot with its words parsed; a part's identity ("O", "U", "T") is None, and nothing is applied."""
+    return (label, n_part, offset, *(None if word in PARTS else _parse_side(word) for word in (pre, post, n_word)))
+
+
+# Provenance slots per summand kind and part: (label, N part, degree offset,
+# pre, post, n-word).  A slot at window m of a summand with generator degree g
+# holds N^{N part}_{m - g + offset}, and n there stands for the element
+# post(pre(b) ⊗ n-word(n)) of the tensor, b the summand's generator: pre is
+# read on the free module at b's degree, n-word on N at n's degree, and post
+# on the tensor at the window of the pure tensor, whose part is the N part.
 _SLOTS = {
     "R": {
-        "O": (("b~", "O", 0),),
-        "U": (("cb~", "U", 0),),
-        "T": (("eb~", "T", 0),),
+        "O": (_slot("b~", "O", 0, "O", "O", "O"),),
+        "U": (_slot("cb~", "U", 0, "c", "U", "U"),),
+        "T": (_slot("eb~", "T", 0, "eps", "T", "T"),),
     },
     "C": {
-        "O": (("r(b~)", "U", 0),),
-        "U": (("b~", "U", 0), ("psiU.b~", "U", 0)),
-        "T": (("gamma(b~)", "U", 1), ("eps.r(b~)", "U", 0)),
+        "O": (_slot("r(b~)", "U", 0, "U", "r", "U"),),
+        "U": (_slot("b~", "U", 0, "U", "U", "U"), _slot("psiU.b~", "U", 0, "U", "psiU", "psiU")),
+        "T": (_slot("gamma(b~)", "U", 1, "U", "gamma", "U"), _slot("eps.r(b~)", "U", 0, "U", "eps.r", "U")),
     },
     "T": {
-        "O": (("tau(b~)", "T", -1),),
-        "U": (("zb~", "U", 0), ("ctb~", "U", -1)),
-        "T": (("b~", "T", 0), ("etb~", "T", -1)),
+        "O": (_slot("tau(b~)", "T", -1, "T", "tau", "T"),),
+        "U": (_slot("zb~", "U", 0, "zeta", "U", "U"), _slot("ctb~", "U", -1, "c+1.tau", "U", "U")),
+        "T": (_slot("b~", "T", 0, "T", "T", "T"), _slot("etb~", "T", -1, "eps+1.tau", "T", "T")),
     },
 }
 
+# The raw operations of (summand ⊗ N) per kind: {(target slot, source slot):
+# (sign, word)}, slots numbered as in _SLOTS, words read on N at o = m - g for
+# the source window m.  A missing block is zero.
+_BLOCKS = {kind: {name: {key: _signed(*value) for key, value in blocks.items()} for name, blocks in ops.items()}
+           for kind, ops in {
+    # A real summand pairs each operation with N's own, twisted by s across a degree shift.
+    "R": {name: {(0, 0): ("s" if shift else 1, name)} for name, (_, _, shift) in OP_SPECS.items()},
+    "C": {
+        "c": {(0, 0): (1, "U"), (1, 0): (1, "psiU")},
+        "r": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
+        "eps": {(1, 0): (1, "U")},
+        "zeta": {(0, 1): (1, "U"), (1, 1): (1, "psiU")},
+        "psiU": {(0, 1): (1, "psiU"), (1, 0): (1, "psiU")},
+        "psiT": {(0, 0): (-1, "U+1"), (1, 1): (1, "U")},
+        "gamma": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
+        "tau": {(0, 0): (1, "U+1")},
+    },
+    "T": {
+        "c": {(0, 0): ("s", "c.tau-1"), (1, 0): (1, "zeta-1")},
+        "r": {(0, 0): ("s", "gamma"), (0, 1): (1, "eps-1.r-1")},
+        "eps": {(0, 0): ("s", "eps.tau-1 + gamma+1.zeta-1"), (1, 0): (1, "T-1")},
+        "zeta": {(0, 0): (1, "zeta"), (1, 1): (1, "zeta-1")},
+        "psiU": {(0, 0): (1, "psiU"), (1, 1): (1, "psiU-1")},
+        "psiT": {(0, 0): (1, "psiT"), (1, 0): ("s", "gamma.zeta"), (1, 1): (1, "psiT-1")},
+        "gamma": {(0, 0): ("s", "gamma"), (1, 1): ("-s", "gamma-1")},
+        "tau": {(0, 0): (1, "T"), (0, 1): ("-s", "eps.tau-1")},
+    },
+}.items()}
 
-def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMatrix:
-    """Raw matrix of one operation on (summand ⊗ N) at window m."""
-    o = m - g
-    s = -1 if g % 2 else 1
-
-    def blocks(rows):
-        out = tuple(sum(parts, ()) for row in rows for parts in zip(*(b.entries for b in row)))
-        return IntMatrix(len(out), sum(b.cols for b in rows[0]), out)
-
-    def op(nm, d):
-        return N.op(nm, d).matrix
-
-    def ident(part, d):
-        return IntMatrix.identity(N.group(part, d % 8).ngens)
-
-    if kind == "R":
-        twist = s if name in ("gamma", "tau") else 1
-        mat = N.op(name, o % 8).matrix
-        return mat if twist == 1 else mat.scale(twist)
-
-    if kind == "C":
-        psi = op("psiU", o)
-        I = ident("U", o)
-        if name == "c":
-            return blocks([[I], [psi]])
-        if name == "r":
-            return blocks([[I, psi]])
-        if name == "eps":
-            return blocks([[IntMatrix.zeros(N.group("U", (o + 1) % 8).ngens, I.cols)], [I]])
-        if name == "zeta":
-            z = IntMatrix.zeros(I.rows, N.group("U", (o + 1) % 8).ngens)
-            return blocks([[z, I], [z, psi]])
-        if name == "psiU":
-            z = IntMatrix.zeros(I.rows, I.cols)
-            return blocks([[z, psi], [psi, z]])
-        if name == "psiT":
-            I1 = ident("U", o + 1)
-            return blocks([[-I1, IntMatrix.zeros(I1.rows, I.cols)],
-                           [IntMatrix.zeros(I.rows, I1.cols), I]])
-        if name == "gamma":
-            # lands in slots (gamma: N^U_o, eps.r: N^U_{o-1}) of window m-1
-            zw = IntMatrix.zeros(N.group("U", (o - 1) % 8).ngens, 2 * I.cols)
-            top = blocks([[I, psi]])
-            return blocks([[top], [zw]])
-        if name == "tau":
-            I1 = ident("U", o + 1)
-            return blocks([[I1, IntMatrix.zeros(I1.rows, I.cols)]])
-
-    if kind == "T":
-        if name == "c":
-            a = hom_compose(N.op("c", o), N.op("tau", o - 1)).matrix.scale(s)
-            return blocks([[a], [op("zeta", o - 1)]])
-        if name == "r":
-            b = hom_compose(N.op("eps", o - 1), N.op("r", o - 1)).matrix
-            return blocks([[op("gamma", o).scale(s), b]])
-        if name == "eps":
-            top = (hom_compose(N.op("eps", o), N.op("tau", o - 1)) + eta_T(N, o - 1)).matrix.scale(s)
-            return blocks([[top], [ident("T", o - 1)]])
-        if name == "zeta":
-            z1 = IntMatrix.zeros(N.group("U", o % 8).ngens, N.group("T", (o - 1) % 8).ngens)
-            z2 = IntMatrix.zeros(N.group("U", (o - 1) % 8).ngens, N.group("T", o % 8).ngens)
-            return blocks([[op("zeta", o), z1], [z2, op("zeta", o - 1)]])
-        if name == "psiU":
-            z1 = IntMatrix.zeros(N.group("U", o % 8).ngens, N.group("U", (o - 1) % 8).ngens)
-            z2 = z1.transpose()
-            return blocks([[op("psiU", o), z1], [z2, op("psiU", o - 1)]])
-        if name == "psiT":
-            z = IntMatrix.zeros(N.group("T", o % 8).ngens, N.group("T", (o - 1) % 8).ngens)
-            low = hom_compose(N.op("gamma", o), N.op("zeta", o)).matrix.scale(s)
-            return blocks([[op("psiT", o), z], [low, op("psiT", o - 1)]])
-        if name == "gamma":
-            z1 = IntMatrix.zeros(N.group("T", (o - 1) % 8).ngens, N.group("U", (o - 1) % 8).ngens)
-            z2 = IntMatrix.zeros(N.group("T", (o - 2) % 8).ngens, N.group("U", o % 8).ngens)
-            return blocks([[op("gamma", o).scale(s), z1],
-                           [z2, op("gamma", o - 1).scale(-s)]])
-        if name == "tau":
-            b = hom_compose(N.op("eps", o), N.op("tau", o - 1)).matrix.scale(-s)
-            return blocks([[ident("T", o), b]])
-
-    raise AssertionError(f"no rule for {kind}/{name}")
+# (basis vector of a summand) ⊗ n in the summand's slots: keyed by (kind,
+# part, offset of the basis vector from the generator degree modulo the part's
+# period, index among the basis words of _tables.BASIS_WORDS), a sum of terms
+# (slot, sign, word), the word read on N at n's degree.
+_EXPANSION = {key: tuple((slot, *_signed(sign, word)) for slot, sign, word in terms) for key, terms in {
+    ("R", "O", 0, 0): [(0, 1, "O")],
+    ("R", "O", 1, 0): [(0, "s", "tau.eps")],
+    ("R", "O", 2, 0): [(0, 1, "tau+1.eps+1.tau.eps")],
+    ("R", "O", 4, 0): [(0, 1, "r+4.c")],
+    ("R", "U", 0, 0): [(0, 1, "U")],
+    ("R", "T", 0, 0): [(0, 1, "T")],
+    ("R", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
+    ("R", "T", 3, 0): [(0, "s", "gamma.zeta")],
+    ("C", "O", 0, 0): [(0, 1, "c")],
+    ("C", "O", 2, 0): [(0, -1, "c")],
+    ("C", "O", 4, 0): [(0, 1, "c")],
+    ("C", "O", 6, 0): [(0, -1, "c")],
+    ("C", "U", 0, 0): [(0, 1, "U")],
+    ("C", "U", 0, 1): [(1, 1, "U")],
+    ("C", "T", 0, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
+    ("C", "T", 1, 0): [(0, 1, "zeta")],
+    ("C", "T", 2, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
+    ("C", "T", 3, 0): [(0, 1, "zeta")],
+    ("T", "O", 0, 0): [(0, "-s", "gamma.zeta.eps")],
+    ("T", "O", 1, 0): [(0, 1, "eps")],
+    ("T", "O", 2, 0): [(0, "-s", "eps+1.tau.eps")],
+    ("T", "O", 4, 0): [(0, "-s", "gamma.zeta.eps")],
+    ("T", "O", 5, 0): [(0, 1, "eps")],
+    ("T", "O", 6, 0): [(0, "-s", "eps+1.tau.eps")],
+    ("T", "U", 0, 0): [(0, -1, "U")],
+    ("T", "U", 1, 0): [(1, 1, "U")],
+    ("T", "T", 0, 0): [(0, -1, "T")],
+    ("T", "T", 0, 1): [(1, "-s", "gamma.zeta")],
+    ("T", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
+    ("T", "T", 1, 1): [(1, 1, "T")],
+    ("T", "T", 2, 0): [(1, "-s", "gamma+2.zeta")],
+    ("T", "T", 3, 0): [(0, "-s", "gamma.zeta")],
+}.items()}
 
 
 @dataclass(eq=False)
@@ -218,19 +226,17 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
     layouts: dict = {}
     for p in PARTS:
         for m in range(8):
-            lst, comps, offset = [], [], 0
+            lst, offset = [], 0
             for i, smd in enumerate(summands):
-                for label, npart, rel in _SLOTS[smd.kind][p]:
+                for label, npart, rel, *_ in _SLOTS[smd.kind][p]:
                     d = (m - smd.generator_degree + rel) % 8
-                    grp = N.group(npart, d)
-                    lst.append(TensorSlot(i, label, npart, d, offset, grp.ngens))
-                    comps.append(grp)
-                    offset += grp.ngens
+                    width = N.group(npart, d).ngens
+                    lst.append(TensorSlot(i, label, npart, d, offset, width))
+                    offset += width
             slots[(p, m)] = lst
-            layouts[(p, m)] = sum_layout(comps)
-    raw_ops = {(name, m): _block_diag([_summand_raw_op(s.kind, s.generator_degree, N, name, m)
-                                       for s in summands])
-               for name in OP_NAMES for m in range(8)}
+            layouts[(p, m)] = sum_layout([N.group(sl.n_part, sl.n_degree) for sl in lst])
+    first = {p: _first_slots(summands, p) for p in PARTS}
+    raw_ops = {(name, m): _raw_op(summands, N, slots, first, name, m) for name in OP_NAMES for m in range(8)}
     module = presented_module(layouts, lambda name, m: raw_ops[(name, m)])
     rep = verify_relations(module)
     if not rep.ok():
@@ -238,113 +244,70 @@ def _tensor_parts(summands: tuple[MonogenicKind, ...], N: CRTModule) -> tuple:
     return module, slots, layouts, raw_ops
 
 
-# ---------------------------------------------------------------------------
-# Pure tensor expansion: basis vector of F (x) element of N, in slot coords
-# ---------------------------------------------------------------------------
+def _first_slots(summands: Sequence[MonogenicKind], part: str) -> list[int]:
+    """The index of each summand's first slot in a slot list of part, the same at every window."""
+    return list(itertools.accumulate((len(_SLOTS[smd.kind][part]) for smd in summands), initial=0))
 
 
-def _expand_basis(kind: str, off: int, idx: int, g: int, part: str,
-                  N: CRTModule, d2: int):
-    """Expansion of (basis vector idx at generator offset off) ⊗ n.
-
-    Returns a list of (slot label, GroupHom applied to the N-element); the
-    homomorphism source is N^{part}_{d2}.  Derived from the pairing axioms
-    and the basis words; any error here is caught by the naturality checks.
-    """
-    s = -1 if g % 2 else 1
-    off %= 8
-
-    def derived(fn, d):
-        return fn(N, d % 8)
-
-    if kind == "R":
-        if part == "O":
-            rules = {0: (1, None), 1: (s, lambda: derived(eta_O, d2)),
-                     2: (1, lambda: hom_compose(eta_O(N, d2 + 1), eta_O(N, d2))),
-                     4: (1, lambda: derived(xi, d2))}
-            sign, h = rules[off]
-            return [("b~", sign, None if h is None else h())]
-        if part == "U":
-            return [("cb~", 1, None)]
-        rules = {0: (1, None), 1: (s, lambda: derived(eta_T, d2)),
-                 3: (s, lambda: derived(omega, d2))}
-        sign, h = rules[off % 4]
-        return [("eb~", sign, None if h is None else h())]
-
-    if kind == "C":
-        if part == "U":
-            return [("b~" if idx == 0 else "psiU.b~", 1, None)]
-        if part == "O":
-            sigma = 1 if off % 4 == 0 else -1
-            return [("r(b~)", sigma, N.op("c", d2))]
-        if off % 2 == 1:
-            return [("gamma(b~)", 1, N.op("zeta", d2))]
-        return [("gamma(b~)", s, hom_compose(N.op("c", d2 + 1), N.op("tau", d2))),
-                ("eps.r(b~)", 1, N.op("zeta", d2))]
-
-    # kind == "T"
-    if part == "U":
-        if off % 2 == 0:
-            return [("zb~", -1, None)]
-        return [("ctb~", 1, None)]
-    if part == "O":
-        c = off % 4
-        if c == 1:
-            return [("tau(b~)", 1, N.op("eps", d2))]
-        if c == 2:
-            return [("tau(b~)", -s, hom_compose(N.op("eps", d2 + 1), eta_O(N, d2)))]
-        if c == 0:
-            return [("tau(b~)", -s, hom_compose(omega(N, d2), N.op("eps", d2)))]
-        raise AssertionError("zero group offset")
-    c = off % 4
-    if c == 0:
-        if idx == 0:
-            return [("b~", -1, None)]
-        return [("etb~", -s, derived(omega, d2))]
-    if c == 1:
-        if idx == 0:
-            return [("b~", s, derived(eta_T, d2))]
-        return [("etb~", 1, None)]
-    if c == 2:
-        return [("etb~", -s, derived(eta_T, d2))]
-    return [("b~", -s, derived(omega, d2))]
-
-
-def _expand_pure(TT: TensorModule, part: str, y: Element, d2: int,
-                 nvec: Sequence[int]) -> tuple[int, list[int]]:
-    """(window, raw coords) of the pure tensor y ⊗ n in TT's slot layout.
-
-    y is an element of TT.free.realized in the given part; n lives in
-    N^{part}_{d2}.
-    """
-    F, N = TT.free, TT.factor
-    m = (y.degree + d2) % 8
-    lay_free = F.layouts[(part, y.degree)]
-    raw_y = lay_free.reps.apply(y.vec)
-    out = [0] * sum(sl.width for sl in TT.slots[(part, m)])
-    pos = 0
-    for i, smd in enumerate(F.summands):
+def _raw_op(summands: tuple[MonogenicKind, ...], N: CRTModule, slots: dict, first: dict,
+            name: str, m: int) -> IntMatrix:
+    """Operation name at window m in raw slot coordinates: each summand's _BLOCKS in place."""
+    src, tgt, shift = OP_SPECS[name]
+    targets, sources = slots[(tgt, (m + shift) % 8)], slots[(src, m)]
+    rows, cols = sum([sl.width for sl in targets]), sum([sl.width for sl in sources])
+    if not (rows and cols):  # a map to or from a trivial group: nothing to place
+        return IntMatrix.zeros(rows, cols)
+    out = [[0] * cols for _ in range(rows)]
+    for smd, t, s in zip(summands, first[tgt], first[src]):
         g = smd.generator_degree
-        off = (y.degree - g) % 8
-        words = _words_for(smd.kind, part, off)
-        for idx in range(len(words)):
-            coef = raw_y[pos]
-            pos += 1
-            if coef == 0:
-                continue
-            for label, sign, h in _expand_basis(smd.kind, off, idx, g, part, N, d2):
-                vec = tuple(nvec) if h is None else h.apply(nvec)
-                slot = _find_slot(TT, part, m, i, label)
-                for j, v in enumerate(vec):
-                    out[slot.offset + j] += coef * sign * v
-    return m, out
+        for (a, b), (sign, word) in _BLOCKS[smd.kind][name].items():
+            k, lo = sign[g % 2], sources[s + b].offset
+            for i, row in enumerate(_side_value(N, m - g, word)[2], targets[t + a].offset):
+                out[i][lo:lo + len(row)] = row if k == 1 else [k * x for x in row]
+    return IntMatrix(rows, cols, tuple(map(tuple, out)))
 
 
-def _find_slot(TT: TensorModule, part: str, m: int, summand: int, label: str) -> TensorSlot:
-    for sl in TT.slots[(part, m)]:
-        if sl.summand == summand and sl.label == label:
-            return sl
-    raise ValueError(f"no slot {label!r} for summand {summand} at ({part},{m})")
+def _shift(word: tuple) -> int:
+    """The degree shift of a one-term operation word: its last operation's offset and shift."""
+    ((_, ((name, off), *_)),) = word
+    return off + OP_SPECS[name][2]
+
+
+def _expansion(F: FreeCRT, part: str, e: int, y: Sequence[int]) -> list[tuple]:
+    """y ⊗ n for y in F's group at (part, e), as terms (slot index, coefficient, word read on n).
+
+    Each raw coordinate of y is a basis vector of a summand, and it adds its
+    _EXPANSION terms in that summand's slots; a slot's index in the slot
+    list is the same at every window.
+    """
+    terms = []
+    coefs = iter(F.layouts[(part, e % 8)].reps.apply(y))
+    for smd, first in zip(F.summands, _first_slots(F.summands, part)):
+        g = smd.generator_degree
+        off = (e - g) % 8
+        for idx in range(len(_words_for(smd.kind, part, off))):
+            coef = next(coefs)
+            if coef:
+                key = (smd.kind, part, off % PART_PERIOD[part], idx)
+                terms += [(first + k, coef * sign[g % 2], word) for k, sign, word in _EXPANSION[key]]
+    return terms
+
+
+def _pure_tensors(TT: TensorModule, part: str, m: int, terms: list[tuple], d: int) -> tuple:
+    """n -> y ⊗ n from N^part_d to TT's group at (part, m), for y ⊗ n as _expansion terms.
+
+    The raw sum is read in canonical coordinates and returned as a checked
+    (domain, codomain, rows) triple.
+    """
+    N = TT.factor
+    dom, lay, slots = N.group(part, d), TT.layouts[(part, m)], TT.slots[(part, m)]
+    raw = [[0] * dom.ngens for _ in range(lay.proj.cols)]
+    for index, c, word in terms:
+        for row, add in zip(raw[slots[index].offset:], _side_value(N, d, word)[2]):
+            row[:] = [x + c * v for x, v in zip(row, add)]
+    if not lay.identity:
+        raw = (lay.proj * IntMatrix(len(raw), dom.ngens, tuple(map(tuple, raw)))).entries
+    return _checked(dom, lay.group, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +353,9 @@ def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[Monogenic
     When source and target are the same monogenic module and e_j is its
     generator, Phi_ij is the identity, and so is Phi_ij ⊗ 1 by
     functoriality: the identity family of the tensor is returned, with
-    nothing expanded.  Every other unit map is built by expanding each slot
-    generator, an operation word applied to a pure tensor, so its image is
-    the same word applied (through the target's raw operations) to the
-    expansion of (generator image) ⊗ n; that family is checked natural.
-    Built once per distinct arguments in a process; nothing mutates the family.
+    nothing expanded.  Every other unit map is expanded slot by slot
+    (_expand_induced_map) and checked natural.  Built once per distinct
+    arguments in a process; nothing mutates the family.
     """
     F, G = free_module(source), free_module(target)
     images = []
@@ -413,79 +374,41 @@ def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[Monogenic
 
 
 def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule) -> Morphism:
-    """The family of (mor ⊗ 1) from the slot expansion of mor's images, unchecked."""
+    """The family of (mor ⊗ 1), unchecked, one matrix per source slot.
+
+    The slot of a summand with generator b sends n to post(pre(b) ⊗
+    n-word(n)) (_SLOTS), so mor ⊗ 1 sends it to post(pre(x) ⊗ n-word(n)),
+    x = mor(b): pre is read on mor's target, the pure tensors of pre(x)
+    on tgt's slots (_pure_tensors), post on tgt's module and n-word on N.
+    """
     fam: Morphism = {}
     for part in PARTS:
+        # per slot, in slot order: the degree of pre(x), the expansion of pre(x) ⊗ n, post, n-word
+        rules = []
+        for smd, x in zip(mor.source.summands, mor.images):
+            for _, n_part, _, pre, post, n_word in _SLOTS[smd.kind][part]:
+                e, y = x.degree, x.vec
+                if pre is not None:
+                    e, y = e + _shift(pre), _side_hom(mor.target.realized, e, pre).apply(y)
+                rules.append((e, _expansion(tgt.free, n_part, e, y), post, n_word))
         for m in range(8):
-            cols = []
-            for i, smd in enumerate(mor.source.summands):
-                x = mor.images[i]
-                for sl in src.slots[(part, m)]:
-                    if sl.summand != i:
-                        continue
-                    for col in _slot_generator_images(tgt, mor, smd.kind, x, sl, part, m):
-                        cols.append(col)
-            raw = IntMatrix.from_cols(cols, rows=sum(s.width for s in tgt.slots[(part, m)]))
-            fam[(part, m)] = GroupHom(src.module.group(part, m), tgt.module.group(part, m),
-                                      between_sums(tgt.layouts[(part, m)], raw, src.layouts[(part, m)]))
+            H = tgt.module.group(part, m)
+            rows = [[] for _ in range(H.ngens)]
+            for sl, (e, terms, post, n_word) in zip(src.slots[(part, m)], rules):
+                if not sl.width:  # a slot over a trivial group has no generators
+                    continue
+                m1 = e + sl.n_degree
+                image = _pure_tensors(tgt, sl.n_part, m1 % 8, terms, sl.n_degree)
+                if post is not None:
+                    image = _product(_side_value(tgt.module, m1, post), image)
+                if n_word is not None:
+                    image = _product(image, _side_value(tgt.factor, sl.n_degree, n_word))
+                for row, piece in zip(rows, image[2]):
+                    row.extend(piece)
+            lay = src.layouts[(part, m)]
+            raw = IntMatrix(H.ngens, lay.proj.cols, tuple(map(tuple, rows)))
+            fam[(part, m)] = GroupHom(src.module.group(part, m), H, raw if lay.identity else raw * lay.reps)
     return fam
-
-
-def _slot_generator_images(tgt: TensorModule, mor: FreeMorphism, kind: str,
-                           x: Element, sl: TensorSlot, part: str, m: int) -> list[list[int]]:
-    """Raw-coordinate images of each generator of one source slot."""
-    N = tgt.factor
-    T = mor.target.realized
-    grp = N.group(sl.n_part, sl.n_degree)
-    outs = []
-    for k in range(grp.ngens):
-        n = tuple(1 if j == k else 0 for j in range(grp.ngens))
-        outs.append(_slot_image(tgt, kind, x, sl, n, T))
-    return outs
-
-
-def _raw_apply(TT: TensorModule, name: str, m: int, vec: Sequence[int]) -> tuple[int, list[int]]:
-    _, _, shift = OP_SPECS[name]
-    return (m + shift) % 8, list(TT.raw_ops[(name, m)].apply(vec))
-
-
-def _slot_image(TT: TensorModule, kind: str, x: Element, sl: TensorSlot,
-                n: Sequence[int], target_free: CRTModule) -> list[int]:
-    d2 = sl.n_degree
-    if kind == "R":
-        if sl.label == "b~":
-            return _expand_pure(TT, "O", x, d2, n)[1]
-        if sl.label == "cb~":
-            return _expand_pure(TT, "U", act(target_free, ["c"], x), d2, n)[1]
-        return _expand_pure(TT, "T", act(target_free, ["eps"], x), d2, n)[1]
-    if kind == "C":
-        if sl.label == "r(b~)":
-            m1, raw = _expand_pure(TT, "U", x, d2, n)
-            return _raw_apply(TT, "r", m1, raw)[1]
-        if sl.label == "b~":
-            return _expand_pure(TT, "U", x, d2, n)[1]
-        if sl.label == "psiU.b~":
-            psin = TT.factor.op("psiU", d2).apply(n)
-            m1, raw = _expand_pure(TT, "U", x, d2, psin)
-            return _raw_apply(TT, "psiU", m1, raw)[1]
-        if sl.label == "gamma(b~)":
-            m1, raw = _expand_pure(TT, "U", x, d2, n)
-            return _raw_apply(TT, "gamma", m1, raw)[1]
-        # eps.r(b~)
-        m1, raw = _expand_pure(TT, "U", x, d2, n)
-        m2, raw = _raw_apply(TT, "r", m1, raw)
-        return _raw_apply(TT, "eps", m2, raw)[1]
-    # kind == "T"
-    if sl.label == "tau(b~)":
-        m1, raw = _expand_pure(TT, "T", x, d2, n)
-        return _raw_apply(TT, "tau", m1, raw)[1]
-    if sl.label == "zb~":
-        return _expand_pure(TT, "U", act(target_free, ["zeta"], x), d2, n)[1]
-    if sl.label == "ctb~":
-        return _expand_pure(TT, "U", act(target_free, ["c", "tau"], x), d2, n)[1]
-    if sl.label == "b~":
-        return _expand_pure(TT, "T", x, d2, n)[1]
-    return _expand_pure(TT, "T", act(target_free, ["eps", "tau"], x), d2, n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ from crtk.crt_core import (
     PARTS,
     SLOTS,
     crt_isomorphic,
+    eta_O,
     eta_T,
     is_free,
     make_module,
     morphism_commutes,
+    omega,
     slot_of,
     sum_layout,
     verify_relations,
@@ -41,18 +43,16 @@ from crtk.free_crt import (
     MonogenicKind,
     _shape,
     _words_for,
+    act,
     free_module,
     monogenic,
     realize_morphism,
 )
 from crtk.kunneth import _OP_ORDER
 from crtk.tensor import (
-    _SLOTS,
     FreeResolution,
     TensorModule,
     TensorSlot,
-    _slot_generator_images,
-    _summand_raw_op,
     restrict_to_kernels,
     tensor_and_tor,
     tensor_free,
@@ -562,6 +562,276 @@ def free_from_json(obj: dict) -> FreeCRT:
 # ---------------------------------------------------------------------------
 
 
+# The pairing rules as Python branches, the reference for crtk.tensor's
+# tables of words (_SLOTS, _BLOCKS, _EXPANSION): one branch per rule,
+# derived maps composed by hom_compose, and each slot generator's image
+# expanded one unit vector at a time.
+
+# Provenance slots per summand kind: (slot label, N part, degree offset).
+# A slot at window m of a summand with generator degree g holds the group
+# N^{part}_{m - g + rel}.
+_SLOTS = {
+    "R": {
+        "O": (("b~", "O", 0),),
+        "U": (("cb~", "U", 0),),
+        "T": (("eb~", "T", 0),),
+    },
+    "C": {
+        "O": (("r(b~)", "U", 0),),
+        "U": (("b~", "U", 0), ("psiU.b~", "U", 0)),
+        "T": (("gamma(b~)", "U", 1), ("eps.r(b~)", "U", 0)),
+    },
+    "T": {
+        "O": (("tau(b~)", "T", -1),),
+        "U": (("zb~", "U", 0), ("ctb~", "U", -1)),
+        "T": (("b~", "T", 0), ("etb~", "T", -1)),
+    },
+}
+
+
+def _summand_raw_op(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMatrix:
+    """Raw matrix of one operation on (summand ⊗ N) at window m."""
+    o = m - g
+    s = -1 if g % 2 else 1
+
+    def blocks(rows):
+        out = tuple(sum(parts, ()) for row in rows for parts in zip(*(b.entries for b in row)))
+        return IntMatrix(len(out), sum(b.cols for b in rows[0]), out)
+
+    def op(nm, d):
+        return N.op(nm, d).matrix
+
+    def ident(part, d):
+        return IntMatrix.identity(N.group(part, d % 8).ngens)
+
+    if kind == "R":
+        twist = s if name in ("gamma", "tau") else 1
+        mat = N.op(name, o % 8).matrix
+        return mat if twist == 1 else mat.scale(twist)
+
+    if kind == "C":
+        psi = op("psiU", o)
+        I = ident("U", o)
+        if name == "c":
+            return blocks([[I], [psi]])
+        if name == "r":
+            return blocks([[I, psi]])
+        if name == "eps":
+            return blocks([[IntMatrix.zeros(N.group("U", (o + 1) % 8).ngens, I.cols)], [I]])
+        if name == "zeta":
+            z = IntMatrix.zeros(I.rows, N.group("U", (o + 1) % 8).ngens)
+            return blocks([[z, I], [z, psi]])
+        if name == "psiU":
+            z = IntMatrix.zeros(I.rows, I.cols)
+            return blocks([[z, psi], [psi, z]])
+        if name == "psiT":
+            I1 = ident("U", o + 1)
+            return blocks([[-I1, IntMatrix.zeros(I1.rows, I.cols)],
+                           [IntMatrix.zeros(I.rows, I1.cols), I]])
+        if name == "gamma":
+            # lands in slots (gamma: N^U_o, eps.r: N^U_{o-1}) of window m-1
+            zw = IntMatrix.zeros(N.group("U", (o - 1) % 8).ngens, 2 * I.cols)
+            top = blocks([[I, psi]])
+            return blocks([[top], [zw]])
+        if name == "tau":
+            I1 = ident("U", o + 1)
+            return blocks([[I1, IntMatrix.zeros(I1.rows, I.cols)]])
+
+    if kind == "T":
+        if name == "c":
+            a = hom_compose(N.op("c", o), N.op("tau", o - 1)).matrix.scale(s)
+            return blocks([[a], [op("zeta", o - 1)]])
+        if name == "r":
+            b = hom_compose(N.op("eps", o - 1), N.op("r", o - 1)).matrix
+            return blocks([[op("gamma", o).scale(s), b]])
+        if name == "eps":
+            top = (hom_compose(N.op("eps", o), N.op("tau", o - 1)) + eta_T(N, o - 1)).matrix.scale(s)
+            return blocks([[top], [ident("T", o - 1)]])
+        if name == "zeta":
+            z1 = IntMatrix.zeros(N.group("U", o % 8).ngens, N.group("T", (o - 1) % 8).ngens)
+            z2 = IntMatrix.zeros(N.group("U", (o - 1) % 8).ngens, N.group("T", o % 8).ngens)
+            return blocks([[op("zeta", o), z1], [z2, op("zeta", o - 1)]])
+        if name == "psiU":
+            z1 = IntMatrix.zeros(N.group("U", o % 8).ngens, N.group("U", (o - 1) % 8).ngens)
+            z2 = z1.transpose()
+            return blocks([[op("psiU", o), z1], [z2, op("psiU", o - 1)]])
+        if name == "psiT":
+            z = IntMatrix.zeros(N.group("T", o % 8).ngens, N.group("T", (o - 1) % 8).ngens)
+            low = hom_compose(N.op("gamma", o), N.op("zeta", o)).matrix.scale(s)
+            return blocks([[op("psiT", o), z], [low, op("psiT", o - 1)]])
+        if name == "gamma":
+            z1 = IntMatrix.zeros(N.group("T", (o - 1) % 8).ngens, N.group("U", (o - 1) % 8).ngens)
+            z2 = IntMatrix.zeros(N.group("T", (o - 2) % 8).ngens, N.group("U", o % 8).ngens)
+            return blocks([[op("gamma", o).scale(s), z1],
+                           [z2, op("gamma", o - 1).scale(-s)]])
+        if name == "tau":
+            b = hom_compose(N.op("eps", o), N.op("tau", o - 1)).matrix.scale(-s)
+            return blocks([[ident("T", o), b]])
+
+    raise AssertionError(f"no rule for {kind}/{name}")
+
+
+def _expand_basis(kind: str, off: int, idx: int, g: int, part: str,
+                  N: CRTModule, d2: int):
+    """Expansion of (basis vector idx at generator offset off) ⊗ n.
+
+    Returns a list of (slot label, GroupHom applied to the N-element); the
+    homomorphism source is N^{part}_{d2}.  Derived from the pairing axioms
+    and the basis words; any error here is caught by the naturality checks.
+    """
+    s = -1 if g % 2 else 1
+    off %= 8
+
+    def derived(fn, d):
+        return fn(N, d % 8)
+
+    if kind == "R":
+        if part == "O":
+            rules = {0: (1, None), 1: (s, lambda: derived(eta_O, d2)),
+                     2: (1, lambda: hom_compose(eta_O(N, d2 + 1), eta_O(N, d2))),
+                     4: (1, lambda: derived(xi, d2))}
+            sign, h = rules[off]
+            return [("b~", sign, None if h is None else h())]
+        if part == "U":
+            return [("cb~", 1, None)]
+        rules = {0: (1, None), 1: (s, lambda: derived(eta_T, d2)),
+                 3: (s, lambda: derived(omega, d2))}
+        sign, h = rules[off % 4]
+        return [("eb~", sign, None if h is None else h())]
+
+    if kind == "C":
+        if part == "U":
+            return [("b~" if idx == 0 else "psiU.b~", 1, None)]
+        if part == "O":
+            sigma = 1 if off % 4 == 0 else -1
+            return [("r(b~)", sigma, N.op("c", d2))]
+        if off % 2 == 1:
+            return [("gamma(b~)", 1, N.op("zeta", d2))]
+        return [("gamma(b~)", s, hom_compose(N.op("c", d2 + 1), N.op("tau", d2))),
+                ("eps.r(b~)", 1, N.op("zeta", d2))]
+
+    # kind == "T"
+    if part == "U":
+        if off % 2 == 0:
+            return [("zb~", -1, None)]
+        return [("ctb~", 1, None)]
+    if part == "O":
+        c = off % 4
+        if c == 1:
+            return [("tau(b~)", 1, N.op("eps", d2))]
+        if c == 2:
+            return [("tau(b~)", -s, hom_compose(N.op("eps", d2 + 1), eta_O(N, d2)))]
+        if c == 0:
+            return [("tau(b~)", -s, hom_compose(omega(N, d2), N.op("eps", d2)))]
+        raise AssertionError("zero group offset")
+    c = off % 4
+    if c == 0:
+        if idx == 0:
+            return [("b~", -1, None)]
+        return [("etb~", -s, derived(omega, d2))]
+    if c == 1:
+        if idx == 0:
+            return [("b~", s, derived(eta_T, d2))]
+        return [("etb~", 1, None)]
+    if c == 2:
+        return [("etb~", -s, derived(eta_T, d2))]
+    return [("b~", -s, derived(omega, d2))]
+
+
+def _expand_pure(TT: TensorModule, part: str, y: Element, d2: int,
+                 nvec: Sequence[int]) -> tuple[int, list[int]]:
+    """(window, raw coords) of the pure tensor y ⊗ n in TT's slot layout.
+
+    y is an element of TT.free.realized in the given part; n lives in
+    N^{part}_{d2}.
+    """
+    F, N = TT.free, TT.factor
+    m = (y.degree + d2) % 8
+    lay_free = F.layouts[(part, y.degree)]
+    raw_y = lay_free.reps.apply(y.vec)
+    out = [0] * sum(sl.width for sl in TT.slots[(part, m)])
+    pos = 0
+    for i, smd in enumerate(F.summands):
+        g = smd.generator_degree
+        off = (y.degree - g) % 8
+        words = _words_for(smd.kind, part, off)
+        for idx in range(len(words)):
+            coef = raw_y[pos]
+            pos += 1
+            if coef == 0:
+                continue
+            for label, sign, h in _expand_basis(smd.kind, off, idx, g, part, N, d2):
+                vec = tuple(nvec) if h is None else h.apply(nvec)
+                slot = _find_slot(TT, part, m, i, label)
+                for j, v in enumerate(vec):
+                    out[slot.offset + j] += coef * sign * v
+    return m, out
+
+
+def _find_slot(TT: TensorModule, part: str, m: int, summand: int, label: str) -> TensorSlot:
+    for sl in TT.slots[(part, m)]:
+        if sl.summand == summand and sl.label == label:
+            return sl
+    raise ValueError(f"no slot {label!r} for summand {summand} at ({part},{m})")
+
+
+def _slot_generator_images(tgt: TensorModule, mor: FreeMorphism, kind: str,
+                           x: Element, sl: TensorSlot, part: str, m: int) -> list[list[int]]:
+    """Raw-coordinate images of each generator of one source slot."""
+    N = tgt.factor
+    T = mor.target.realized
+    grp = N.group(sl.n_part, sl.n_degree)
+    outs = []
+    for k in range(grp.ngens):
+        n = tuple(1 if j == k else 0 for j in range(grp.ngens))
+        outs.append(_slot_image(tgt, kind, x, sl, n, T))
+    return outs
+
+
+def _raw_apply(TT: TensorModule, name: str, m: int, vec: Sequence[int]) -> tuple[int, list[int]]:
+    _, _, shift = OP_SPECS[name]
+    return (m + shift) % 8, list(TT.raw_ops[(name, m)].apply(vec))
+
+
+def _slot_image(TT: TensorModule, kind: str, x: Element, sl: TensorSlot,
+                n: Sequence[int], target_free: CRTModule) -> list[int]:
+    d2 = sl.n_degree
+    if kind == "R":
+        if sl.label == "b~":
+            return _expand_pure(TT, "O", x, d2, n)[1]
+        if sl.label == "cb~":
+            return _expand_pure(TT, "U", act(target_free, ["c"], x), d2, n)[1]
+        return _expand_pure(TT, "T", act(target_free, ["eps"], x), d2, n)[1]
+    if kind == "C":
+        if sl.label == "r(b~)":
+            m1, raw = _expand_pure(TT, "U", x, d2, n)
+            return _raw_apply(TT, "r", m1, raw)[1]
+        if sl.label == "b~":
+            return _expand_pure(TT, "U", x, d2, n)[1]
+        if sl.label == "psiU.b~":
+            psin = TT.factor.op("psiU", d2).apply(n)
+            m1, raw = _expand_pure(TT, "U", x, d2, psin)
+            return _raw_apply(TT, "psiU", m1, raw)[1]
+        if sl.label == "gamma(b~)":
+            m1, raw = _expand_pure(TT, "U", x, d2, n)
+            return _raw_apply(TT, "gamma", m1, raw)[1]
+        # eps.r(b~)
+        m1, raw = _expand_pure(TT, "U", x, d2, n)
+        m2, raw = _raw_apply(TT, "r", m1, raw)
+        return _raw_apply(TT, "eps", m2, raw)[1]
+    # kind == "T"
+    if sl.label == "tau(b~)":
+        m1, raw = _expand_pure(TT, "T", x, d2, n)
+        return _raw_apply(TT, "tau", m1, raw)[1]
+    if sl.label == "zb~":
+        return _expand_pure(TT, "U", act(target_free, ["zeta"], x), d2, n)[1]
+    if sl.label == "ctb~":
+        return _expand_pure(TT, "U", act(target_free, ["c", "tau"], x), d2, n)[1]
+    if sl.label == "b~":
+        return _expand_pure(TT, "T", x, d2, n)[1]
+    return _expand_pure(TT, "T", act(target_free, ["eps", "tau"], x), d2, n)[1]
+
+
 def tensor_monogenic(kind: str, k: int, N: CRTModule) -> TensorModule:
     return tensor_free(monogenic(kind, k), N)
 
@@ -578,7 +848,7 @@ def _block_diag_oracle(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 def _summand_raw_op_oracle(kind: str, g: int, N: CRTModule, name: str, m: int) -> IntMatrix:
-    """tensor._summand_raw_op with every real block a scaled copy of N's matrix, twist 1 included."""
+    """_summand_raw_op with every real block a scaled copy of N's matrix, twist 1 included."""
     if kind == "R":
         twist = (-1 if g % 2 else 1) if name in ("gamma", "tau") else 1
         return N.op(name, (m - g) % 8).matrix.scale(twist)
@@ -624,7 +894,7 @@ def tensor_free_oracle(summands: tuple[MonogenicKind, ...], N: CRTModule) -> Ten
 
 
 def expand_induced_map_oracle(mor: FreeMorphism, src: TensorModule, tgt: TensorModule) -> Morphism:
-    """tensor._expand_induced_map with every degree wrapped as proj * raw * reps."""
+    """The family of (mor ⊗ 1) expanded unit vector by unit vector, every degree wrapped as proj * raw * reps."""
     fam: Morphism = {}
     for part in PARTS:
         for m in range(8):

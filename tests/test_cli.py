@@ -67,6 +67,25 @@ class TestVerbs:
         assert "Z_3" in out
 
 
+def _write(tmp_path, obj) -> Path:
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _file_of(where: tuple, value):
+    """A writer of R's module JSON with value put at where, a path of keys and indices."""
+    def write(tmp_path) -> Path:
+        obj = module_to_json(monogenic("R", 0).realized)
+        *path, last = where
+        inner = obj
+        for key in path:
+            inner = inner[key]
+        inner[last] = value
+        return _write(tmp_path, obj)
+    return write
+
+
 class TestExitCodes:
     def test_unknown_verb_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -109,6 +128,25 @@ class TestExitCodes:
         p.write_text("{\"not\": \"a module\"}")
         code, _, err = run(["verify", str(p)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("write, message", [
+        (_file_of(("ops", "c", 0, "matrix", 0, 0), 1.7), "ops.c[0].matrix[0][0] must be an integer, not float"),
+        (_file_of(("MO", 1, "torsion", 0), 3.0), "MO[1].torsion[0] must be an integer, not float"),
+        (_file_of(("MU", 0, "rank"), True), "MU[0].rank must be an integer, not bool"),
+        (_file_of(("ops", "c", 0, "matrix", 0), 1), "ops.c[0].matrix[0] must be a list, not int"),
+        (_file_of(("ops", "tau"), []), "ops.tau must have 8 entries, not 0"),
+        (_file_of(("ops", "c", 1, "dom"), {"torsion": [4], "rank": 0}), "ops.c[1] maps Z_4 -> 0, not Z_2 -> 0"),
+        (lambda tmp_path: _write(tmp_path, {"MO": 5}), "MO must be a list, not int"),
+        (lambda tmp_path: _write(tmp_path, []), "module must be an object, not list"),
+        (lambda tmp_path: tmp_path, "not a catalog name or file"),
+    ], ids=["float-entry", "float-torsion", "bool-rank", "int-row", "no-degrees", "other-domain",
+            "int-part", "list-module", "directory"])
+    def test_malformed_module_file(self, write, message, tmp_path, capsys):
+        path = str(write(tmp_path))
+        code, out, err = run(["verify", path], capsys)
+        assert code == 2 and out == ""
+        assert ("cannot parse module file" in err or "not a catalog name or file" in err) and message in err
+        assert "Traceback" not in err
 
 
 def _reproduce_tables():

@@ -16,7 +16,9 @@ from crtk.catalog import (
 )
 from crtk.crt_core import (
     OP_NAMES,
+    PART_PERIOD,
     PARTS,
+    _side_hom,
     crt_isomorphic,
     direct_sum,
     is_acyclic,
@@ -28,6 +30,7 @@ from crtk.free_crt import (
     Element,
     FreeMorphism,
     MonogenicKind,
+    _words_for,
     free_module,
     monogenic,
     scale_element,
@@ -42,6 +45,7 @@ from crtk.tensor import (
 )
 from crtk.zlinalg import GroupHom, IntMatrix, hom_scale, identity_hom
 
+import oracles
 from cold_path import clear_caches
 from oracles import (
     complex_tensor_groups,
@@ -55,6 +59,8 @@ from oracles import (
     tensor_monogenic,
     tensor_symmetric_check,
     zero_hom,
+    _expand_basis,
+    _summand_raw_op,
 )
 
 R = monogenic("R", 0).realized
@@ -218,19 +224,22 @@ class TestInducedMapBySums:
         assert induced_tensor_map(mor, N) == induced_tensor_map_oracle(mor, N)
 
     def test_naturality_is_still_enforced(self, monkeypatch):
-        # Negate the pure tensor b~ (x) n of a real summand.  The unit map of O4's
-        # resolution is id (x) 1, read off without expansion, so the flip goes
-        # through R(0) -> R(0) + R(0), generator to the first generator: a unit map
-        # that is expanded and reads the rule.  Against O5 it negates the real part
+        # Negate the pure tensor b~ (x) n of a real summand: the (R, O, 0) entry of
+        # the expansion table, and the same rule of the oracle's branches.  The unit
+        # map of O4's resolution is id (x) 1, read off without expansion, so the flip
+        # goes through R(0) -> R(0) + R(0), generator to the first generator: a unit
+        # map that is expanded and reads the rule.  Against O5 it negates the real part
         # and not the complex part, and c is not 2-torsion there.  O5 (x) O5 cannot
         # show a sign change: all its expansions are a real summand's one U rule,
         # and C (x) O5 splits by the degree of n, so any signs give an automorphism
         # of a natural family.  The generic id (x) 1 of O4 (x) O5 fails too.
-        expand = tensor._expand_basis
+        key = ("R", "O", 0, 0)
+        ((slot, sign, word),) = tensor._EXPANSION[key]
+        expand = oracles._expand_basis
 
         def flipped(kind, off, idx, g, part, N, d2):
             terms = expand(kind, off, idx, g, part, N, d2)
-            if (kind, part, off % 8) == ("R", "O", 0):
+            if (kind, part, off % 8) == key[:3]:
                 (label, sign, h), *rest = terms
                 terms = [(label, -sign, h), *rest]
             return terms
@@ -238,7 +247,8 @@ class TestInducedMapBySums:
         F = monogenic("R", 0)
         mor = FreeMorphism(F, free_module([MonogenicKind("R", 0)] * 2), [Element("O", 0, (1, 0))])
         clear_caches()
-        monkeypatch.setattr(tensor, "_expand_basis", flipped)
+        monkeypatch.setitem(tensor._EXPANSION, key, ((slot, tuple(-x for x in sign), word),))
+        monkeypatch.setattr(oracles, "_expand_basis", flipped)
         try:
             with pytest.raises(ValueError, match="fails naturality"):
                 induced_tensor_map(mor, cuntz_module(4))
@@ -288,6 +298,39 @@ class TestStructuralShortcuts:
                 fam = expand_induced_map_oracle(FreeMorphism(F, F, [F.generator(0)]), TT, TT)
                 assert morphism_commutes(TT.module, TT.module, fam)
                 assert fam == {key: identity_hom(TT.module.group(*key)) for key in fam}
+
+
+class TestPairingTables:
+    """The tables of words against the pairing rules written as branches (oracles._summand_raw_op, _expand_basis)."""
+
+    @pytest.mark.parametrize("kind", ["R", "C", "T"])
+    def test_raw_operations(self, kind):
+        for shift in range(8):
+            F = monogenic(kind, shift)
+            g = F.summands[0].generator_degree
+            for N in TestStructuralShortcuts.factors():
+                raw_ops = tensor_free(F, N).raw_ops
+                for name in OP_NAMES:
+                    for m in range(8):
+                        assert raw_ops[(name, m)] == _summand_raw_op(kind, g, N, name, m), (g, name, m)
+
+    @pytest.mark.parametrize("kind", ["R", "C", "T"])
+    def test_expansion(self, kind):
+        read = set()
+        for N in TestStructuralShortcuts.factors():
+            for part in PARTS:
+                for off in range(8):
+                    for idx in range(len(_words_for(kind, part, off))):
+                        key = (kind, part, off % PART_PERIOD[part], idx)
+                        read.add(key)
+                        for g in range(8):
+                            for d2 in range(8):
+                                got = [(tensor._SLOTS[kind][part][slot][0], sign[g % 2], _side_hom(N, d2, word))
+                                       for slot, sign, word in tensor._EXPANSION[key]]
+                                want = [(label, sign, identity_hom(N.group(part, d2)) if h is None else h)
+                                        for label, sign, h in _expand_basis(kind, off, idx, g, part, N, d2)]
+                                assert got == want, (key, g, d2)
+        assert read == {key for key in tensor._EXPANSION if key[0] == kind}
 
 
 @functools.cache
