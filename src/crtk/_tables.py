@@ -7,6 +7,16 @@ matrices acting on coordinate columns of the ordered generators.  The
 whole artifact leans on these constants; the relation and acyclicity
 suites double as transcription checksums, and the degree-8 column of each
 source table is asserted against degree 0 in the tests.
+
+Basis words use the notation of crt_core's relation table
+(crt_core._parse_side): factors (operation, degree offset) joined by "."
+and applied right to left, each at the generator degree plus its offset;
+"O", "U" or "T" is the identity and a leading "-" negates.  The Bott
+elements act as the identity in the stored window, so they only shift the
+offsets of later factors: r.betaU is "r+2".  The derived elements are
+etaO = "tau.eps", etaT = "gamma+2.zeta", xi = "r+4.c" and
+omega = betaT.gamma.zeta = "gamma.zeta", whose betaT moves later factors
+by +3 rather than gamma's -1 (so tau.omega is "tau+3.gamma.zeta").
 """
 
 # Real base module: free on one generator in the real part, degree 0.
@@ -79,86 +89,46 @@ GENERATOR = {
 }
 
 # Basis vectors of each base module as operation words applied to the
-# generator, keyed by part and window offset from the generator degree.
-# Each entry is a list (one per basis vector) of (sign, tokens); tokens
-# compose right to left.  Validated against the stored tables by tests.
+# generator, keyed by part and window offset from the generator degree: one
+# signed word per basis vector, in crt_core._parse_side's notation and read
+# at the generator's degree.  Validated against the stored tables by tests.
 BASIS_WORDS = {
     "R": {
-        "O": {
-            0: [(1, ())],
-            1: [(1, ("etaO",))],
-            2: [(1, ("etaO", "etaO"))],
-            4: [(1, ("xi",))],
-        },
-        "U": {
-            0: [(1, ("c",))],
-            2: [(1, ("betaU", "c"))],
-            4: [(1, ("betaU", "betaU", "c"))],
-            6: [(1, ("betaU", "betaU", "betaU", "c"))],
-        },
+        "O": {0: ["O"], 1: ["tau.eps"], 2: ["tau+1.eps+1.tau.eps"], 4: ["r+4.c"]},
+        "U": {0: ["c"], 2: ["c"], 4: ["c"], 6: ["c"]},
         "T": {
-            0: [(1, ("eps",))],
-            1: [(1, ("etaT", "eps"))],
-            3: [(1, ("omega", "eps"))],
-            4: [(1, ("betaT", "eps"))],
-            5: [(1, ("betaT", "etaT", "eps"))],
-            7: [(1, ("betaT", "omega", "eps"))],
+            0: ["eps"], 1: ["gamma+2.zeta.eps"], 3: ["gamma.zeta.eps"],
+            4: ["eps"], 5: ["gamma+2.zeta.eps"], 7: ["gamma.zeta.eps"],
         },
     },
     "C": {
-        "O": {
-            0: [(1, ("r",))],
-            2: [(-1, ("r", "betaU"))],
-            4: [(1, ("r", "betaU", "betaU"))],
-            6: [(-1, ("r", "betaU", "betaU", "betaU"))],
-        },
-        "U": {
-            0: [(1, ()), (1, ("psiU",))],
-            2: [(1, ("betaU",)), (1, ("betaU", "psiU"))],
-            4: [(1, ("betaU", "betaU")), (1, ("betaU", "betaU", "psiU"))],
-            6: [(1, ("betaU", "betaU", "betaU")), (1, ("betaU", "betaU", "betaU", "psiU"))],
-        },
+        "O": {0: ["r"], 2: ["-r+2"], 4: ["r+4"], 6: ["-r+6"]},
+        "U": {0: ["U", "psiU"], 2: ["U", "psiU"], 4: ["U", "psiU"], 6: ["U", "psiU"]},
         "T": {
-            0: [(1, ("eps", "r"))],
-            1: [(1, ("gamma", "betaU"))],
-            2: [(1, ("eps", "r", "betaU"))],
-            3: [(1, ("gamma", "betaU", "betaU"))],
-            4: [(1, ("eps", "r", "betaU", "betaU"))],
-            5: [(1, ("gamma", "betaU", "betaU", "betaU"))],
-            6: [(1, ("eps", "r", "betaU", "betaU", "betaU"))],
-            7: [(1, ("gamma", "betaU", "betaU", "betaU", "betaU"))],
+            0: ["eps.r"], 1: ["gamma+2"], 2: ["eps+2.r+2"], 3: ["gamma+4"],
+            4: ["eps+4.r+4"], 5: ["gamma+6"], 6: ["eps+6.r+6"], 7: ["gamma"],
         },
     },
     "T": {
         "O": {
-            0: [(-1, ("tau", "betaT", "omega"))],
-            1: [(1, ("tau",))],
-            2: [(1, ("etaO", "tau"))],
-            4: [(-1, ("tau", "omega"))],
-            5: [(1, ("tau", "betaT"))],
-            6: [(1, ("etaO", "tau", "betaT"))],
+            0: ["-tau+7.gamma.zeta"], 1: ["tau"], 2: ["tau+1.eps+1.tau"],
+            4: ["-tau+3.gamma.zeta"], 5: ["tau+4"], 6: ["tau+5.eps+5.tau+4"],
         },
         "U": {
-            0: [(-1, ("zeta",))],
-            1: [(1, ("c", "tau"))],
-            2: [(-1, ("betaU", "zeta"))],
-            3: [(1, ("betaU", "c", "tau"))],
-            4: [(-1, ("betaU", "betaU", "zeta"))],
-            5: [(1, ("betaU", "betaU", "c", "tau"))],
-            6: [(-1, ("betaU", "betaU", "betaU", "zeta"))],
-            7: [(1, ("betaU", "betaU", "betaU", "c", "tau"))],
+            0: ["-zeta"], 1: ["c+1.tau"], 2: ["-zeta"], 3: ["c+1.tau"],
+            4: ["-zeta"], 5: ["c+1.tau"], 6: ["-zeta"], 7: ["c+1.tau"],
         },
         "T": {
             # canonical generator order puts the torsion generator first,
-            # so the etaT-word precedes the eps.tau-word at offsets 1 and 5
-            0: [(-1, ()), (1, ("betaT", "gamma", "betaU", "betaU", "c", "tau"))],
-            1: [(1, ("etaT",)), (1, ("eps", "tau"))],
-            2: [(1, ("etaT", "eps", "tau"))],
-            3: [(-1, ("omega",))],
-            4: [(-1, ("betaT",)), (1, ("gamma", "betaU", "betaU", "c", "tau"))],
-            5: [(1, ("betaT", "etaT")), (1, ("betaT", "eps", "tau"))],
-            6: [(1, ("betaT", "etaT", "eps", "tau"))],
-            7: [(-1, ("betaT", "omega"))],
+            # so the gamma.zeta-word precedes the eps.tau-word at offsets 1 and 5
+            0: ["-T", "gamma+5.c+1.tau"],
+            1: ["gamma+2.zeta", "eps+1.tau"],
+            2: ["gamma+3.zeta+1.eps+1.tau"],
+            3: ["-gamma.zeta"],
+            4: ["-T", "gamma+5.c+1.tau"],
+            5: ["gamma+2.zeta", "eps+1.tau"],
+            6: ["gamma+3.zeta+1.eps+1.tau"],
+            7: ["-gamma.zeta"],
         },
     },
 }

@@ -25,8 +25,6 @@ from .free_crt import (
     Element,
     FreeMorphism,
     MonogenicKind,
-    act,
-    add_elements,
     base_module,
     free_module,
     monogenic,
@@ -121,8 +119,9 @@ def cuntz_resolution(k: int) -> FreeResolution:
 
     Odd k: multiplication by k on the real monogenic module.  Even k: the
     complex monogenic module maps onto the kernel of the two-generator
-    surjection, its generator going to (k/2)·c(b0) - betaU^-1·c(b2) (the
-    k/2 multiplier is forced by exactness).  FreeResolution validates the image.
+    surjection, its generator going to (k/2)·c(b0) - betaU^-1·c(b2), read
+    off the stored c_0 and c_2 in the free complex part (the k/2 multiplier
+    is forced by exactness).  FreeResolution validates the image.
     """
     target = cuntz_module(k)
     if k % 2 == 1:
@@ -137,9 +136,8 @@ def cuntz_resolution(k: int) -> FreeResolution:
     x2 = Element("O", 2, (1,) if k % 4 == 2 else (0, 1))
     mu0 = realize_morphism(F0, target, [x0, x2])
     b0, b2 = F0.generator(0), F0.generator(1)
-    y = add_elements(F0.realized,
-                     scale_element(act(F0.realized, ["c"], b0), k // 2),
-                     scale_element(act(F0.realized, ["betaU_inv", "c"], b2), -1))
+    c0, c2 = F0.realized.op("c", 0).apply(b0.vec), F0.realized.op("c", 2).apply(b2.vec)
+    y = Element("U", 0, tuple(k // 2 * u - v for u, v in zip(c0, c2)))
     F1 = monogenic("C", 0)
     return FreeResolution(F1, FreeMorphism(F1, F0, [y]), F0, target, mu0)
 

@@ -47,7 +47,6 @@ from .zlinalg import (
     checked_entries,
     commutation_rows,
     echelon_mod,
-    hom_compose,
     hom_coords,
     hom_matrix,
     identity_hom,
@@ -228,31 +227,6 @@ def _assemble(groups: tuple[tuple[FinAbGroup, ...], ...],
 def zero_module() -> CRTModule:
     """The empty direct sum."""
     return direct_sum()
-
-
-# ---------------------------------------------------------------------------
-# Derived maps (computed, never stored)
-# ---------------------------------------------------------------------------
-
-
-def eta_O(M: CRTModule, n: int) -> GroupHom:
-    """tau . eps : MO_n -> MO_{n+1}."""
-    return hom_compose(M.op("tau", n), M.op("eps", n))
-
-
-def eta_T(M: CRTModule, n: int) -> GroupHom:
-    """gamma . betaU . zeta : MT_n -> MT_{n+1} (betaU is the window shift)."""
-    return hom_compose(M.op("gamma", n + 2), M.op("zeta", n))
-
-
-def xi(M: CRTModule, n: int) -> GroupHom:
-    """r . betaU^2 . c : MO_n -> MO_{n+4}."""
-    return hom_compose(M.op("r", n + 4), M.op("c", n))
-
-
-def omega(M: CRTModule, n: int) -> GroupHom:
-    """betaT . gamma . zeta : MT_n -> MT_{n+3} (stored target at n-1)."""
-    return hom_compose(M.op("gamma", n), M.op("zeta", n))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from . import _tables
@@ -22,23 +23,16 @@ from .crt_core import (
     Morphism,
     OP_SPECS,
     PARTS,
+    _parse_side,
+    _side_value,
     direct_sum_with_layout,
-    eta_O,
-    eta_T,
     morphism_commutes,
-    omega,
     presented_module,
     suspend,
-    xi,
 )
 from .zlinalg import GroupHom, IntMatrix, layout
 
 KINDS = ("R", "C", "T")
-
-# Degree of the free generator relative to the declared shift: the
-# self-conjugate table's generator sits one degree below its shift.
-GEN_OFFSET = {"R": 0, "C": 0, "T": -1}
-GEN_PART = {"R": "O", "C": "U", "T": "T"}
 
 
 @dataclass(frozen=True)
@@ -54,54 +48,8 @@ class Element:
         object.__setattr__(self, "vec", tuple(self.vec))
 
 
-# Window shifts of the Bott tokens; coordinates are unchanged.
-_BETA_TOKENS = {"betaU": ("U", 2), "betaU_inv": ("U", -2), "betaT": ("T", 4)}
-_DERIVED_TOKENS = {
-    "etaO": (eta_O, "O", 1),
-    "etaT": (eta_T, "T", 1),
-    "omega": (omega, "T", 3),
-    "xi": (xi, "O", 4),
-}
-
-
-def act(M: CRTModule, word: Sequence[str], x: Element) -> Element:
-    """Apply an operation word (composition order, rightmost first).
-
-    Tokens are the eight operation names, the Bott shifts betaU, betaU_inv
-    and betaT, and the derived ring elements etaO, etaT, omega, xi acting
-    through their defining composites.
-    """
-    for tok in reversed(list(word)):
-        if tok in OP_SPECS:
-            src, tgt, shift = OP_SPECS[tok]
-            if x.part != src:
-                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
-            h = M.op(tok, x.degree)
-            x = Element(tgt, x.degree + shift, h.apply(x.vec))
-        elif tok in _BETA_TOKENS:
-            part, shift = _BETA_TOKENS[tok]
-            if x.part != part:
-                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
-            x = Element(part, x.degree + shift, x.vec)
-        elif tok in _DERIVED_TOKENS:
-            fn, part, shift = _DERIVED_TOKENS[tok]
-            if x.part != part:
-                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
-            x = Element(part, x.degree + shift, fn(M, x.degree).apply(x.vec))
-        else:
-            raise ValueError(f"unknown operation token {tok!r}")
-    return x
-
-
 def scale_element(x: Element, k: int) -> Element:
     return Element(x.part, x.degree, tuple(k * v for v in x.vec))
-
-
-def add_elements(M: CRTModule, x: Element, y: Element) -> Element:
-    if (x.part, x.degree) != (y.part, y.degree):
-        raise ValueError("cannot add elements in different degrees")
-    G = M.group(x.part, x.degree)
-    return Element(x.part, x.degree, G.reduce(tuple(a + b for a, b in zip(x.vec, y.vec))))
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +71,12 @@ class MonogenicKind:
 
     @property
     def generator_part(self) -> str:
-        return GEN_PART[self.kind]
+        return _tables.GENERATOR[self.kind][0]
 
     @property
     def generator_degree(self) -> int:
-        return (self.shift + GEN_OFFSET[self.kind]) % 8
+        """The self-conjugate table's generator sits one degree below its shift."""
+        return (self.shift + _tables.GENERATOR[self.kind][1]) % 8
 
 
 def table_module(groups_listed: dict, ops_listed: dict) -> CRTModule:
@@ -190,8 +139,15 @@ class FreeCRT:
         return Element(part, deg, G.reduce(lay.proj.apply(raw)))
 
 
-def _words_for(kind: str, part: str, offset: int) -> list[tuple[int, tuple[str, ...]]]:
-    return _tables.BASIS_WORDS[kind][part].get(offset % 8, [])
+# _tables.BASIS_WORDS parsed once: (kind, part, offset) -> one side per basis vector.
+_BASIS_SIDES = {(kind, part, off): tuple(map(_parse_side, words))
+                for kind, parts in _tables.BASIS_WORDS.items()
+                for part, offsets in parts.items() for off, words in offsets.items()}
+
+
+def _words_for(kind: str, part: str, offset: int) -> tuple[tuple, ...]:
+    """The basis words of a base module at a part and offset from the generator degree."""
+    return _BASIS_SIDES.get((kind, part, offset % 8), ())
 
 
 def monogenic(kind: str, n: int = 0) -> FreeCRT:
@@ -253,11 +209,10 @@ def realize_morphism(source: FreeCRT, target_module: CRTModule,
             src_group = source.realized.group(part, n)
             tgt_group = target_module.group(part, n)
             cols = []
-            for i, s in enumerate(source.summands):
-                off = (n - s.generator_degree) % 8
-                for sign, word in _words_for(s.kind, part, off):
-                    y = act(target_module, word, images[i])
-                    cols.append([sign * v for v in y.vec])
+            for s, x in zip(source.summands, images):
+                for word in _words_for(s.kind, part, n - s.generator_degree):
+                    rows = _side_value(target_module, x.degree, word)[2]
+                    cols.append([sum(map(mul, row, x.vec)) for row in rows])
             raw = IntMatrix.from_cols(cols, rows=tgt_group.ngens)
             lay = source.layouts[(part, n)]
             fam[(part, n)] = GroupHom(src_group, tgt_group, raw if lay.identity else raw * lay.reps)

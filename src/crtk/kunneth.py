@@ -82,7 +82,6 @@ from .zlinalg import (
     GroupHom,
     IntMatrix,
     Zmod,
-    _quotient_data,
     commutation_rows,
     echelon_mod,
     fin_ab_tensor,
@@ -91,6 +90,7 @@ from .zlinalg import (
     hom_coords,
     hom_matrix,
     identity_hom,
+    layout,
     solve_int,
 )
 
@@ -147,9 +147,10 @@ def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
             rels[ns + i][ns + i] = qi
             for j in range(ns):
                 rels[j][ns + i] = c[j * len(q) + i]
-        K, proj, reps = _quotient_data(n, IntMatrix.from_rows(rels, cols=n))
-        alpha = GroupHom(sub, K, IntMatrix.from_rows([row[:ns] for row in proj.entries], cols=ns))
-        beta = GroupHom(K, quot, IntMatrix.from_rows(reps.entries[ns:], cols=K.ngens))
+        lay = layout(IntMatrix.from_rows(rels, cols=n))
+        K = lay.group
+        alpha = GroupHom(sub, K, IntMatrix.from_rows([row[:ns] for row in lay.proj.entries], cols=ns))
+        beta = GroupHom(K, quot, IntMatrix.from_rows(lay.reps.entries[ns:], cols=K.ngens))
         options.append((K, alpha, beta))
     return options
 
@@ -462,10 +463,10 @@ def kunneth_pipeline(name_a: str, name_b: str, budget: int = 5_000_000) -> Kunne
     tp = tensor_and_tor(ent_a.resolution, cuntz_module(l))
     problem = KunnethProblem(tp.tensor, tp.tor)
     solutions = solve_middle(problem, budget=budget)
-    expected = expected_product(k, l)
-    matches = [crt_isomorphic(s.middle, expected) is not None for s in solutions]
     if len(solutions) > 1:
         raise MultipleMiddles(tuple(s.middle for s in solutions))
+    expected = expected_product(k, l)
+    matches = [crt_isomorphic(s.middle, expected) is not None for s in solutions]
     split = solutions[0].split if solutions else None
     return KunnethReport(name_a, name_b, k, l, tp.tensor, tp.tor,
                          solutions, expected, matches, split)

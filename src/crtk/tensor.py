@@ -147,8 +147,10 @@ _BLOCKS = {kind: {name: {key: _signed(*value) for key, value in blocks.items()} 
 
 # (basis vector of a summand) ⊗ n in the summand's slots: keyed by (kind,
 # part, offset of the basis vector from the generator degree modulo the part's
-# period, index among the basis words of _tables.BASIS_WORDS), a sum of terms
-# (slot, sign, word), the word read on N at n's degree.
+# period, position of its word in that offset's list in _tables.BASIS_WORDS),
+# a sum of terms (slot, sign, word), the word read on N at n's degree.  The
+# words of both tables share crt_core._parse_side's notation: e.g. R's basis
+# word "r+4.c" moves onto n as the same word.
 _EXPANSION = {key: tuple((slot, *_signed(sign, word)) for slot, sign, word in terms) for key, terms in {
     ("R", "O", 0, 0): [(0, 1, "O")],
     ("R", "O", 1, 0): [(0, "s", "tau.eps")],

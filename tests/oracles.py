@@ -25,16 +25,12 @@ from crtk.crt_core import (
     PARTS,
     SLOTS,
     crt_isomorphic,
-    eta_O,
-    eta_T,
     is_free,
     make_module,
     morphism_commutes,
-    omega,
     slot_of,
     sum_layout,
     verify_relations,
-    xi,
 )
 from crtk.free_crt import (
     Element,
@@ -43,7 +39,6 @@ from crtk.free_crt import (
     MonogenicKind,
     _shape,
     _words_for,
-    act,
     free_module,
     monogenic,
     realize_morphism,
@@ -290,12 +285,32 @@ def _exact(f: GroupHom, g: GroupHom) -> bool:
         return False
 
 
-def _eta_O(M: CRTModule, n: int) -> GroupHom:
+# The derived ring elements as composites of stored operations, as the package
+# first computed them; its words now read them in crt_core._parse_side's notation.
+
+
+def eta_O(M: CRTModule, n: int) -> GroupHom:
+    """tau . eps : MO_n -> MO_{n+1}."""
     return hom_compose(M.op("tau", n), M.op("eps", n))
 
 
+def eta_T(M: CRTModule, n: int) -> GroupHom:
+    """gamma . betaU . zeta : MT_n -> MT_{n+1} (betaU is the window shift)."""
+    return hom_compose(M.op("gamma", n + 2), M.op("zeta", n))
+
+
+def xi(M: CRTModule, n: int) -> GroupHom:
+    """r . betaU^2 . c : MO_n -> MO_{n+4}."""
+    return hom_compose(M.op("r", n + 4), M.op("c", n))
+
+
+def omega(M: CRTModule, n: int) -> GroupHom:
+    """betaT . gamma . zeta : MT_n -> MT_{n+3} (stored target at n-1)."""
+    return hom_compose(M.op("gamma", n), M.op("zeta", n))
+
+
 def _eta_O_sq(M: CRTModule, n: int) -> GroupHom:
-    return hom_compose(_eta_O(M, n + 1), _eta_O(M, n))
+    return hom_compose(eta_O(M, n + 1), eta_O(M, n))
 
 
 def _one_minus_psiU(M: CRTModule, n: int) -> GroupHom:
@@ -335,9 +350,9 @@ CHECK_ORACLE: dict[str, Callable[[CRTModule, int], bool]] = {
     "seq1@T": lambda M, n: _exact(M.op("gamma", n + 1), M.op("zeta", n)),
     "seq1@U.ker(1-psiU)": lambda M, n: _exact(M.op("zeta", n), _one_minus_psiU(M, n)),
     "seq1@U.ker(gamma)": lambda M, n: _exact(_one_minus_psiU(M, n), M.op("gamma", n)),
-    "seq2@O": lambda M, n: _exact(_eta_O(M, n), M.op("c", n + 1)),
+    "seq2@O": lambda M, n: _exact(eta_O(M, n), M.op("c", n + 1)),
     "seq2@U": lambda M, n: _exact(M.op("c", n + 1), M.op("r", n - 1)),
-    "seq2@O.ker(etaO)": lambda M, n: _exact(M.op("r", n - 1), _eta_O(M, n - 1)),
+    "seq2@O.ker(etaO)": lambda M, n: _exact(M.op("r", n - 1), eta_O(M, n - 1)),
     "seq3@O": lambda M, n: _exact(_eta_O_sq(M, n), M.op("eps", n + 2)),
     "seq3@T": lambda M, n: _exact(M.op("eps", n + 2), M.op("tau", n + 6)),
     "seq3@O.ker(etaO^2)": lambda M, n: _exact(M.op("tau", n + 6), _eta_O_sq(M, n - 1)),
@@ -451,6 +466,159 @@ def schedule_oracle() -> dict[tuple[str, int], list[tuple[Check, int]]]:
 # ---------------------------------------------------------------------------
 
 
+# Basis vectors of each base module as token words applied to the
+# generator, keyed by part and window offset from the generator degree, as
+# the package first wrote them.  Each entry is a list (one per basis vector)
+# of (sign, tokens); tokens compose right to left and are read by act.  The
+# package reads _tables.BASIS_WORDS, the same vectors in crt_core._parse_side's
+# notation, with crt_core's relation evaluator.
+BASIS_TOKENS = {
+    "R": {
+        "O": {
+            0: [(1, ())],
+            1: [(1, ("etaO",))],
+            2: [(1, ("etaO", "etaO"))],
+            4: [(1, ("xi",))],
+        },
+        "U": {
+            0: [(1, ("c",))],
+            2: [(1, ("betaU", "c"))],
+            4: [(1, ("betaU", "betaU", "c"))],
+            6: [(1, ("betaU", "betaU", "betaU", "c"))],
+        },
+        "T": {
+            0: [(1, ("eps",))],
+            1: [(1, ("etaT", "eps"))],
+            3: [(1, ("omega", "eps"))],
+            4: [(1, ("betaT", "eps"))],
+            5: [(1, ("betaT", "etaT", "eps"))],
+            7: [(1, ("betaT", "omega", "eps"))],
+        },
+    },
+    "C": {
+        "O": {
+            0: [(1, ("r",))],
+            2: [(-1, ("r", "betaU"))],
+            4: [(1, ("r", "betaU", "betaU"))],
+            6: [(-1, ("r", "betaU", "betaU", "betaU"))],
+        },
+        "U": {
+            0: [(1, ()), (1, ("psiU",))],
+            2: [(1, ("betaU",)), (1, ("betaU", "psiU"))],
+            4: [(1, ("betaU", "betaU")), (1, ("betaU", "betaU", "psiU"))],
+            6: [(1, ("betaU", "betaU", "betaU")), (1, ("betaU", "betaU", "betaU", "psiU"))],
+        },
+        "T": {
+            0: [(1, ("eps", "r"))],
+            1: [(1, ("gamma", "betaU"))],
+            2: [(1, ("eps", "r", "betaU"))],
+            3: [(1, ("gamma", "betaU", "betaU"))],
+            4: [(1, ("eps", "r", "betaU", "betaU"))],
+            5: [(1, ("gamma", "betaU", "betaU", "betaU"))],
+            6: [(1, ("eps", "r", "betaU", "betaU", "betaU"))],
+            7: [(1, ("gamma", "betaU", "betaU", "betaU", "betaU"))],
+        },
+    },
+    "T": {
+        "O": {
+            0: [(-1, ("tau", "betaT", "omega"))],
+            1: [(1, ("tau",))],
+            2: [(1, ("etaO", "tau"))],
+            4: [(-1, ("tau", "omega"))],
+            5: [(1, ("tau", "betaT"))],
+            6: [(1, ("etaO", "tau", "betaT"))],
+        },
+        "U": {
+            0: [(-1, ("zeta",))],
+            1: [(1, ("c", "tau"))],
+            2: [(-1, ("betaU", "zeta"))],
+            3: [(1, ("betaU", "c", "tau"))],
+            4: [(-1, ("betaU", "betaU", "zeta"))],
+            5: [(1, ("betaU", "betaU", "c", "tau"))],
+            6: [(-1, ("betaU", "betaU", "betaU", "zeta"))],
+            7: [(1, ("betaU", "betaU", "betaU", "c", "tau"))],
+        },
+        "T": {
+            # canonical generator order puts the torsion generator first,
+            # so the etaT-word precedes the eps.tau-word at offsets 1 and 5
+            0: [(-1, ()), (1, ("betaT", "gamma", "betaU", "betaU", "c", "tau"))],
+            1: [(1, ("etaT",)), (1, ("eps", "tau"))],
+            2: [(1, ("etaT", "eps", "tau"))],
+            3: [(-1, ("omega",))],
+            4: [(-1, ("betaT",)), (1, ("gamma", "betaU", "betaU", "c", "tau"))],
+            5: [(1, ("betaT", "etaT")), (1, ("betaT", "eps", "tau"))],
+            6: [(1, ("betaT", "etaT", "eps", "tau"))],
+            7: [(-1, ("betaT", "omega"))],
+        },
+    },
+}
+
+
+# Window shifts of the Bott tokens; coordinates are unchanged.
+_BETA_TOKENS = {"betaU": ("U", 2), "betaU_inv": ("U", -2), "betaT": ("T", 4)}
+_DERIVED_TOKENS = {
+    "etaO": (eta_O, "O", 1),
+    "etaT": (eta_T, "T", 1),
+    "omega": (omega, "T", 3),
+    "xi": (xi, "O", 4),
+}
+
+
+def act(M: CRTModule, word: Sequence[str], x: Element) -> Element:
+    """Apply an operation word (composition order, rightmost first).
+
+    Tokens are the eight operation names, the Bott shifts betaU, betaU_inv
+    and betaT, and the derived ring elements etaO, etaT, omega, xi acting
+    through their defining composites.
+    """
+    for tok in reversed(list(word)):
+        if tok in OP_SPECS:
+            src, tgt, shift = OP_SPECS[tok]
+            if x.part != src:
+                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
+            h = M.op(tok, x.degree)
+            x = Element(tgt, x.degree + shift, h.apply(x.vec))
+        elif tok in _BETA_TOKENS:
+            part, shift = _BETA_TOKENS[tok]
+            if x.part != part:
+                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
+            x = Element(part, x.degree + shift, x.vec)
+        elif tok in _DERIVED_TOKENS:
+            fn, part, shift = _DERIVED_TOKENS[tok]
+            if x.part != part:
+                raise ValueError(f"cannot apply {tok} to a {x.part}-part element")
+            x = Element(part, x.degree + shift, fn(M, x.degree).apply(x.vec))
+        else:
+            raise ValueError(f"unknown operation token {tok!r}")
+    return x
+
+
+def token_words_for(kind: str, part: str, offset: int) -> list[tuple[int, tuple[str, ...]]]:
+    return BASIS_TOKENS[kind][part].get(offset % 8, [])
+
+
+def realize_morphism_by_tokens(source: FreeCRT, target_module: CRTModule,
+                               images: Sequence[Element]) -> Morphism:
+    """free_crt.realize_morphism as first written: each basis token word through act."""
+    fam: Morphism = {}
+    for part in PARTS:
+        for n in range(8):
+            src_group = source.realized.group(part, n)
+            tgt_group = target_module.group(part, n)
+            cols = []
+            for i, s in enumerate(source.summands):
+                off = (n - s.generator_degree) % 8
+                for sign, word in token_words_for(s.kind, part, off):
+                    y = act(target_module, word, images[i])
+                    cols.append([sign * v for v in y.vec])
+            raw = IntMatrix.from_cols(cols, rows=tgt_group.ngens)
+            lay = source.layouts[(part, n)]
+            fam[(part, n)] = GroupHom(src_group, tgt_group, raw if lay.identity else raw * lay.reps)
+    if not morphism_commutes(source.realized, target_module, fam):
+        raise ValueError("realized family does not commute with the operations")
+    return fam
+
+
 @dataclass(frozen=True, eq=False)
 class BasisLabel:
     summand: int
@@ -469,7 +637,7 @@ def basis(F: FreeCRT, part: str, n: int) -> list[BasisLabel]:
     out = []
     for i, s in enumerate(F.summands):
         off = (n - s.generator_degree) % 8
-        for sign, word in _words_for(s.kind, part, off):
+        for sign, word in token_words_for(s.kind, part, off):
             out.append(BasisLabel(i, sign, word))
     return out
 

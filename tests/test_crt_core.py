@@ -21,7 +21,6 @@ from crtk.crt_core import (
     backtrack,
     crt_isomorphic,
     direct_sum,
-    eta_O,
     is_acyclic,
     is_free,
     make_module,
@@ -51,7 +50,7 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
-from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, morphism_commutes_oracle,
+from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, eta_O, morphism_commutes_oracle,
                      morphism_is_iso, slot_ops_oracle, well_defined_matrix)
 
 R = monogenic("R", 0).realized
@@ -757,4 +756,4 @@ class TestJson:
 
     def test_eta_O_is_tau_eps(self):
         for n in range(8):
-            assert eta_O(R, n) == hom_compose(R.op("tau", n), R.op("eps", n))
+            assert crt_core._side_hom(R, n, crt_core._parse_side("tau.eps")) == eta_O(R, n)

@@ -1,9 +1,22 @@
 """Monogenic tables, basis words, elements, and morphism realization."""
 
+from operator import mul
+
 import pytest
 
 from crtk import _tables
-from crtk.crt_core import OP_NAMES, OP_SPECS, PARTS, between_sums, is_acyclic, is_free, verify_relations
+from crtk.crt_core import (
+    OP_NAMES,
+    OP_SPECS,
+    PART_PERIOD,
+    PARTS,
+    _parse_side,
+    _side_value,
+    between_sums,
+    is_acyclic,
+    is_free,
+    verify_relations,
+)
 from crtk.free_crt import (
     KINDS,
     Element,
@@ -11,16 +24,34 @@ from crtk.free_crt import (
     MonogenicKind,
     _shape,
     _words_for,
-    act,
     base_module,
     free_module,
     monogenic,
     morphism_realize,
+    realize_morphism,
     scale_element,
 )
-from crtk.zlinalg import FinAbGroup, IntMatrix, hom_scale, identity_hom, layout
+from crtk.zlinalg import CompositionError, FinAbGroup, IntMatrix, hom_scale, identity_hom, layout
 
-from oracles import basis, compose_morphisms, find_free_isomorphism, table_module_oracle
+from oracles import (
+    act,
+    basis,
+    compose_morphisms,
+    find_free_isomorphism,
+    realize_morphism_by_tokens,
+    table_module_oracle,
+    token_words_for,
+)
+
+
+def apply_word(M, word, x: Element) -> Element:
+    """A one-term word (text or parsed side) on x, read at x's degree, as an element."""
+    side = _parse_side(word) if isinstance(word, str) else word
+    ((_, ((name, off), *_)),) = side
+    part, shift = (name, 0) if name in PARTS else OP_SPECS[name][1:]
+    degree = x.degree + off + shift
+    rows = _side_value(M, x.degree, side)[2]
+    return Element(part, degree, M.group(part, degree).reduce(tuple(sum(map(mul, row, x.vec)) for row in rows)))
 
 # Degree-8 column of each source table: it must restate degree 0 under the
 # periodicity identification (an independent transcription checksum).
@@ -74,15 +105,32 @@ class TestTables:
             gen = F.generator(0)
             s = F.summands[0]
             for part in PARTS:
+                period = PART_PERIOD[part]
                 for n in range(8):
                     G = M.group(part, n)
-                    words = _words_for(kind, part, (n - s.generator_degree) % 8)
+                    words = _words_for(kind, part, n - s.generator_degree)
                     assert len(words) == G.ngens
-                    for i, (sign, w) in enumerate(words):
-                        y = act(M, w, gen)
-                        assert (y.part, y.degree) == (part, n)
-                        want = G.reduce(tuple(sign if j == i else 0 for j in range(G.ngens)))
-                        assert G.reduce(y.vec) == want
+                    for i, w in enumerate(words):
+                        y = apply_word(M, w, gen)
+                        assert (y.part, y.degree % period) == (part, n % period)
+                        assert y.vec == G.reduce(tuple(int(j == i) for j in range(G.ngens)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shift", range(8))
+    def test_words_agree_with_the_token_words(self, kind, shift):
+        F = monogenic(kind, shift)
+        M = F.realized
+        gen = F.generator(0)
+        for part in PARTS:
+            for off in range(8):
+                words = _words_for(kind, part, off)
+                tokens = token_words_for(kind, part, off)
+                assert len(words) == len(tokens)
+                for word, (sign, token_word) in zip(words, tokens):
+                    old, new = act(M, token_word, gen), apply_word(M, word, gen)
+                    G = M.group(new.part, new.degree)
+                    assert (new.part, new.degree % PART_PERIOD[part]) == (old.part, old.degree % PART_PERIOD[part])
+                    assert new.vec == G.reduce(tuple(sign * v for v in old.vec)), (part, off, word)
 
     def test_table2_complex_rank(self):
         M = monogenic("C", 0).realized
@@ -93,34 +141,36 @@ class TestTables:
 
 
 class TestAct:
+    """Operation words in crt_core._parse_side's notation acting on elements."""
+
     def test_tau_eps_gives_eta(self):
         F = monogenic("R", 0)
         one = F.generator(0)
-        y = act(F.realized, ["tau", "eps"], one)
+        y = apply_word(F.realized, "tau.eps", one)
         assert y == Element("O", 1, (1,))  # the order-2 generator in degree 1
 
     def test_zeta_on_self_conjugate_generator(self):
         F = monogenic("T", 0)
         chi = F.generator(0)
         assert chi.degree == 7  # stored window for degree -1
-        y = act(F.realized, ["zeta"], chi)
+        y = apply_word(F.realized, "zeta", chi)
         assert y == Element("U", 7, (-1,))
 
     def test_empty_word(self):
         F = monogenic("C", 0)
         x = F.generator(0)
-        assert act(F.realized, [], x) == x
+        assert apply_word(F.realized, "U", x) == x
 
     def test_part_mismatch(self):
-        F = monogenic("R", 0)
-        with pytest.raises(ValueError):
-            act(F.realized, ["zeta"], F.generator(0))
+        # c lands in the complex part, which zeta does not read from: MU_0 = Z, MT_0 = Z + Z_2
+        with pytest.raises(CompositionError):
+            _side_value(monogenic("T", 1).realized, 0, _parse_side("zeta.c"))
 
     def test_word_composition(self):
         F = monogenic("T", 0)
         chi = F.generator(0)
-        via_word = act(F.realized, ["c", "tau"], chi)
-        stepwise = act(F.realized, ["c"], act(F.realized, ["tau"], chi))
+        via_word = apply_word(F.realized, "c+1.tau", chi)
+        stepwise = apply_word(F.realized, "c", apply_word(F.realized, "tau", chi))
         assert via_word == stepwise
 
 
@@ -193,6 +243,23 @@ class TestMorphisms:
         # summand only, and r(c(b0)) = 2 b0 picks up the k/2 multiplier
         o0 = fam[("O", 0)]
         assert o0.matrix == IntMatrix.from_rows([[4]])
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_resolution_maps_agree_with_the_token_reader(self, k):
+        from crtk.catalog import cuntz_resolution
+        res = cuntz_resolution(k)
+        F0, M0 = res.F0, res.F0.realized
+        images = [Element(g.part, g.degree, res.mu0[(g.part, g.degree)].apply(g.vec))
+                  for g in map(F0.generator, range(len(F0.summands)))]
+        assert realize_morphism(F0, res.target, images) == res.mu0
+        assert realize_morphism_by_tokens(F0, res.target, images) == res.mu0
+        mu1 = res.mu1
+        assert morphism_realize(mu1) == realize_morphism_by_tokens(mu1.source, M0, mu1.images)
+        if k % 2 == 0:
+            # the image as first built: (k/2)·c(b0) - betaU^-1·c(b2) through the token reader
+            c0, c2 = act(M0, ["c"], F0.generator(0)), act(M0, ["betaU_inv", "c"], F0.generator(1))
+            assert c2.degree == 0
+            assert mu1.images[0].vec == tuple(k // 2 * u - v for u, v in zip(c0.vec, c2.vec))
 
     def test_find_free_isomorphism_identity(self):
         F = monogenic("C", 2)
