@@ -12,6 +12,7 @@ fixture mismatch, empty solution set), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,7 +72,14 @@ def _fmt_matrix(h: GroupHom) -> str:
     return "[" + "; ".join(" ".join(str(x) for x in row) for row in m.entries) + "]"
 
 
+@functools.cache
 def render_module(M: CRTModule, window: int = 8) -> str:
+    """M's table in degrees 0..window, degree n showing stored degree n mod 8.
+
+    Rendered once per distinct (module value, window) in a process: equal
+    modules render to identical text, and a family of pairs prints few
+    distinct modules (the 86 grid_light pairs print 258 tables of 12).
+    """
     cols = list(range(window + 1))
     rows = []
     rows.append(["n"] + [str(n) for n in cols])

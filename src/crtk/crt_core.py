@@ -10,7 +10,8 @@ concrete exactness checks.  One table, CHECKS, holds the 21 relations and
 the 9 exactness nodes, each instantiated in the eight stored degrees:
 verify_relations and is_acyclic iterate it, and the Kunneth search prunes
 with it.  Every check is data, two sides that sum integer multiples of
-operation words, and one evaluator reads them all by multiplying rows of
+operation words, each word typed by part and degree where it is parsed
+(_parse_side), and one evaluator reads them all by multiplying rows of
 reduced entries, with the endpoint, shape and well-definedness tests of
 hom_compose, hom_scale and GroupHom.__add__ at every step; a relation
 compares its sides, and a node runs is_exact_at on them.  Each suite
@@ -255,11 +256,38 @@ def _parse_side(text: str) -> tuple:
     A word lists the factors (name, degree offset) of a composite, applied
     right to left; "O", "U" or "T" is the identity of that part's group.
     'U - 2psiU+2.c' -> ((1, (('U', 0),)), (-2, (('psiU', 2), ('c', 0))))
+    Every word must chain and every term share the side's endpoints
+    (_side_ends), so a mistyped word fails here, not where it is read.
     """
     terms = re.findall(r"(-?)(\d*)(\S+)", text.replace(" + ", " ").replace(" - ", " -"))
-    return tuple((int(f"{sign}{coef or 1}"), tuple((name, int(off or 0)) for name, off in
-                                                    re.findall(r"([A-Za-z]+)([+-]\d+)?", word)))
+    side = tuple((int(f"{sign}{coef or 1}"), tuple((name, int(off or 0)) for name, off in
+                                                   re.findall(r"([A-Za-z]+)([+-]\d+)?", word)))
                  for sign, coef, word in terms)
+    _side_ends(side, text)
+    return side
+
+
+def _factor_ends(name: str, off: int, text: str) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(source, target) of one factor as (part, degree offset modulo the part's period)."""
+    if name not in OP_SPECS and name not in PART_PERIOD:
+        raise ValueError(f"unknown factor {name!r} in {text!r}")
+    src, tgt, shift = OP_SPECS.get(name, (name, name, 0))
+    return (src, off % PART_PERIOD[src]), (tgt, (off + shift) % PART_PERIOD[tgt])
+
+
+def _side_ends(side: tuple, text: str) -> Optional[tuple[tuple[str, int], tuple[str, int]]]:
+    """(source, target) of a parsed side, None for zero; CompositionError if a word does
+    not chain (a factor's source is not its right neighbour's target) or two terms differ."""
+    ends = set()
+    for _, word in side:
+        factors = [_factor_ends(name, off, text) for name, off in reversed(word)]
+        for (_, reached), (source, _) in zip(factors, factors[1:]):
+            if reached != source:
+                raise CompositionError(f"{text!r} does not chain: a factor from {source} after one into {reached}")
+        ends.add((factors[0][0], factors[-1][1]))
+    if len(ends) > 1:
+        raise CompositionError(f"terms of {text!r} have different endpoints: {sorted(ends)}")
+    return ends.pop() if ends else None
 
 
 def _triple(h: GroupHom) -> tuple:
@@ -352,7 +380,15 @@ class Check:
 
 
 def _check(name: str, left: str, right: str, at: int = 0, node: bool = False) -> Check:
+    """A table entry, typed: a relation's two sides share endpoints (zero fits any),
+    and a node's f ends where its g starts."""
     sides = (_parse_side(left), _parse_side(right))
+    ends = (_side_ends(sides[0], left), _side_ends(sides[1], right))
+    if node:
+        if ends[0][1] != ends[1][0]:
+            raise CompositionError(f"{name}: {left!r} ends at {ends[0][1]}, {right!r} starts at {ends[1][0]}")
+    elif None not in ends and ends[0] != ends[1]:
+        raise CompositionError(f"{name}: sides {left!r} and {right!r} have different endpoints")
     reads = dict.fromkeys(f for side in sides for _, word in side for f in word if f[0] in OP_SPECS)
     return Check(name, tuple(reads), sides, at, node)
 

@@ -6,15 +6,16 @@ mu1 (x) 1 is summed from, Kunneth solves, isomorphism searches) and the
 linear algebra under them (Smith forms, the layouts of presented groups:
 direct sums, free tensors, cokernels and printed tables; kernels, images,
 cokernels, exactness verdicts, zero matrices, identities, the cells of a
-hom that need a well-definedness test).  After `clear_caches` the next call
-builds, checks and solves everything again: the oracle for reuse.
+hom that need a well-definedness test), and the command line renders each
+table once.  After `clear_caches` the next call builds, checks, solves and
+renders everything again: the oracle for reuse.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
 
-from crtk import catalog, crt_core, free_crt, kunneth, tensor, zlinalg
+from crtk import catalog, cli, crt_core, free_crt, kunneth, tensor, zlinalg
 
 
 def clear_module_caches(mod: ModuleType) -> None:
@@ -34,6 +35,6 @@ def clear_module_caches(mod: ModuleType) -> None:
 
 def clear_caches() -> None:
     """Empty every functools cache in crtk's modules and the table of solved problems."""
-    for mod in (zlinalg, crt_core, free_crt, tensor, kunneth, catalog):
+    for mod in (zlinalg, crt_core, free_crt, tensor, kunneth, catalog, cli):
         clear_module_caches(mod)
     kunneth._SOLVED.clear()

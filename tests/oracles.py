@@ -1,4 +1,4 @@
-"""Brute-force oracles and test-only helpers for zlinalg, crt_core, free_crt and tensor.
+"""Brute-force oracles and test-only helpers for zlinalg, crt_core, free_crt, tensor, catalog and cli.
 
 Nothing in the package calls these; the tests use them to cross-check
 the package's own constructions by independent, simpler routes.
@@ -14,6 +14,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from crtk.catalog import cuntz_module
+from crtk.cli import _fmt_matrix
 from crtk.crt_core import (
     CHECKS,
     BudgetExceeded,
@@ -1204,3 +1205,26 @@ def cuntz_resolution_by_search(k: int, bound: int = 3) -> FreeResolution:
         except ValueError:
             continue
     raise ValueError(f"no free generator found in ker(mu0) for k={k}; kernel U-part {K}")
+
+
+# ---------------------------------------------------------------------------
+# cli
+# ---------------------------------------------------------------------------
+
+
+def render_module_oracle(M: CRTModule, window: int = 8) -> str:
+    """cli.render_module as first written: the table rendered on every call, with no cache."""
+    cols = list(range(window + 1))
+    rows = []
+    rows.append(["n"] + [str(n) for n in cols])
+    for part, label in (("O", "KO_n"), ("U", "KU_n"), ("T", "KT_n")):
+        rows.append([label] + [str(M.group(part, n % 8)) for n in cols])
+    for name in OP_NAMES:
+        rows.append([f"{name}_n"] + [_fmt_matrix(M.op(name, n % 8)) for n in cols])
+    widths = [max(len(r[i]) for r in rows) for i in range(len(cols) + 1)]
+    lines = []
+    for i, r in enumerate(rows):
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+        if i in (0, 3):
+            lines.append("-" * len(lines[-1]))
+    return "\n".join(lines)

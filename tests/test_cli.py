@@ -1,15 +1,20 @@
 """Command-line behaviour: verbs, exit codes, JSON round-trips."""
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from crtk.catalog import expected_product
+from crtk import crt_core
+from crtk.catalog import catalog_entry, catalog_names, expected_product
 from crtk.cli import main, render_module
 from crtk.crt_core import crt_isomorphic, module_from_json, module_to_json, zero_module
 from crtk.free_crt import monogenic
+from crtk.kunneth import kunneth_pipeline
+
+from oracles import render_module_oracle
 
 
 def run(argv, capsys):
@@ -190,6 +195,30 @@ class TestDeterminism:
 
     def test_round_trip_catalog_modules(self):
         for name in ("R", "C", "T", "O3", "O5"):
-            from crtk.catalog import catalog_entry
             M = catalog_entry(name).module
             assert module_from_json(module_to_json(M)) == M
+
+
+class TestRenderReuse:
+    """render_module renders each (module value, window) once, as the uncached oracle would."""
+
+    WINDOWS = (0, 3, 8, 16)
+
+    def test_matches_the_oracle(self):
+        modules = [catalog_entry(name).module for name in catalog_names()]
+        for k, l in itertools.product(range(2, 13), repeat=2):
+            rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
+            modules += [rep.tensor, rep.tor, rep.solutions[0].middle]
+        for M in modules:
+            for window in self.WINDOWS:
+                assert render_module(M, window) == render_module_oracle(M, window)
+        assert render_module.cache_info().currsize < len(modules) * len(self.WINDOWS)
+
+    def test_equal_modules_share_one_entry(self):
+        M = kunneth_pipeline("O5", "O5").tensor
+        text = render_module(M)
+        crt_core._assemble.cache_clear()  # so that the rebuilt module is a new object
+        twin = module_from_json(module_to_json(M))
+        assert twin is not M and twin == M
+        assert render_module(twin) is text
+        assert render_module.cache_info().currsize == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtk import crt_core
+from crtk import crt_core, free_crt, tensor
 from crtk.catalog import catalog_entry, catalog_names, cuntz_module, expected_product
 from crtk.crt_core import (
     BudgetExceeded,
@@ -757,3 +757,51 @@ class TestJson:
     def test_eta_O_is_tau_eps(self):
         for n in range(8):
             assert crt_core._side_hom(R, n, crt_core._parse_side("tau.eps")) == eta_O(R, n)
+
+
+class TestWordTypes:
+    """Every word is typed where it is parsed: factors chain by part and degree
+    (modulo the part's period), the terms of a side share endpoints, a relation's
+    sides agree and a node's f ends where its g starts."""
+
+    def test_zeta_c_fails_at_parse(self):
+        # c lands in the complex part, which zeta does not read from, although on R
+        # at degree 0 both groups are Z.
+        assert R.group("U", 0) == R.group("T", 0)
+        with pytest.raises(CompositionError, match="does not chain"):
+            crt_core._parse_side("zeta.c")
+
+    def test_unknown_factor_fails_at_parse(self):
+        with pytest.raises(ValueError, match="unknown factor 'xi'"):
+            crt_core._parse_side("eps.xi")
+
+    # One mistyped word from the vocabulary of each table, through that table's builder.
+    @pytest.mark.parametrize("build, message", [
+        # CHECKS: "xi.tau=2tau.betaT" with the Bott shift dropped from the right side.
+        (lambda: crt_core._check("xi.tau=2tau.betaT", "r+5.c+1.tau", "2tau"), "different endpoints"),
+        # CHECKS: seq2@O with c read a degree too low.
+        (lambda: crt_core._check("seq2@O", "tau.eps", "c", 1, node=True), "starts at"),
+        # _tables.BASIS_WORDS, as free_crt._BASIS_SIDES parses it: R's "gamma+2.zeta.eps" off by one.
+        (lambda: crt_core._parse_side("gamma+1.zeta.eps"), "does not chain"),
+        # tensor._SLOTS: T's slot "ctb~" with c read at tau's source degree.
+        (lambda: tensor._slot("ctb~", "U", -1, "c.tau", "U", "U"), "does not chain"),
+        # tensor._BLOCKS: T's eps block with the second term read two degrees high.
+        (lambda: tensor._signed("s", "eps.tau-1 + gamma+1.zeta+1"), "different endpoints"),
+        # tensor._EXPANSION: R's "tau+1.eps+1.tau.eps" with its first shift dropped.
+        (lambda: tensor._signed(1, "tau.eps+1.tau.eps"), "does not chain"),
+    ], ids=["relation", "node", "basis", "slot", "block", "expansion"])
+    def test_a_mistyped_table_word_fails_at_parse(self, build, message):
+        with pytest.raises(CompositionError, match=message):
+            build()
+
+    def test_every_table_word_is_typed(self):
+        sides = [side for chk in CHECKS for side in chk.sides]
+        sides += [side for words in free_crt._BASIS_SIDES.values() for side in words]
+        sides += [side for parts in tensor._SLOTS.values() for slots in parts.values()
+                  for slot in slots for side in slot[3:] if side is not None]
+        sides += [word for ops in tensor._BLOCKS.values() for blocks in ops.values()
+                  for _, word in blocks.values()]
+        sides += [word for terms in tensor._EXPANSION.values() for _, _, word in terms]
+        # 209 terms, and only the zero right sides of zeta.gamma=0 and tau.betaT.eps=0 have no endpoints.
+        assert sum(len(side) for side in sides) == 209
+        assert [crt_core._side_ends(side, "") for side in sides].count(None) == 2
