@@ -21,22 +21,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from crtk.catalog import cuntz_module, cuntz_resolution, expected_product
 from crtk.cli import _at_least, render_module
-from crtk.crt_core import crt_isomorphic
-from crtk.kunneth import KunnethProblem, solve_middle
-from crtk.tensor import tensor_and_tor
+from crtk.kunneth import kunneth_pipeline
 
 DEFAULT_PAIRS = [(3, 5), (3, 6), (2, 2), (2, 4), (4, 4), (2, 6), (4, 8)]
 
 
 def run_pair(k: int, l: int) -> bool:
-    """Solve one pair and match it with the table; the time covers both."""
+    """Solve one pair and match it with the table (kunneth_pipeline); the time covers both."""
     t0 = time.perf_counter()
-    tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
-    sols = solve_middle(KunnethProblem(tp.tensor, tp.tor))
-    expected = expected_product(k, l)
-    ok = all(crt_isomorphic(s.middle, expected) is not None for s in sols)
+    rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
+    sols, ok = rep.solutions, all(rep.matches_expected)
     elapsed = time.perf_counter() - t0
     print(f"== (k, l) = ({k}, {l})   [{elapsed:.2f}s]")
     if not sols:

@@ -99,17 +99,17 @@ SLOT_OPS = place(SLOTS, (((name, n), (slot_of(src, n), slot_of(tgt, n + shift)))
 
 
 def backtrack(keys: Sequence, options: Callable[[object], Iterable], fits: Callable[[object], bool],
-              choice: dict, tick: Callable[[], None]) -> Iterator[dict]:
+              choice: dict, tick: Callable[[object], None]) -> Iterator[dict]:
     """Assign choice[key] from options(key) for each key in order, depth first.
 
-    tick() runs once per candidate tried.  The search descends past a key
-    only when fits(key) holds, so fits may read choice at that key and at
-    every key before it.  The generator yields choice itself, once per full
-    assignment, and pops a key when its options run out.  It yields rather
-    than calls back, so the caller's work runs off the frames of this
-    recursion (56 deep in the Kunneth operation stage): CPython 3.11
-    allocates and frees a frame-stack chunk per call in a loop that
-    straddles a chunk edge.
+    tick(key) runs once per candidate tried, before it is assigned to key.
+    The search descends past a key only when fits(key) holds, so fits may
+    read choice at that key and at every key before it.  The generator
+    yields choice itself, once per full assignment, and pops a key when its
+    options run out.  It yields rather than calls back, so the caller's
+    work runs off the frames of this recursion (70 deep in the Kunneth
+    search): CPython 3.11 allocates and frees a frame-stack chunk per call
+    in a loop that straddles a chunk edge.
     """
     def rec(k: int) -> Iterator[dict]:
         if k == len(keys):
@@ -117,7 +117,7 @@ def backtrack(keys: Sequence, options: Callable[[object], Iterable], fits: Calla
             return
         key = keys[k]
         for opt in options(key):
-            tick()
+            tick(key)
             choice[key] = opt
             if fits(key):
                 yield from rec(k + 1)
@@ -636,7 +636,9 @@ def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optio
     node is one candidate tried, counted against budget; a search that
     never backtracks takes 14 nodes.  Equal modules need no search: the
     answer is the identity family, charged 14 nodes as such a search is,
-    so a budget below 14 raises BudgetExceeded for them too.
+    so a budget below 14 raises BudgetExceeded for them too.  Its message
+    names the slot being tried and the nodes counted, the one over budget
+    included.
 
     The search runs once per distinct (M, N, budget) in a process; every
     call returns a fresh dict.  BudgetExceeded is raised, never stored.
@@ -654,15 +656,16 @@ def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
             return None
     nodes = 0
 
-    def tick():
+    def tick(slot):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded("isomorphism search budget exceeded")
+            raise BudgetExceeded(f"isomorphism search budget exceeded at slot {slot[0]}_{slot[1]} "
+                                 f"after {nodes} nodes")
 
     if M == N:
-        for _ in SLOTS:
-            tick()
+        for slot in SLOTS:
+            tick(slot)
         return {(p, n): identity_hom(M.group(p, n)) for p in PARTS for n in range(8)}
 
     system = functools.cache(lambda slot: _slot_candidates(M, N, slot))  # built on first visit

@@ -6,24 +6,28 @@ a CRT-morphism and the surjection a CRT-morphism of degree -1, and K must
 satisfy the relations and be acyclic.  The solver writes down the
 extensions of each slot (one slot per stored period: 8 real, 2 complex,
 4 self-conjugate) directly, one per class of Ext^1(tor_{n-1}, tensor_n),
-each with its extension maps, and then backtracks over the operation
-matrices.  For each operation instance the intertwining conditions are
-affine congruences in the hom_coords of the operation (written by
-zlinalg.commutation_rows, as are the gauge table's and crt_core's
-isomorphism systems): one particular solution is found by exact linear
-algebra, and the ambiguity is exactly alpha . W . beta for W ranging
-over the finite group Hom(tor_{n-1}, tensor_m), listed by its own
-hom_coords, so the aggregate search space is small.  An instance whose
+each with its extension maps, and backtracks over them and the
+operation matrices together.  For each operation instance the
+intertwining conditions are affine congruences in the hom_coords of the
+operation (written by zlinalg.commutation_rows, as are the gauge
+table's and crt_core's isomorphism systems): one particular solution is
+found by exact linear algebra, and the ambiguity is exactly
+alpha . W . beta for W ranging over the finite group
+Hom(tor_{n-1}, tensor_m), listed by its own hom_coords, so the
+aggregate search space is small.  An instance whose
 source or target slot has a trivial middle group K needs no algebra: its
 only candidate is the zero map, which intertwines (both sides of each
 condition pass through the trivial group).  The search is pruned
 further by every relation and exactness node of crt_core.CHECKS, each
 in each degree, at the operation that completes it; a full assignment
 therefore is an acyclic CRT-module, and no final suite runs on it.
-Both stages, slots then operations, run on crt_core.backtrack, the
-engine of the isomorphism search too, and one rule (crt_core.place)
-puts each operation instance at the later of its two slots and each
-check at the last operation it reads.  A search lists the candidates of
+The search is one crt_core.backtrack, the engine of the isomorphism
+search too, over one key order (_KEYS): each slot, then the operation
+instances that one rule (crt_core.place) puts at the later of their two
+slots, so an instance is searched as soon as both its slots are chosen.
+The same rule puts each check at the last operation it reads.  An
+instance with no candidate has no options, so it prunes the slot
+options before it by itself.  A search lists the candidates of
 an instance once per pair of slot options and decides each check once
 for each degree and set of operands, options and operands keyed by
 identity (every one lives for the whole search).
@@ -36,11 +40,12 @@ gives the same answer on a candidate and on its image.  As beta.alpha = 0,
 u_t.theta.u_s^-1 moves the candidate at W to the one at W + h_t.Q - P.h_s
 (P, Q the tensor and Tor operations) for every slot choice.  These moves
 form one subgroup D(G) of the W coordinates of all operation instances,
-and one echelon form of it (_gauge_table) bounds each coordinate: the W
-below every bound are exactly those first in their orbit under the
-stabilizer of the operations before.  The search builds only the
-candidates in that box ("orderly" search), so it reaches the first copy
-of each G-orbit, and every node is a candidate it tries.
+the same for every slot choice, and one echelon form of it
+(_gauge_table) bounds each coordinate: the W below every bound are
+exactly those first in their orbit under the stabilizer of the
+operations before.  The search builds only the candidates in that box
+("orderly" search), so it reaches the first copy of each G-orbit, and
+every node is a candidate it tries.
 
 All consistent middles are returned, deduplicated up to CRT-isomorphism
 as they arrive; the dedup still catches isomorphisms outside G.  Each
@@ -155,15 +160,16 @@ def _extension_options(sub: FinAbGroup, quot: FinAbGroup):
     return options
 
 
-# Operation assignment order; psiT is derived from eps.r.zeta - 1.
-_OP_ORDER = [(name, n) for name in ("zeta", "gamma", "psiU", "c", "r", "tau", "eps")
-             for n in range(8)]
-# Each (check, degree) of crt_core.CHECKS at the operation that completes it; psiT_n is
-# derived when eps_n is assigned, so a read of psiT_n counts as eps_n.  _derive_psiT
-# defines psiT_n as eps_n.r_n.zeta_n - 1, so eps.r.zeta=1+psiT always holds and is left out.
-_SCHEDULE = place(_OP_ORDER, (((chk, n), [("eps" if name == "psiT" else name, (n + off) % 8)
-                                          for name, off in chk.reads])
-                              for chk in CHECKS if chk.name != "eps.r.zeta=1+psiT" for n in range(8)))
+# The search order: each slot, then the operation instances SLOT_OPS puts there.  psiT_n is
+# derived when eps_n is assigned (r_n and zeta_n come before it), so it is not a key.
+_KEYS = [key for slot in SLOTS for key in [slot, *(op for op in SLOT_OPS[slot] if op[0] != "psiT")]]
+_OPS = [key for key in _KEYS if key[0] in OP_SPECS]
+# Each (check, degree) of crt_core.CHECKS at the operation that completes it; a read of
+# psiT_n counts as eps_n.  _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so
+# eps.r.zeta=1+psiT always holds and is left out.
+_SCHEDULE = place(_KEYS, (((chk, n), [("eps" if name == "psiT" else name, (n + off) % 8)
+                                      for name, off in chk.reads])
+                          for chk in CHECKS if chk.name != "eps.r.zeta=1+psiT" for n in range(8)))
 
 
 class _Assigned:
@@ -181,10 +187,10 @@ class _Assigned:
 
 
 def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
-    """For each key of _OP_ORDER, the bound of each hom_coord of its W: the box the search visits.
+    """For each operation key of _KEYS, the bound of each hom_coord of its W: the box the search visits.
 
     The gauge group, the hom_coords of each slot's Hom(quot, sub), moves
-    the W coordinates of all keys at once, in _OP_ORDER order, by
+    the W coordinates of all operation keys at once, in _KEYS order, by
     D(h) = h_t.Q - P.h_s.  W of a key is least (lexicographically) in its
     orbit under the stabilizer of the keys before iff each coordinate is
     below the pivot of echelon_mod(D) there: the elements of D's image
@@ -193,7 +199,7 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
     homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
     zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
     rows, orders, sizes = [], [], []
-    for name, n in _OP_ORDER:
+    for name, n in _OPS:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
         P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
@@ -208,20 +214,17 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
         orders += [order for *_, order in coords]
         sizes.append(len(coords))
     pivots = iter([v[i] for i, v in enumerate(echelon_mod(list(zip(*rows)), orders))])
-    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OP_ORDER, sizes)}
+    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OPS, sizes)}
 
 
 class _Search:
-    """One Kunneth solve: a slot stage, then an operation stage per full slot choice.
+    """One Kunneth solve: one crt_core.backtrack over _KEYS, counting its nodes against the budget.
 
-    Both stages run on crt_core.backtrack and count their nodes against
-    one budget.  The slot stage assigns the extension options of each slot
-    and prunes a choice as soon as some operation instance between assigned
-    slots has no candidate (SLOT_OPS); every instance of a full choice thus
-    has one.  The operation stage assigns each key of _OP_ORDER its
-    candidates and prunes with the checks _SCHEDULE places there.  Only the
-    candidates in the gauge table's box are ever built, so a node is a
-    candidate the search tries.
+    A slot key takes the slot's extension options, an operation key the
+    candidates of the instance under its two slots' options (an empty list
+    when there are none); the checks _SCHEDULE places at an operation
+    prune there.  Only the candidates in the gauge table's box are ever
+    built, so a node is a candidate the search tries.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
@@ -230,6 +233,7 @@ class _Search:
         self.nodes = 0
         self.raw = 0        # middles reaching _finish
         self.solutions: list[KunnethSolution] = []
+        self._choice: dict = {}  # slot -> (K, alpha, beta); instance -> operation matrix
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
         # Per-search memos keyed by ids (slot_options keeps every option alive, _cand_cache and
         # _psiT every operand): candidates per (instance, slot options), psiT per (eps, r, zeta),
@@ -240,31 +244,38 @@ class _Search:
         self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
                              for slot in SLOTS}
 
-    # -- slot stage ---------------------------------------------------------
-
     def run(self):
-        self._slot_choice = {}
-        # A slot fits when every instance it completes has a candidate (psiT is derived, not searched).
-        for _ in backtrack(SLOTS, self.slot_options.__getitem__,
-                           lambda slot: all(name == "psiT" or self._instance_candidates(name, n)
-                                            for name, n in SLOT_OPS[slot]),
-                           self._slot_choice, lambda: self._tick("slot")):
-            self._op_stage()
+        choice = self._choice
+        view = _Assigned(choice, self._k_group)
+
+        def options(key):
+            return self.slot_options[key] if key in self.slot_options else self._instance_candidates(*key)
+
+        def fits(key) -> bool:
+            name, n = key
+            if name == "eps":  # a psiT_n left by backtracking is never read: its checks come at eps_n or later
+                triple = (id(choice[key]), id(choice[("r", n)]), id(choice[("zeta", n)]))
+                if (psiT := self._psiT.get(triple)) is None:
+                    psiT = self._psiT[triple] = self._derive_psiT(choice, n)
+                choice[("psiT", n)] = psiT
+            return all(self._holds(chk, m, view) for chk, m in _SCHEDULE[key])
+
+        for full in backtrack(_KEYS, options, fits, choice, self._tick):
+            self._finish(full)
         return self.solutions
 
-    def _tick(self, stage: str):
+    def _tick(self, key):
         self.nodes += 1
         if self.nodes > self.budget:
+            stage = "slot" if key in self.slot_options else "operation"
             raise BudgetExceeded(
                 f"Kunneth search budget exceeded in the {stage} stage after "
                 f"{self.nodes} nodes ({self.raw} raw middles, "
                 f"{len(self.solutions)} classes kept)")
 
-    # -- operation stage ----------------------------------------------------
-
     def _option(self, part, n) -> tuple[FinAbGroup, GroupHom, GroupHom]:
         """(K, alpha, beta) of the chosen extension at (part, n)."""
-        return self._slot_choice[slot_of(part, n)]
+        return self._choice[slot_of(part, n)]
 
     def _k_group(self, part, n) -> FinAbGroup:
         return self._option(part, n)[0]
@@ -306,23 +317,6 @@ class _Search:
                    for w in itertools.product(*map(range, self.bounds[(name, n)]))]
         self._cand_cache[cache_key] = out
         return out
-
-    def _op_stage(self):
-        ops: dict[tuple[str, int], GroupHom] = {}
-        view = _Assigned(ops, self._k_group)
-        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
-
-        def fits(key) -> bool:
-            name, n = key
-            if name == "eps":  # a psiT_n left by backtracking is never read: its checks come at eps_n or later
-                triple = (id(ops[key]), id(ops[("r", n)]), id(ops[("zeta", n)]))
-                if (psiT := self._psiT.get(triple)) is None:
-                    psiT = self._psiT[triple] = self._derive_psiT(ops, n)
-                ops[("psiT", n)] = psiT
-            return all(self._holds(chk, m, view) for chk, m in _SCHEDULE[key])
-
-        for full in backtrack(_OP_ORDER, cand.__getitem__, fits, ops, lambda: self._tick("operation")):
-            self._finish(full)
 
     def _holds(self, chk: Check, n: int, view: _Assigned) -> bool:
         """chk.holds(view, n), decided once per search for each set of operands; errors are not stored."""

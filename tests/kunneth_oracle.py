@@ -26,6 +26,12 @@ hom_coords of the operation instead (zlinalg.commutation_rows).
 solved_candidates_oracle keeps that solve without the solver's shortcut
 for an instance with a trivial middle group, whose only candidate is the
 zero map.
+
+TwoStageSearch keeps the search as it was before slots and operations
+shared one key order: a slot stage chooses all 14 slot extensions, pruned
+as soon as an instance a slot completes has no candidate, and for each
+full slot choice an operation stage backtracks over _OP_ORDER, a fixed
+order of the 56 instances, with its own gauge table and check schedule.
 """
 
 from __future__ import annotations
@@ -34,18 +40,23 @@ import itertools
 from typing import Optional
 
 from crtk.crt_core import (
+    CHECKS,
     OP_NAMES,
     OP_SPECS,
     PARTS,
+    SLOT_OPS,
     SLOTS,
+    backtrack,
     crt_isomorphic,
     is_acyclic,
     make_module,
+    place,
     slot_of,
     verify_relations,
 )
 from crtk.kunneth import (
-    _OP_ORDER,
+    _KEYS,
+    _OPS,
     _SCHEDULE,
     KunnethProblem,
     KunnethSolution,
@@ -63,11 +74,11 @@ def full_boxes(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
     """Each hom_coord of each key's W at its order: the box that holds every candidate."""
     return {(name, n): [order for *_, order in hom_coords(p.tor.op(name, n - 1).domain,
                                                          p.tensor.op(name, n).codomain)]
-            for name, n in _OP_ORDER}
+            for name, n in _OPS}
 
 
 def gauge_table_oracle(p: KunnethProblem) -> dict[tuple[str, int], Optional[frozenset[int]]]:
-    """For each key of _OP_ORDER, the candidate indices the orderly search visits.
+    """For each operation key of _KEYS, the candidate indices the orderly search visits.
 
     L spans the stabilizer of the keys before in gauge coordinates (the
     hom_coords of each slot's Hom(quot, sub)).  Candidate j is visited iff
@@ -79,8 +90,8 @@ def gauge_table_oracle(p: KunnethProblem) -> dict[tuple[str, int], Optional[froz
     zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
     gauge = [c for slot in SLOTS for c in hom_coords(*homs[slot])]
     L = IntMatrix.identity(len(gauge))
-    table = dict.fromkeys(_OP_ORDER)
-    for name, n in _OP_ORDER:
+    table = dict.fromkeys(_OPS)
+    for name, n in _OPS:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
         P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
@@ -207,7 +218,12 @@ def _slot_gauge(option, sub: FinAbGroup, quot: FinAbGroup) -> list[tuple[GroupHo
 class EnumeratedGauge(_Search):
     """The solver with its gauge group listed and each stabilizer filtered element by element.
 
-    Every candidate is built and ticked; skipped counts those not first in their gauge orbit.
+    It runs over _KEYS as the solver does.  Every candidate is built and
+    ticked; skipped counts those not first in their gauge orbit.  The
+    gauge group is a list of index tuples, one index per slot into
+    hom_group_elements(quot, sub), whose length does not depend on the
+    slot's option; an element acts on an instance through _slot_gauge of
+    the options of its two slots, both chosen before it.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
@@ -215,32 +231,35 @@ class EnumeratedGauge(_Search):
         self.bounds = full_boxes(p)
         self.skipped = 0
 
-    def _op_stage(self):
-        ops = {}
+    def run(self):
+        ops = self._choice
         view = _Assigned(ops, self._k_group)
-        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
-        if any(not v for v in cand.values()):
-            return
-        gauge = [_slot_gauge(self._slot_choice[slot], self.p.sub(*slot), self.p.quot(*slot))
-                 for slot in SLOTS]
         slot_index = {slot: i for i, slot in enumerate(SLOTS)}
-        index = {key: {h.matrix.entries: j for j, h in enumerate(v)} for key, v in cand.items()}
-        images = {}
+        gauges, index, images = {}, {}, {}
 
-        def stabilizer(key, j, H):
+        def gauge(slot):
+            option = ops[slot]
+            if id(option) not in gauges:
+                gauges[id(option)] = _slot_gauge(option, self.p.sub(*slot), self.p.quot(*slot))
+            return gauges[id(option)]
+
+        def stabilizer(key, cand, j, H):
             """The g in H fixing candidate j, or None if some g in H maps it to a smaller index."""
             name, n = key
             src, tgt, shift = OP_SPECS[name]
-            s, t = slot_index[slot_of(src, n)], slot_index[slot_of(tgt, n + shift)]
+            s_slot, t_slot = slot_of(src, n), slot_of(tgt, n + shift)
+            s, t = slot_index[s_slot], slot_index[t_slot]
+            u_s, u_t = gauge(s_slot), gauge(t_slot)
+            where = index.setdefault(id(cand), {h.matrix.entries: i for i, h in enumerate(cand)})
             fixed = []
             for g in H:
-                img = images.get((key, j, g[s], g[t]))
+                img = images.get((id(cand), j, g[s], g[t]))
                 if img is None:
-                    moved = hom_compose(gauge[t][g[t]][0], hom_compose(cand[key][j], gauge[s][g[s]][1]))
-                    img = index[key].get(moved.matrix.entries)
+                    moved = hom_compose(u_t[g[t]][0], hom_compose(cand[j], u_s[g[s]][1]))
+                    img = where.get(moved.matrix.entries)
                     if img is None:
                         raise RuntimeError(f"gauge image of a {name}_{n} candidate is not a candidate")
-                    images[(key, j, g[s], g[t])] = img
+                    images[(id(cand), j, g[s], g[t])] = img
                 if img < j:
                     return None
                 if img == j:
@@ -248,13 +267,21 @@ class EnumeratedGauge(_Search):
             return fixed
 
         def rec(i, H):
-            if i == len(_OP_ORDER):
+            if i == len(_KEYS):
                 yield ops
                 return
-            key = _OP_ORDER[i]
-            for j, h in enumerate(cand[key]):
-                self._tick("operation")
-                H_next = H if len(H) == 1 else stabilizer(key, j, H)
+            key = _KEYS[i]
+            if key in self.slot_options:
+                for option in self.slot_options[key]:
+                    self._tick(key)
+                    ops[key] = option
+                    yield from rec(i + 1, H)
+                ops.pop(key, None)
+                return
+            cand = self._instance_candidates(*key)
+            for j, h in enumerate(cand):
+                self._tick(key)
+                H_next = H if len(H) == 1 else stabilizer(key, cand, j, H)
                 if H_next is None:
                     self.skipped += 1
                     continue
@@ -264,9 +291,81 @@ class EnumeratedGauge(_Search):
                 if all(chk.holds(view, n) for chk, n in _SCHEDULE[key]):
                     yield from rec(i + 1, H_next)
             ops.pop(key, None)
-            ops.pop(("psiT", key[1]), None)
 
-        for full in rec(0, list(itertools.product(*(range(len(g)) for g in gauge)))):
+        orders = [len(hom_group_elements(self.p.quot(*slot), self.p.sub(*slot))) for slot in SLOTS]
+        for full in rec(0, list(itertools.product(*map(range, orders)))):
+            self._finish(full)
+        return self.solutions
+
+
+# The operation order of TwoStageSearch; psiT is derived from eps.r.zeta - 1.
+_OP_ORDER = [(name, n) for name in ("zeta", "gamma", "psiU", "c", "r", "tau", "eps")
+             for n in range(8)]
+# Each (check, degree) of crt_core.CHECKS at the operation of _OP_ORDER that completes it.
+_OP_SCHEDULE = place(_OP_ORDER, (((chk, n), [("eps" if name == "psiT" else name, (n + off) % 8)
+                                             for name, off in chk.reads])
+                                 for chk in CHECKS if chk.name != "eps.r.zeta=1+psiT" for n in range(8)))
+
+
+def two_stage_gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
+    """kunneth._gauge_table in _OP_ORDER order: the box of each key of the operation stage."""
+    homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
+    zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
+    rows, orders, sizes = [], [], []
+    for name, n in _OP_ORDER:
+        src, tgt, shift = OP_SPECS[name]
+        s, t = slot_of(src, n), slot_of(tgt, n + shift)
+        P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
+        coords = hom_coords(Q.domain, P.codomain)
+        D = {slot: commutation_rows(*homs[slot], Q.matrix if slot == t else None,
+                                    P.matrix if slot == s else None) for slot in {s, t}}
+        rows += [[x // st for slot in SLOTS
+                  for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
+                 for r, c, st, _ in coords]
+        orders += [order for *_, order in coords]
+        sizes.append(len(coords))
+    pivots = iter([v[i] for i, v in enumerate(echelon_mod(list(zip(*rows)), orders))])
+    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OP_ORDER, sizes)}
+
+
+class TwoStageSearch(_Search):
+    """The Kunneth search as two nested backtracks: all slots first, then the operations.
+
+    The slot stage prunes a slot choice as soon as some operation instance
+    between assigned slots has no candidate (SLOT_OPS); every instance of
+    a full choice thus has one.  The operation stage assigns each key of
+    _OP_ORDER its candidates, inside two_stage_gauge_table's box, and
+    prunes with the checks _OP_SCHEDULE places there.
+    """
+
+    def __init__(self, p: KunnethProblem, budget: int):
+        super().__init__(p, budget)
+        self.bounds = two_stage_gauge_table(p)
+
+    def run(self):
+        # A slot fits when every instance it completes has a candidate (psiT is derived, not searched).
+        for _ in backtrack(SLOTS, self.slot_options.__getitem__,
+                           lambda slot: all(name == "psiT" or self._instance_candidates(name, n)
+                                            for name, n in SLOT_OPS[slot]),
+                           self._choice, self._tick):
+            self._op_stage()
+        return self.solutions
+
+    def _op_stage(self):
+        ops: dict[tuple[str, int], GroupHom] = {}
+        view = _Assigned(ops, self._k_group)
+        cand = {key: self._instance_candidates(*key) for key in _OP_ORDER}
+
+        def fits(key) -> bool:
+            name, n = key
+            if name == "eps":  # a psiT_n left by backtracking is never read: its checks come at eps_n or later
+                triple = (id(ops[key]), id(ops[("r", n)]), id(ops[("zeta", n)]))
+                if (psiT := self._psiT.get(triple)) is None:
+                    psiT = self._psiT[triple] = self._derive_psiT(ops, n)
+                ops[("psiT", n)] = psiT
+            return all(self._holds(chk, m, view) for chk, m in _OP_SCHEDULE[key])
+
+        for full in backtrack(_OP_ORDER, cand.__getitem__, fits, ops, self._tick):
             self._finish(full)
 
 

@@ -44,7 +44,6 @@ from crtk.free_crt import (
     monogenic,
     realize_morphism,
 )
-from crtk.kunneth import _OP_ORDER
 from crtk.tensor import (
     FreeResolution,
     TensorModule,
@@ -446,13 +445,20 @@ def slot_ops_oracle() -> dict[tuple[str, int], list[tuple[str, int]]]:
     return out
 
 
+def search_order_oracle() -> list[tuple[str, int]]:
+    """kunneth._KEYS: each slot, then the operation instances placed there but psiT, derived at eps."""
+    at = slot_ops_oracle()
+    return [key for slot in SLOTS for key in [slot] + [op for op in at[slot] if op[0] != "psiT"]]
+
+
 def schedule_oracle() -> dict[tuple[str, int], list[tuple[Check, int]]]:
     """kunneth._SCHEDULE: each (check, degree) of crt_core.CHECKS at the operation that completes it.
 
     psiT_n is derived when eps_n is assigned, so a read of psiT_n counts as eps_n.
     """
-    order_index = {key: i for i, key in enumerate(_OP_ORDER)}
-    reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in _OP_ORDER}
+    order = search_order_oracle()
+    order_index = {key: i for i, key in enumerate(order)}
+    reg: dict[tuple[str, int], list[tuple[Check, int]]] = {key: [] for key in order}
     for chk in CHECKS:
         if chk.name == "eps.r.zeta=1+psiT":
             continue  # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so it always holds

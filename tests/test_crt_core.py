@@ -587,6 +587,14 @@ class TestSlotEngine:
         assert self.outcome(crt_isomorphic, Z, M, budget=157) == "budget exceeded"
         assert self.outcome(crt_isomorphic, _twisted(M, 3), M, budget=3) == "budget exceeded"
 
+    def test_budget_message_names_slot_and_nodes(self):
+        M = expected_product(4, 4)
+        with pytest.raises(BudgetExceeded, match=r"^isomorphism search budget exceeded at slot T_3 after 158 nodes$"):
+            crt_isomorphic(_zeroed(M, "c", 1), M, budget=157)
+        # Equal modules are charged one node per slot, in SLOTS order.
+        with pytest.raises(BudgetExceeded, match=r"^isomorphism search budget exceeded at slot O_7 after 14 nodes$"):
+            crt_isomorphic(M, M, budget=len(SLOTS) - 1)
+
 
 class TestBacktrack:
     """crt_core.backtrack's contract on hand-made keys and options."""
@@ -594,7 +602,7 @@ class TestBacktrack:
     KEYS = ["a", "b", "c"]
     OPTIONS = {"a": [1, 2], "b": [10, 20, 30], "c": [100, 200]}
 
-    def search(self, events=None, fits=lambda key, choice: True, tick=lambda: None, choice=None):
+    def search(self, events=None, fits=lambda key, choice: True, tick=lambda key: None, choice=None):
         """backtrack over KEYS, logging each option offered, tick and fits call in events."""
         events = [] if events is None else events
         choice = {} if choice is None else choice
@@ -604,9 +612,9 @@ class TestBacktrack:
                 events.append(("option", key, opt))
                 yield opt
 
-        def ticked():
-            events.append("tick")
-            tick()
+        def ticked(key):
+            events.append(("tick", key))
+            tick(key)
 
         def fitting(key):
             events.append(("fits", key, choice[key]))
@@ -623,10 +631,10 @@ class TestBacktrack:
         list(self.search(events, fits=self.no_twenty))
         offered = [e for e in events if e[0] == "option"]
         # a: 2; per a, b: 3, and c only under b = 10 and b = 30: 2 + 2 * (3 + 2 * 2).
-        assert len(offered) == events.count("tick") == 16
+        assert len(offered) == len([e for e in events if e[0] == "tick"]) == 16
         for i, e in enumerate(events):
-            if e[0] == "option":
-                assert events[i + 1:i + 3] == ["tick", ("fits", e[1], e[2])]
+            if e[0] == "option":  # tick is passed the key the candidate is tried at
+                assert events[i + 1:i + 3] == [("tick", e[1]), ("fits", e[1], e[2])]
 
     def test_yields_the_same_dict_once_per_full_assignment_in_option_order(self):
         choice = {}
@@ -644,14 +652,14 @@ class TestBacktrack:
     def test_errors_from_tick_and_fits_propagate(self):
         ticks = []
 
-        def tick():
-            ticks.append(None)
+        def tick(key):
+            ticks.append(key)
             if len(ticks) == 5:
-                raise BudgetExceeded("out of nodes")
+                raise BudgetExceeded(f"out of nodes at {key}")
 
-        with pytest.raises(BudgetExceeded, match="out of nodes"):
+        with pytest.raises(BudgetExceeded, match="out of nodes at b"):
             list(self.search(tick=tick))
-        assert len(ticks) == 5
+        assert ticks == ["a", "b", "c", "c", "b"]
 
         def fits(key, choice):
             if choice == {"a": 1, "b": 20}:

@@ -19,6 +19,7 @@ from crtk.crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
+    SLOT_OPS,
     SLOTS,
     BudgetExceeded,
     crt_isomorphic,
@@ -31,7 +32,8 @@ from crtk.crt_core import (
 from crtk.cli import main
 from crtk.free_crt import monogenic
 from crtk.kunneth import (
-    _OP_ORDER,
+    _KEYS,
+    _OPS,
     _SCHEDULE,
     _SOLVED,
     KunnethProblem,
@@ -61,10 +63,10 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
-from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, _slot_gauge, conjugate, full_boxes,
-                            gauge_table_oracle, instance_candidates_oracle, solve_middle_oracle,
-                            solved_candidates_oracle)
-from oracles import hom_group_elements, schedule_oracle
+from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, TwoStageSearch, _slot_gauge, conjugate,
+                            full_boxes, gauge_table_oracle, instance_candidates_oracle,
+                            solve_middle_oracle, solved_candidates_oracle)
+from oracles import hom_group_elements, schedule_oracle, search_order_oracle
 
 # _derive_psiT defines psiT_n as eps_n.r_n.zeta_n - 1, so this check cannot fail in the
 # search and is not scheduled there; it stays in CHECKS and so in the relation suite.
@@ -163,8 +165,12 @@ class TestDedupOnArrival:
                 assert is_acyclic(middle).ok(), (k, l)
 
     def test_budget_message_names_stage_and_progress(self):
+        """The stage is the kind of key being tried: the 6th node of (2,4) is slot U_1."""
         problem = make_problem(2, 4)
-        with pytest.raises(BudgetExceeded, match=r"in the slot stage after 2 nodes "
+        with pytest.raises(BudgetExceeded, match=r"in the slot stage after 6 nodes "
+                           r"\(0 raw middles, 0 classes kept\)"):
+            solve_middle(problem, budget=5)
+        with pytest.raises(BudgetExceeded, match=r"in the operation stage after 2 nodes "
                            r"\(0 raw middles, 0 classes kept\)"):
             solve_middle(problem, budget=1)
         with pytest.raises(BudgetExceeded, match=r"in the operation stage after 281 nodes "
@@ -175,7 +181,7 @@ class TestDedupOnArrival:
         with caplog.at_level(logging.DEBUG, logger="crtk"):
             solve(2, 4)
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 311 nodes, 1 raw middles, 1 kept"]
+            "Kunneth search: 281 nodes, 1 raw middles, 1 kept"]
 
 
 def _count_searches(monkeypatch) -> Counter:
@@ -243,13 +249,31 @@ class TestReuse:
             kunneth_pipeline("O3", "O5")
             kunneth_pipeline("O3", "O5")
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 311 nodes, 1 raw middles, 1 kept",
+            "Kunneth search: 281 nodes, 1 raw middles, 1 kept",
             "Kunneth search: reused the solve of an equal problem, 1 kept"]
+
+
+class TestSearchOrder:
+    def test_each_instance_follows_both_its_slots(self):
+        order = {key: i for i, key in enumerate(_KEYS)}
+        assert len(_KEYS) == len(set(_KEYS)) == len(SLOTS) + 7 * 8
+        assert [key for key in _KEYS if key in SLOT_OPS] == SLOTS
+        assert _OPS == [key for key in _KEYS if key not in SLOT_OPS]
+        for name, n in _OPS:
+            src, tgt, shift = OP_SPECS[name]
+            assert order[slot_of(src, n)] < order[(name, n)] > order[slot_of(tgt, n + shift)], (name, n)
+        # psiT_n is derived at eps_n from r_n and zeta_n, and is no key.
+        for n in range(8):
+            assert ("psiT", n) not in order
+            assert order[("r", n)] < order[("eps", n)] > order[("zeta", n)], n
+
+    def test_agrees_with_oracle(self):
+        assert _KEYS == search_order_oracle()
 
 
 class TestCheckSchedule:
     def test_every_check_is_registered_once_where_it_completes(self):
-        order = {key: i for i, key in enumerate(_OP_ORDER)}
+        order = {key: i for i, key in enumerate(_KEYS)}
         registered = Counter()
         for key, entries in _SCHEDULE.items():
             for chk, n in entries:
@@ -265,7 +289,7 @@ class TestCheckSchedule:
     def test_agrees_with_oracle(self):
         """The placement rule gives the schedule as first written, list order included."""
         assert _SCHEDULE == schedule_oracle()
-        assert list(_SCHEDULE) == _OP_ORDER
+        assert list(_SCHEDULE) == _KEYS
 
     def test_derived_psiT_relation_is_not_scheduled(self):
         assert TAUTOLOGY in {chk.name for chk in CHECKS}
@@ -289,50 +313,50 @@ class TestPerSearchVerdicts:
         monkeypatch.setattr(cls, name, counted)
         return calls
 
-    def test_4_4_decides_322_of_979_lookups(self, monkeypatch, caplog):
+    def test_4_4_decides_each_operand_set_once(self, monkeypatch, caplog):
         problem = make_problem(4, 4)
         decided = self.counting(monkeypatch, Check, "holds")
         looked_up = self.counting(monkeypatch, _Search, "_holds")
         derived = self.counting(monkeypatch, _Search, "_derive_psiT")
         search = _Search(problem, 5_000_000)
         search.run()
-        assert (looked_up["_holds"], decided["holds"]) == (979, 322)
+        assert (looked_up["_holds"], decided["holds"]) == (661, 386)
         # A dict key is stored once, so no (check, degree, operands) is decided twice.
-        assert len(search._verdicts) == 322
+        assert len(search._verdicts) == 386
         assert derived["_derive_psiT"] == len(search._psiT)
-        assert (search.nodes, search.raw) == (513, 1)
+        assert (search.nodes, search.raw) == (312, 1)
         with caplog.at_level(logging.DEBUG, logger="crtk"):
             solve_middle(problem)
         assert [r.getMessage() for r in caplog.records] == [
-            "Kunneth search: 513 nodes, 1 raw middles, 1 kept"]
+            "Kunneth search: 312 nodes, 1 raw middles, 1 kept"]
 
     def test_triple_solve_pins(self, monkeypatch):
-        """O3 x middle(O3 x O5): the one search whose operation stage runs at scale."""
+        """O3 x middle(O3 x O5): a search that runs at scale."""
         problem = triple_problem(2, 2, 4)
         decided = self.counting(monkeypatch, Check, "holds")
         looked_up = self.counting(monkeypatch, _Search, "_holds")
         search = _Search(problem, 5_000_000)
         kept = search.run()
-        assert (search.nodes, search.raw, len(kept)) == (177_070, 4, 1)
-        assert (looked_up["_holds"], decided["holds"]) == (288_988, 947)
+        assert (search.nodes, search.raw, len(kept)) == (77_870, 4, 1)
+        assert (looked_up["_holds"], decided["holds"]) == (106_068, 1721)
 
     @pytest.mark.slow
     def test_triple_4_4_4_solves_within_the_default_budget(self):
         """O5 x middle(O5 x O5), the costliest triple solve with 2 <= k <= l <= m <= 6 that finishes."""
         search = _Search(triple_problem(4, 4, 4), 5_000_000)
         kept = search.run()
-        assert (search.nodes, search.raw, len(kept)) == (3_728_412, 8, 4)
+        assert (search.nodes, search.raw, len(kept)) == (634_840, 8, 4)
 
     def test_oracles_decide_every_lookup(self, monkeypatch):
         problem = make_problem(4, 4)
         decided = self.counting(monkeypatch, Check, "holds")
         EnumeratedGauge(problem, 5_000_000).run()
-        assert decided["holds"] == 979
+        assert decided["holds"] == 661
         decided.clear()
         looked_up = self.counting(monkeypatch, CheckEveryCopy, "_holds")
         unreduced = CheckEveryCopy(problem, 5_000_000)
         unreduced.run()
-        assert decided["holds"] == looked_up["_holds"] > 979  # no gauge fixing: more visits
+        assert decided["holds"] == looked_up["_holds"] > 661  # no gauge fixing: more visits
         assert unreduced._verdicts == {}
 
     def test_an_error_is_not_stored(self, monkeypatch):
@@ -366,13 +390,13 @@ class TestGaugeFixing:
         problem = make_problem(k, l)
         (sol,) = solve_middle(problem)
         search = CheckEveryCopy(problem, budget=1)  # lists every candidate, not just the gauge box
-        search._slot_choice = {slot: (sol.middle.group(*slot), sol.alpha[slot], sol.beta[slot])
-                               for slot in SLOTS}
-        gauge = [_slot_gauge(search._slot_choice[slot], problem.sub(*slot), problem.quot(*slot))
+        search._choice = {slot: (sol.middle.group(*slot), sol.alpha[slot], sol.beta[slot])
+                          for slot in SLOTS}
+        gauge = [_slot_gauge(search._choice[slot], problem.sub(*slot), problem.quot(*slot))
                  for slot in SLOTS]
         hs = {slot: hom_group_elements(problem.quot(*slot), problem.sub(*slot)) for slot in SLOTS}
         assert prod(len(g) for g in gauge) == order
-        cand = {key: search._instance_candidates(*key) for key in _OP_ORDER}
+        cand = {key: search._instance_candidates(*key) for key in _OPS}
         instance = {}  # key -> (W of every candidate, W of the kept middle's op, P, Q, slots)
         for key, v in cand.items():
             assert len({h.matrix.entries for h in v}) == len(v), key
@@ -386,7 +410,7 @@ class TestGaugeFixing:
         seen = {sol.middle}
         for g in itertools.islice(itertools.product(*(range(len(x)) for x in gauge)), 1, None):
             moved = conjugate(sol.middle, {slot: gauge[i][g[i]][0] for i, slot in enumerate(SLOTS)})
-            for key in _OP_ORDER:
+            for key in _OPS:
                 Ws, W, P, Q, s, t = instance[key]
                 h_s, h_t = hs[SLOTS[s]][g[s]], hs[SLOTS[t]][g[t]]
                 shifted = W + hom_compose(h_t, Q) - hom_compose(P, h_s)
@@ -397,13 +421,28 @@ class TestGaugeFixing:
                 assert is_acyclic(moved).ok()
         assert len(seen) > 1
 
+    @staticmethod
+    def nodes_by_kind(search) -> Counter:
+        """Count the nodes search ticks, slot and operation apart."""
+        kinds, tick = Counter(), search._tick
+
+        def counted(key):
+            kinds["slot" if key in search.slot_options else "operation"] += 1
+            tick(key)
+        search._tick = counted
+        return kinds
+
     @pytest.mark.parametrize("k, l", [(2, 4), (4, 4), (5, 5), (6, 6), (4, 8)])
     def test_table_agrees_with_enumerated_gauge(self, k, l):
         problem = make_problem(k, l)
         got, want = _Search(problem, 5_000_000), EnumeratedGauge(problem, 5_000_000)
+        got_kinds, want_kinds = self.nodes_by_kind(got), self.nodes_by_kind(want)
         assert [s.middle for s in got.run()] == [s.middle for s in want.run()]
         # The solver never builds the candidates the enumerated gauge ticks and skips.
-        assert (got.nodes, got.raw) == (want.nodes - want.skipped, want.raw)
+        assert (got_kinds["operation"], got.raw) == (want_kinds["operation"] - want.skipped, want.raw)
+        # A slot node is counted once per prefix, and both searches reach the same prefixes.
+        assert got_kinds["slot"] == want_kinds["slot"]
+        assert got.nodes == want.nodes - want.skipped
         assert want.skipped > 0
 
     def test_triple_table_builds(self):
@@ -420,9 +459,9 @@ class TestGaugeFixing:
         finally:
             tracemalloc.stop()
         full = full_boxes(problem)
-        assert list(table) == _OP_ORDER
-        assert all(len(table[key]) == len(full[key]) for key in _OP_ORDER)
-        assert any(b < order for key in _OP_ORDER for b, order in zip(table[key], full[key]))
+        assert list(table) == _OPS
+        assert all(len(table[key]) == len(full[key]) for key in _OPS)
+        assert any(b < order for key in _OPS for b, order in zip(table[key], full[key]))
         assert peak < 20 * 2 ** 20, peak
 
     @pytest.mark.slow
@@ -436,7 +475,7 @@ class TestGaugeFixing:
         triples = [triple_problem(*factors) for factors in [(2, 2, 4), (4, 4, 4), (2, 4, 4)]]
         for problem in [*problems.values(), *triples]:
             table, want, full = _gauge_table(problem), gauge_table_oracle(problem), full_boxes(problem)
-            for key in _OP_ORDER:
+            for key in _OPS:
                 boxed = {j for j, w in enumerate(itertools.product(*map(range, full[key])))
                          if all(map(int.__lt__, w, table[key]))}
                 assert boxed == (set(range(prod(full[key]))) if want[key] is None else want[key]), key
@@ -447,6 +486,58 @@ def triple_problem(k, l, m):
     (sol,) = solve_middle(make_problem(l, m))
     tp = tensor_and_tor(cuntz_resolution(k), sol.middle)
     return KunnethProblem(tp.tensor, tp.tor)
+
+
+def count_raw(search):
+    """search with _finish replaced by a count of raw middles: none is built or deduplicated."""
+    def finish(ops):
+        search.raw += 1
+    search._finish = finish
+    return search
+
+
+class TestTwoStageOracle:
+    """One backtrack over _KEYS against the two nested backtracks it replaced (TwoStageSearch)."""
+
+    def test_grid_agrees(self):
+        problems = {}
+        for k, l in itertools.product(range(2, 13), repeat=2):
+            tp = tensor_and_tor(cuntz_resolution(k), cuntz_module(l))
+            problems.setdefault((tp.tensor, tp.tor), KunnethProblem(tp.tensor, tp.tor))
+        assert len(problems) == 27
+        nodes = Counter()
+        for problem in problems.values():
+            got, want = _Search(problem, 5_000_000), TwoStageSearch(problem, 5_000_000)
+            assert [s.middle for s in got.run()] == [s.middle for s in want.run()]
+            assert got.raw == want.raw
+            nodes["one"] += got.nodes
+            nodes["two"] += want.nodes
+        assert nodes == {"one": 6_378, "two": 9_291}
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (3, 3, 3), (2, 2, 4)], ids=str)
+    def test_triples_agree_up_to_isomorphism(self, factors):
+        problem = triple_problem(*factors)
+        got, want = _Search(problem, 5_000_000), TwoStageSearch(problem, 5_000_000)
+        kept, other = got.run(), want.run()
+        assert got.raw == want.raw
+        assert len(kept) == len(other)
+        for sol in kept:
+            assert sum(crt_isomorphic(sol.middle, o.middle) is not None for o in other) == 1
+
+    def test_a_triple_whose_search_grows(self):
+        """O3 x middle(O5 x O5): one of four triples with 2 <= k, l, m <= 6 that take more nodes.
+
+        The others are O5 x middle(O3 x O5), O5 x middle(O5 x O7) and O7 x
+        middle(O5 x O5), with the same counts.  Deduplicating the 4 raw
+        middles takes minutes of isomorphism search, so only raw middles are counted.
+        """
+        problem = triple_problem(2, 4, 4)
+        got = count_raw(_Search(problem, 5_000_000))
+        want = count_raw(TwoStageSearch(problem, 5_000_000))
+        got.run()
+        want.run()
+        assert (got.nodes, got.raw) == (157_422, 4)
+        assert (want.nodes, want.raw) == (76_814, 4)
 
 
 class ComparedCandidates(_Search):
@@ -652,7 +743,7 @@ class TestPipeline:
         assert all(raw == kept for raw, kept in counts), counts
         # The middles, split flags and DEBUG records (search nodes included), pinned.
         digest.update("\n".join(r.getMessage() for r in caplog.records if r.name == "crtk").encode())
-        assert digest.hexdigest() == "0cf4e9909742f510ebc5ebc247dc222edef9d44ebe4dd4304a61f2e005a48324"
+        assert digest.hexdigest() == "1912c95eee585f07a481bd8d8655587757ce84deccfb1379550575f0f3fdb129"
 
     def test_rejects_entries_without_resolution(self):
         with pytest.raises(ValueError):
