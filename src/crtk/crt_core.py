@@ -45,6 +45,7 @@ from .zlinalg import (
     GroupHom,
     IntMatrix,
     Layout,
+    ZERO_GROUP,
     checked_entries,
     commutation_rows,
     echelon_mod,
@@ -191,6 +192,16 @@ class CRTModule:
     def all_finite(self) -> bool:
         return all(self.group(p, n).is_finite() for p in PARTS for n in range(8))
 
+    def order(self) -> Optional[int]:
+        """The product of the orders of the 24 window groups; None if one is infinite."""
+        n = 1
+        for p in PARTS:
+            for d in range(8):
+                if (o := self.group(p, d).order()) is None:
+                    return None
+                n *= o
+        return n
+
     def __hash__(self) -> int:  # the value is frozen: hash its fields once
         if (h := self.__dict__.get("_hash")) is None:
             h = self.__dict__["_hash"] = hash((self.MO, self.MU, self.MT, self.ops))
@@ -226,8 +237,9 @@ def _assemble(groups: tuple[tuple[FinAbGroup, ...], ...],
 
 
 def zero_module() -> CRTModule:
-    """The empty direct sum."""
-    return direct_sum()
+    """The empty direct sum, assembled from trivial groups and empty matrices with no layout."""
+    return make_module({p: [ZERO_GROUP] * 8 for p in PARTS},
+                       {name: [IntMatrix.zeros(0, 0)] * 8 for name in OP_NAMES})
 
 
 # ---------------------------------------------------------------------------

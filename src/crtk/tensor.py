@@ -30,7 +30,10 @@ Tor and the tensor of a resolved module are the degreewise kernel and
 cokernel of the induced map of a length-one free resolution; the cokernel,
 like the tensor of a free module, is a crt_core.presented_module.  Tor's
 operations are solved in one linear system per target degree, and an
-operation that leaves the kernel is a fatal error.
+operation that leaves the kernel is a fatal error.  When the resolved
+module and N are finite and share no prime, both are the zero module,
+read off their orders: each order annihilates the tensor and Tor, and
+coprime orders leave only zero.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .crt_core import (
@@ -57,6 +61,7 @@ from .crt_core import (
     presented_module,
     sum_layout,
     verify_relations,
+    zero_module,
 )
 from .free_crt import (
     Element,
@@ -485,12 +490,10 @@ def quotient_by_image(M: CRTModule, fam: Morphism) -> CRTModule:
 
 @dataclass(eq=False)
 class TorPair:
-    """Cokernel (tensor) and kernel (Tor) of mu1 ⊗ 1, with the tensored free modules."""
+    """Cokernel (tensor) and kernel (Tor) of mu1 ⊗ 1."""
 
     tensor: CRTModule
     tor: CRTModule
-    t0: TensorModule
-    t1: TensorModule
 
 
 def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
@@ -500,16 +503,24 @@ def tensor_and_tor(res: FreeResolution, N: CRTModule) -> TorPair:
     induced on the quotients; Tor is the degreewise kernel with operations
     restricted.  Both results are validated against the relation suite,
     once per distinct value (verify_relations caches its failures).
+
+    When A = res.target and N are finite of coprime orders (CRTModule.order),
+    both are the zero module and nothing is built.  Tensor and Tor are
+    additive in each variable: m·id_A lifts to m·id on the resolution, so
+    it induces multiplication by m on A ⊗ N and Tor(A, N), and likewise
+    for N.  Hence |A| and |N| both annihilate them, and u|A| + v|N| = 1
+    makes each identity map zero.
     """
-    t1 = tensor_free(res.F1, N)
-    t0 = tensor_free(res.F0, N)
+    a, n = res.target.order(), N.order()
+    if a is not None and n is not None and gcd(a, n) == 1:
+        return TorPair(zero_module(), zero_module())
     ind = induced_tensor_map(res.mu1, N)
-    tensor_mod = quotient_by_image(t0.module, ind)
-    tor_mod, _ = restrict_to_kernels(t1.module, ind)
+    tensor_mod = quotient_by_image(tensor_free(res.F0, N).module, ind)
+    tor_mod, _ = restrict_to_kernels(tensor_free(res.F1, N).module, ind)
     rep = verify_relations(tensor_mod)
     if not rep.ok():
         raise ValueError(f"tensor fails relations: {rep}")
     rep = verify_relations(tor_mod)
     if not rep.ok():
         raise ValueError(f"Tor fails relations: {rep}")
-    return TorPair(tensor_mod, tor_mod, t0, t1)
+    return TorPair(tensor_mod, tor_mod)

@@ -48,6 +48,8 @@ from crtk.tensor import (
     FreeResolution,
     TensorModule,
     TensorSlot,
+    induced_tensor_map,
+    quotient_by_image,
     restrict_to_kernels,
     tensor_and_tor,
     tensor_free,
@@ -1145,6 +1147,21 @@ def quotient_by_image_oracle(M: CRTModule, fam: Morphism) -> CRTModule:
             else:
                 mats[name].append(IntMatrix.zeros(Q_t.ngens, Q_s.ngens))
     return make_module(groups, mats)
+
+
+def tensor_and_tor_oracle(res: FreeResolution, N: CRTModule) -> tuple[CRTModule, CRTModule]:
+    """tensor.tensor_and_tor without the coprime-order shortcut: (tensor, Tor).
+
+    The cokernel and kernel of mu1 ⊗ 1 are built for every pair, also when
+    the orders of res.target and N are coprime, and both are validated.
+    """
+    ind = induced_tensor_map(res.mu1, N)
+    tensor_mod = quotient_by_image(tensor_free(res.F0, N).module, ind)
+    tor_mod, _ = restrict_to_kernels(tensor_free(res.F1, N).module, ind)
+    for M in (tensor_mod, tor_mod):
+        if not (rep := verify_relations(M)).ok():
+            raise ValueError(f"fails relations: {rep}")
+    return tensor_mod, tor_mod
 
 
 def tensor_symmetric_check(res_m: FreeResolution, res_n: FreeResolution,

@@ -198,6 +198,7 @@ class TestMakeModuleByValue:
                             {name: list(ms) for name, ms in mats.items()})
         assert again is M
         assert zero_module() is zero_module()
+        assert zero_module() is direct_sum()
 
     def test_ill_defined_op_raises_on_every_call(self):
         groups, mats = self.inputs(R)

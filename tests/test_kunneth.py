@@ -614,9 +614,11 @@ class TestTrivialCandidates:
 
 class TestSolver:
     def test_zero_tor_gives_tensor_back(self):
+        # T is free, so Tor vanishes and the tensor does not; but T is
+        # infinite and the solver needs finite parts.
         tp = tensor_and_tor(cuntz_resolution(3), monogenic("T", 0).realized)
-        # self-conjugate factor is free but infinite; use a finite zero-Tor
-        # case instead: coprime odd pair
+        assert tp.tor.is_zero() and not tp.tensor.is_zero()
+        # A finite zero-Tor case instead: the coprime odd pair.
         tp = tensor_and_tor(cuntz_resolution(3), cuntz_module(5))
         assert tp.tensor.is_zero() and tp.tor.is_zero()
         problem = KunnethProblem(tp.tensor, tp.tor)

@@ -1,6 +1,7 @@
 """Tensor products, induced maps, Tor, and the structural cross-checks."""
 
 import functools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,7 @@ from oracles import (
     induced_tensor_map_oracle,
     quotient_by_image_oracle,
     restrict_to_kernels_oracle,
+    tensor_and_tor_oracle,
     tensor_free_oracle,
     tensor_monogenic,
     tensor_symmetric_check,
@@ -444,10 +446,11 @@ class TestTensorAndTor:
             res = cuntz_resolution(k)
             N = cuntz_module(l)
             tp = tensor_and_tor(res, N)
+            t0, t1 = tensor_free(res.F0, N).module, tensor_free(res.F1, N).module
             for p in PARTS:
                 for n in range(8):
-                    lhs = tp.tor.group(p, n).order() * tp.t0.module.group(p, n).order()
-                    rhs = tp.tensor.group(p, n).order() * tp.t1.module.group(p, n).order()
+                    lhs = tp.tor.group(p, n).order() * t0.group(p, n).order()
+                    rhs = tp.tensor.group(p, n).order() * t1.group(p, n).order()
                     assert lhs == rhs
 
     def test_complex_part_shortcut(self):
@@ -466,3 +469,59 @@ class TestTensorAndTor:
         assert tensor_symmetric_check(cuntz_resolution(3), cuntz_resolution(5))
         assert tensor_symmetric_check(cuntz_resolution(4), cuntz_resolution(4))
         assert tensor_symmetric_check(cuntz_resolution(2), cuntz_resolution(1))
+        # (3, 5) and (2, 1) are coprime, so both sides are the zero module.
+        assert tensor_symmetric_check(cuntz_resolution(3), cuntz_resolution(6))
+        assert tensor_symmetric_check(cuntz_resolution(2), cuntz_resolution(6))
+        assert tensor_symmetric_check(cuntz_resolution(4), cuntz_resolution(6))
+
+
+class TestCoprimeOrders:
+    """Coprime finite orders give zero tensor and Tor without the construction, as the oracle finds."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The N of each induced map tensor_and_tor builds, in call order."""
+        calls = []
+
+        def spy(mor, N):
+            calls.append(N)
+            return induced_tensor_map(mor, N)
+
+        monkeypatch.setattr(tensor, "induced_tensor_map", spy)
+        return calls
+
+    def assert_agrees(self, k, N):
+        tp = tensor_and_tor(cuntz_resolution(k), N)
+        want_tensor, want_tor = tensor_and_tor_oracle(cuntz_resolution(k), N)
+        assert modules_equal(tp.tensor, want_tensor) and modules_equal(tp.tor, want_tor)
+        return tp
+
+    def test_order(self):
+        assert zero_module().order() == 1 and cuntz_module(1).order() == 1
+        assert R.order() is None and T.order() is None
+        for k in range(2, 13):
+            assert [p for p in (2, 3, 5, 7, 11) if cuntz_module(k).order() % p == 0] == \
+                [p for p in (2, 3, 5, 7, 11) if k % p == 0], k
+
+    def test_coprime_grid_pairs(self, built):
+        pairs = [(k, l) for k in range(2, 13) for l in range(2, 13) if gcd(k, l) == 1]
+        assert len(pairs) == 68
+        for k, l in pairs:
+            tp = self.assert_agrees(k, cuntz_module(l))
+            assert tp.tensor.is_zero() and tp.tor.is_zero(), (k, l)
+        assert built == []
+
+    @pytest.mark.parametrize("k, middle", [(k, (2, 2)) for k in (3, 5, 9)] + [(k, (4, 4)) for k in (3, 5, 9)]
+                             + [(k, (3, 3)) for k in (2, 4, 8)], ids=str)
+    def test_solver_middles(self, k, middle, built):
+        N = solver_middle(*middle)
+        built.clear()  # the middle's own solve may have built one
+        tp = self.assert_agrees(k, N)
+        assert tp.tensor.is_zero() and tp.tor.is_zero()
+        assert built == []
+
+    @pytest.mark.parametrize("k, N", [(3, R), (3, T), (3, cuntz_module(6))], ids=["R", "T", "O7"])
+    def test_other_factors_take_the_full_path(self, k, N, built):
+        tp = self.assert_agrees(k, N)
+        assert not tp.tensor.is_zero()
+        assert built == [N]
