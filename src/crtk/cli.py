@@ -97,9 +97,12 @@ def render_module(M: CRTModule, window: int = 8) -> str:
 
 
 def _write_json(obj, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:  # a directory, a missing directory, no permission
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def cmd_catalog(args) -> int:
@@ -148,6 +151,12 @@ def cmd_tensor_or_tor(args) -> int:
     return 0
 
 
+def _group_diffs(A: CRTModule, B: CRTModule) -> list[tuple]:
+    """(part, degree, A's group, B's group) at each window degree where the groups differ."""
+    return [(part, n, A.group(part, n), B.group(part, n)) for part in PARTS for n in range(8)
+            if A.group(part, n) != B.group(part, n)]
+
+
 def cmd_kunneth(args) -> int:
     a, b = _catalog_name(args.a), _catalog_name(args.b)
     report = kunneth_pipeline(a, b, budget=args.budget)
@@ -169,12 +178,11 @@ def cmd_kunneth(args) -> int:
         ok = all(report.matches_expected)
         print(f"matches printed product table: {ok}")
         if not ok:
-            for part in PARTS:
-                for n in range(8):
-                    ga = sol.middle.group(part, n)
-                    gb = report.expected.group(part, n)
-                    if ga != gb:
-                        print(f"  {part}-part degree {n}: computed {ga}, table {gb}")
+            diffs = _group_diffs(sol.middle, report.expected)
+            for part, n, ga, gb in diffs:
+                print(f"  {part}-part degree {n}: computed {ga}, table {gb}")
+            if not diffs:
+                print("  same groups but not CRT-isomorphic")
         return 0 if ok else 1
     return 0
 
@@ -182,15 +190,10 @@ def cmd_kunneth(args) -> int:
 def cmd_compare(args) -> int:
     A = _load_module(args.a)
     B = _load_module(args.b)
-    diffs = []
-    for part in PARTS:
-        for n in range(8):
-            ga, gb = A.group(part, n), B.group(part, n)
-            if ga != gb:
-                diffs.append(f"  {part}-part degree {n}: {ga} vs {gb}")
-    if diffs:
+    if diffs := _group_diffs(A, B):
         print("group discrepancies:")
-        print("\n".join(diffs))
+        for part, n, ga, gb in diffs:
+            print(f"  {part}-part degree {n}: {ga} vs {gb}")
         return 1
     if A.all_finite() and B.all_finite():
         iso = crt_isomorphic(A, B)

@@ -17,14 +17,12 @@ A sign is 1, -1, s or -s, where s = (-1)^g for the summand's generator
 degree g: the axioms for gamma and tau across a product carry
 (-1)^degree factors, and window degrees preserve parity.  The assembled
 module is validated by the relation suite on construction and every
-expanded unit map is checked natural, so a wrong rule cannot survive
+induced map mu ⊗ 1 is checked natural, so a wrong rule cannot survive
 silently.
 
 What the structure fixes is not recomputed.  A raw matrix between
 identity layouts (zlinalg.Layout.identity) is already canonical, so
-R(0) ⊗ N has N's own groups and matrices.  The induced map id_F ⊗ 1 of a
-monogenic F is the identity family (functoriality), so the odd Cuntz
-resolutions expand no pure tensor.
+R(0) ⊗ N has N's own groups and matrices.
 
 Tor and the tensor of a resolved module are the degreewise kernel and
 cokernel of the induced map of a length-one free resolution; the cokernel,
@@ -64,12 +62,10 @@ from .crt_core import (
     zero_module,
 )
 from .free_crt import (
-    Element,
     FreeCRT,
     FreeMorphism,
     MonogenicKind,
     _words_for,
-    free_module,
     morphism_realize,
 )
 from .zlinalg import (
@@ -78,7 +74,6 @@ from .zlinalg import (
     cokernel_data,
     cokernel_layout,
     hom_kernel,
-    identity_hom,
     is_exact_at,
     solve_int,
 )
@@ -323,71 +318,15 @@ def _pure_tensors(TT: TensorModule, part: str, m: int, terms: list[tuple], d: in
 
 
 def induced_tensor_map(mor: FreeMorphism, N: CRTModule) -> Morphism:
-    """The degreewise family of (mor ⊗ 1) on the provenance construction.
+    """The degreewise family of (mor ⊗ 1) on the provenance construction, checked natural.
 
-    The family is linear in the generator images: with a_ij the
-    coordinates of the image of source generator i, mor ⊗ 1 is the sum of
-    a_ij·Phi_ij, where Phi_ij is the induced map of the free morphism
-    sending generator i to the basis element e_j of its target group and
-    every other generator to 0 (_unit_map).  Naturality is checked once
-    per unit map; sums and integer multiples of natural families are
-    natural, since every operation is a homomorphism.  Each degree's sum
-    is a GroupHom and passes its well-definedness check.
+    By functoriality mor's generator images fix the family.  The slot of a
+    summand with generator b sends n to post(pre(b) ⊗ n-word(n))
+    (_SLOTS), so mor ⊗ 1 sends it to post(pre(x) ⊗ n-word(n)), x = mor(b):
+    pre is read on mor's target, the pure tensors of pre(x) on the target
+    tensor's slots (_pure_tensors), post on its module and n-word on N.
     """
-    src = tensor_free(mor.source, N).module
-    tgt = tensor_free(mor.target, N).module
-    terms = [(a, _unit_map(mor.source.summands, i, mor.target.summands, j, N))
-             for i, x in enumerate(mor.images) for j, a in enumerate(x.vec) if a]
-    fam: Morphism = {}
-    for part in PARTS:
-        for m in range(8):
-            G, H = src.group(part, m), tgt.group(part, m)
-            rows = [[0] * G.ngens for _ in range(H.ngens)]
-            for a, unit in terms:
-                for row, urow in zip(rows, unit[(part, m)].matrix.entries):
-                    for j, x in enumerate(urow):
-                        if x:
-                            row[j] += a * x
-            fam[(part, m)] = GroupHom(G, H, IntMatrix(H.ngens, G.ngens, tuple(map(tuple, rows))))
-    return fam
-
-
-@functools.cache
-def _unit_map(source: tuple[MonogenicKind, ...], i: int, target: tuple[MonogenicKind, ...],
-              j: int, N: CRTModule) -> Morphism:
-    """Phi_ij ⊗ 1, Phi_ij sending generator i to e_j and the others to 0; natural.
-
-    When source and target are the same monogenic module and e_j is its
-    generator, Phi_ij is the identity, and so is Phi_ij ⊗ 1 by
-    functoriality: the identity family of the tensor is returned, with
-    nothing expanded.  Every other unit map is expanded slot by slot
-    (_expand_induced_map) and checked natural.  Built once per distinct
-    arguments in a process; nothing mutates the family.
-    """
-    F, G = free_module(source), free_module(target)
-    images = []
-    for s, smd in enumerate(source):
-        part, deg = smd.generator_part, smd.generator_degree
-        width = G.realized.group(part, deg).ngens
-        images.append(Element(part, deg, tuple(int(s == i and t == j) for t in range(width))))
-    tf = tensor_free(F, N)
-    if source == target and len(source) == 1 and images[0] == F.generator(0):
-        return {(p, m): identity_hom(tf.module.group(p, m)) for p in PARTS for m in range(8)}
-    tg = tensor_free(G, N)
-    fam = _expand_induced_map(FreeMorphism(F, G, images), tf, tg)
-    if not morphism_commutes(tf.module, tg.module, fam):
-        raise ValueError("induced tensor map fails naturality")
-    return fam
-
-
-def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule) -> Morphism:
-    """The family of (mor ⊗ 1), unchecked, one matrix per source slot.
-
-    The slot of a summand with generator b sends n to post(pre(b) ⊗
-    n-word(n)) (_SLOTS), so mor ⊗ 1 sends it to post(pre(x) ⊗ n-word(n)),
-    x = mor(b): pre is read on mor's target, the pure tensors of pre(x)
-    on tgt's slots (_pure_tensors), post on tgt's module and n-word on N.
-    """
+    src, tgt = tensor_free(mor.source, N), tensor_free(mor.target, N)
     fam: Morphism = {}
     for part in PARTS:
         # per slot, in slot order: the degree of pre(x), the expansion of pre(x) ⊗ n, post, n-word
@@ -397,7 +336,7 @@ def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule)
                 e, y = x.degree, x.vec
                 if pre is not None:
                     e, y = e + _shift(pre), _side_hom(mor.target.realized, e, pre).apply(y)
-                rules.append((e, _expansion(tgt.free, n_part, e, y), post, n_word))
+                rules.append((e, _expansion(mor.target, n_part, e, y), post, n_word))
         for m in range(8):
             H = tgt.module.group(part, m)
             rows = [[] for _ in range(H.ngens)]
@@ -409,12 +348,14 @@ def _expand_induced_map(mor: FreeMorphism, src: TensorModule, tgt: TensorModule)
                 if post is not None:
                     image = _product(_side_value(tgt.module, m1, post), image)
                 if n_word is not None:
-                    image = _product(image, _side_value(tgt.factor, sl.n_degree, n_word))
+                    image = _product(image, _side_value(N, sl.n_degree, n_word))
                 for row, piece in zip(rows, image[2]):
                     row.extend(piece)
             lay = src.layouts[(part, m)]
             raw = IntMatrix(H.ngens, lay.proj.cols, tuple(map(tuple, rows)))
             fam[(part, m)] = GroupHom(src.module.group(part, m), H, raw if lay.identity else raw * lay.reps)
+    if not morphism_commutes(src.module, tgt.module, fam):
+        raise ValueError("induced tensor map fails naturality")
     return fam
 
 

@@ -1,14 +1,14 @@
 """The cold path: crtk with its per-process caches emptied.
 
 The pipeline memoises its pure stages by value (fixtures, free modules,
-assembled modules, the tensor of a free module, the unit maps that
-mu1 (x) 1 is summed from, Kunneth solves, isomorphism searches) and the
-linear algebra under them (Smith forms, the layouts of presented groups:
-direct sums, free tensors, cokernels and printed tables; kernels, images,
-cokernels, exactness verdicts, zero matrices, identities, the cells of a
-hom that need a well-definedness test), and the command line renders each
-table once.  After `clear_caches` the next call builds, checks, solves and
-renders everything again: the oracle for reuse.
+assembled modules, the tensor of a free module, Kunneth solves,
+isomorphism searches) and the linear algebra under them (Smith forms,
+the layouts of presented groups: direct sums, free tensors, cokernels and
+printed tables; kernels, images, cokernels, exactness verdicts, zero
+matrices, identities, the cells of a hom that need a well-definedness
+test), and the command line renders each table once.  After
+`clear_caches` the next call builds, checks, solves and renders
+everything again: the oracle for reuse.
 """
 
 from __future__ import annotations

@@ -1088,8 +1088,8 @@ def induced_tensor_map_oracle(mor: FreeMorphism, N: CRTModule) -> Morphism:
     """tensor.induced_tensor_map by the per-pair path.
 
     The slot expansion of mor's own generator images over the generic
-    tensors, then the naturality check on the whole family; no unit maps,
-    no sums and no identity read off the structure.
+    tensors, by the pairing rules written as branches, then the
+    naturality check on the whole family.
     """
     src = tensor_free_oracle(mor.source.summands, N)
     tgt = tensor_free_oracle(mor.target.summands, N)

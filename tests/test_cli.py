@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from crtk import crt_core
+from crtk import catalog, crt_core
 from crtk.catalog import catalog_entry, catalog_names, expected_product
 from crtk.cli import main, render_module
-from crtk.crt_core import crt_isomorphic, module_from_json, module_to_json, zero_module
+from crtk.crt_core import (OP_NAMES, PARTS, crt_isomorphic, make_module, module_from_json, module_to_json,
+                           zero_module)
 from crtk.free_crt import monogenic
 from crtk.kunneth import kunneth_pipeline
+from crtk.zlinalg import IntMatrix
 
 from oracles import render_module_oracle
 
@@ -53,6 +55,18 @@ class TestVerbs:
         with open(out_json) as fh:
             M = module_from_json(json.load(fh))
         assert crt_isomorphic(M, expected_product(2, 2)) is not None
+
+    def test_kunneth_mismatch_with_equal_groups_explains_itself(self, monkeypatch, capsys):
+        # The (3, 3) middle with c zeroed has the table's groups but is not CRT-isomorphic to it.
+        M = expected_product(3, 3)
+        mats = {name: [M.op(name, n).matrix for n in range(8)] for name in OP_NAMES}
+        mats["c"] = [IntMatrix.zeros(m.rows, m.cols) for m in mats["c"]]
+        table = make_module({p: [M.group(p, n) for n in range(8)] for p in PARTS}, mats)
+        real = catalog.expected_product
+        monkeypatch.setattr(catalog, "expected_product", lambda k, l: table if (k, l) == (3, 3) else real(k, l))
+        code, out, _ = run(["kunneth", "O4", "O4"], capsys)
+        assert code == 1
+        assert "matches printed product table: False\n  same groups but not CRT-isomorphic\n" in out
 
     def test_compare_identical(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -127,6 +141,16 @@ class TestExitCodes:
         code, _, err = run(["kunneth", "O3", "R"], capsys)
         assert code == 1
         assert "R is not a Cuntz entry" in err
+
+    @pytest.mark.parametrize("argv", [["catalog", "show", "O5"], ["kunneth", "O3", "O3"]],
+                             ids=["catalog-show", "kunneth"])
+    @pytest.mark.parametrize("where", [lambda tmp_path: tmp_path, lambda tmp_path: tmp_path / "missing" / "out.json"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_json_path_is_usage_error(self, argv, where, tmp_path, capsys):
+        code, _, err = run([*argv, "--json", str(where(tmp_path))], capsys)
+        assert code == 2
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_json_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

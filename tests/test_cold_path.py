@@ -55,10 +55,10 @@ def dict_sizes_at_import() -> dict:
 def test_clear_caches_empties_every_cache():
     render_module(kunneth_pipeline("O5", "O5").tensor)
     warm = cache_sizes(crtk_modules())
-    # The by-value module assembly, the layouts of presented groups, the unit maps
-    # of mu1 (x) 1 and the rendered tables are among the caches seen.
+    # The by-value module assembly, the layouts of presented groups, the tensors
+    # of free modules and the rendered tables are among the caches seen.
     assert warm["crtk.crt_core._assemble"] and warm["crtk.zlinalg.layout"]
-    assert warm["crtk.tensor._unit_map"] and warm["crtk.cli.render_module"]
+    assert warm["crtk.tensor._tensor_parts"] and warm["crtk.cli.render_module"]
     clear_caches()
     # A module-level or class-level dict that a run grows is a cache that clear_caches must empty.
     assert dict_sizes_in_this_process() == dict_sizes_at_import()

@@ -210,7 +210,7 @@ def free_morphisms(draw):
 
 
 class TestInducedMapBySums:
-    """induced_tensor_map sums checked unit maps; the per-pair path is the oracle."""
+    """induced_tensor_map expands mor's own images once and checks the family; the per-pair path is the oracle."""
 
     def test_agrees_with_the_per_pair_path_on_the_grid(self):
         for k in range(2, 13):
@@ -227,14 +227,14 @@ class TestInducedMapBySums:
 
     def test_naturality_is_still_enforced(self, monkeypatch):
         # Negate the pure tensor b~ (x) n of a real summand: the (R, O, 0) entry of
-        # the expansion table, and the same rule of the oracle's branches.  The unit
-        # map of O4's resolution is id (x) 1, read off without expansion, so the flip
-        # goes through R(0) -> R(0) + R(0), generator to the first generator: a unit
-        # map that is expanded and reads the rule.  Against O5 it negates the real part
-        # and not the complex part, and c is not 2-torsion there.  O5 (x) O5 cannot
-        # show a sign change: all its expansions are a real summand's one U rule,
-        # and C (x) O5 splits by the degree of n, so any signs give an automorphism
-        # of a natural family.  The generic id (x) 1 of O4 (x) O5 fails too.
+        # the expansion table, and the same rule of the oracle's branches.  Against O5
+        # it negates the real part and not the complex part, and c is not 2-torsion
+        # there.  Both paths expand mor's own images and check the whole family, so
+        # the flip fails on R(0) -> R(0) + R(0), generator to the first generator,
+        # and on 3 id, the mu1 of O4's own resolution.  O5 (x) O5 cannot show a sign
+        # change: all its expansions are a real summand's one U rule, and C (x) O5
+        # splits by the degree of n, so any signs give an automorphism of a natural
+        # family.
         key = ("R", "O", 0, 0)
         ((slot, sign, word),) = tensor._EXPANSION[key]
         expand = oracles._expand_basis
@@ -254,8 +254,9 @@ class TestInducedMapBySums:
         try:
             with pytest.raises(ValueError, match="fails naturality"):
                 induced_tensor_map(mor, cuntz_module(4))
-            with pytest.raises(ValueError, match="fails naturality"):
-                induced_tensor_map_oracle(cuntz_resolution(3).mu1, cuntz_module(4))
+            for induced in (induced_tensor_map, induced_tensor_map_oracle):
+                with pytest.raises(ValueError, match="fails naturality"):
+                    induced(cuntz_resolution(3).mu1, cuntz_module(4))
         finally:
             clear_caches()
 
@@ -271,7 +272,7 @@ def unit_morphisms(F):
 
 
 class TestStructuralShortcuts:
-    """Identity layouts, real summands as N and id (x) 1 against the generic path."""
+    """Identity layouts, real summands as N and the unit morphisms of F against the generic path."""
 
     @staticmethod
     def factors():
