@@ -12,8 +12,10 @@ fixture mismatch, empty solution set), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 from .catalog import catalog_entry, catalog_names, cuntz_parameter, cuntz_resolution
@@ -105,6 +107,15 @@ def _write_json(obj, path: str):
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _writable(path: str) -> None:
+    """The UsageError _write_json would raise for path, found without creating anything."""
+    parent = os.path.dirname(path) or "."
+    problem = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+               else 0 if os.access(path if os.path.exists(path) else parent, os.W_OK) else errno.EACCES)
+    if problem:
+        raise UsageError(f"cannot write {path!r}: {os.strerror(problem)}")
+
+
 def cmd_catalog(args) -> int:
     if args.action == "list":
         for name in catalog_names():
@@ -159,6 +170,8 @@ def _group_diffs(A: CRTModule, B: CRTModule) -> list[tuple]:
 
 def cmd_kunneth(args) -> int:
     a, b = _catalog_name(args.a), _catalog_name(args.b)
+    if args.json:  # refused before the solve; written only after it succeeds
+        _writable(args.json)
     report = kunneth_pipeline(a, b, budget=args.budget)
     print(f"pair ({a}, {b}): k={report.k}, l={report.l}")
     print("tensor part:")
@@ -174,17 +187,15 @@ def cmd_kunneth(args) -> int:
     print(f"\nsplit: {sol.split}")
     if args.json:
         _write_json(module_to_json(sol.middle), args.json)
-    if report.expected is not None:
-        ok = all(report.matches_expected)
-        print(f"matches printed product table: {ok}")
-        if not ok:
-            diffs = _group_diffs(sol.middle, report.expected)
-            for part, n, ga, gb in diffs:
-                print(f"  {part}-part degree {n}: computed {ga}, table {gb}")
-            if not diffs:
-                print("  same groups but not CRT-isomorphic")
-        return 0 if ok else 1
-    return 0
+    ok = all(report.matches_expected)
+    print(f"matches printed product table: {ok}")
+    if not ok:
+        diffs = _group_diffs(sol.middle, report.expected)
+        for part, n, ga, gb in diffs:
+            print(f"  {part}-part degree {n}: computed {ga}, table {gb}")
+        if not diffs:
+            print("  same groups but not CRT-isomorphic")
+    return 0 if ok else 1
 
 
 def cmd_compare(args) -> int:

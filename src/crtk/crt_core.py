@@ -21,7 +21,9 @@ module and suite); every call gets a fresh report.
 Direct sums, free tensors, cokernels and the printed tables are presented
 modules (presented_module): at each part and degree, raw coordinates
 modulo relations read through a zlinalg.Layout, and each raw operation
-carried into canonical coordinates by between_sums.
+carried into canonical coordinates by between_sums.  A morphism is one
+hom per slot; commutation_map writes its squares as one map modulo the
+group orders, whose kernel crt_isomorphic searches.
 
 Operation families (domain part, codomain part, degree shift):
 
@@ -47,16 +49,13 @@ from .zlinalg import (
     Layout,
     ZERO_GROUP,
     checked_entries,
-    commutation_rows,
     echelon_mod,
     hom_coords,
     hom_matrix,
     identity_hom,
     is_automorphism,
     is_exact_at,
-    kernel_lattice,
     layout,
-    solve_int,
 )
 
 PARTS = ("O", "U", "T")
@@ -176,9 +175,6 @@ class CRTModule:
                 G = self.group(tgt, n + shift)
                 if h.codomain is not G and h.codomain != G:
                     raise ValueError(f"{name}_{n} codomain mismatch")
-
-    def part(self, part: str) -> GradedPart:
-        return getattr(self, _PART_FIELD[part])
 
     def group(self, part: str, n: int) -> FinAbGroup:
         return getattr(self, _PART_FIELD[part]).groups[n % 8]
@@ -531,17 +527,11 @@ def presented_module(layouts: Mapping[tuple[str, int], Layout],
 def _block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     if len(blocks) == 1:
         return blocks[0]
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    cols, c0, rows = sum(b.cols for b in blocks), 0, []
     for b in blocks:
-        for i, row in enumerate(b.entries):
-            for j, x in enumerate(row):
-                out[r0 + i][c0 + j] = x
-        r0 += b.rows
+        rows += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    return IntMatrix.from_rows(out, cols=cols)
+    return IntMatrix(len(rows), cols, tuple(rows))
 
 
 def direct_sum_with_layout(modules: Sequence[CRTModule]) -> tuple[CRTModule, dict]:
@@ -589,68 +579,56 @@ def morphism_commutes(M: CRTModule, N: CRTModule, phi: Morphism) -> bool:
     return True
 
 
-def _slot_candidates(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Callable[[dict], Iterator[GroupHom]]:
-    """The automorphisms phi of the slot group that commute with every instance of SLOT_OPS[slot].
+def commutation_map(M: CRTModule, N: CRTModule, instances: Iterable[tuple[str, int]]
+                    ) -> tuple[list[tuple[int, ...]], list[list[int]], list[list[int]]]:
+    """phi -> phi_t.M_op - N_op.phi_s at each operation instance, on families of slot homs.
 
-    Each instance asks phi_t.M_op = N_op.phi_s, its other endpoint assigned:
-    congruences A.x = b in the hom_coords x of phi, whose rows
-    (zlinalg.commutation_rows) write phi -> phi.M_op - N_op.phi with the
-    terms where phi sits.  A and the echelon of its homogeneous solutions
-    are built once; the returned generator reads b off the choice, solves
-    for one x0 and yields the invertible maps of x0 + (homogeneous
-    solutions) lazily.  On a trivial slot group the only candidate is its
-    identity, which commutes with every instance (all its squares pass
-    through the trivial group), so no system is built.
+    The unknowns are the hom_coords of each Hom(M_slot, N_slot), in SLOTS
+    order; the values of an instance from slot s to slot t are the
+    hom_coords of Hom(M_s, N_t), each entry of the product divided by its
+    step (both products are homs).  Returns (images, value orders per
+    instance, unknown orders per slot): images[j], the image of unknown
+    j, lists the values of the instances in the order given.
     """
-    G = M.group(*slot)
-    if G.is_trivial():
-        identity = identity_hom(G)
-        return lambda choice: iter((identity,))
-    orders = [o for *_, o in hom_coords(G, G)]
-    rows, mods, terms = [], [], []
-    for name, n in SLOT_OPS[slot]:
+    unknown = {slot: hom_coords(M.group(*slot), N.group(*slot)) for slot in SLOTS}
+    at = dict(zip(SLOTS, itertools.accumulate((len(unknown[slot]) for slot in SLOTS), initial=0)))
+    width = sum(map(len, unknown.values()))
+    rows, value_orders = [], []
+    for name, n in instances:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
-        P, Q = M.op(name, n).matrix, N.op(name, n).matrix
-        rows += commutation_rows(G, G, P if t == slot else None, Q if s == slot else None)
-        mods += [e for e in M.group(*t).invariants for _ in range(P.cols)]
-        terms.append((s, t, P, Q))
-    A = IntMatrix.from_rows(rows, cols=len(orders)).hstack(IntMatrix.diag(mods))
-    basis = echelon_mod([v[:len(orders)] for v in kernel_lattice(A).columns()], orders)
-    ranges = [range(o // v[i]) for i, (v, o) in enumerate(zip(basis, orders))]
-
-    def candidates(choice: dict) -> Iterator[GroupHom]:
-        b = []
-        for s, t, P, Q in terms:
-            known = (-(choice[t].matrix * P) if t != slot else
-                     Q * choice[s].matrix if s != slot else IntMatrix.zeros(P.rows, P.cols))
-            b.extend(x for row in known.entries for x in row)
-        x0 = solve_int(A, b)
-        if x0 is None:
-            return
-        for a in itertools.product(*ranges):
-            phi = hom_matrix(G, G, [x + sum(ai * v[c] for ai, v in zip(a, basis))
-                                    for c, x in enumerate(x0[:len(orders)])])
-            if is_automorphism(G, phi.entries):
-                yield GroupHom(G, G, phi)
-
-    return candidates
+        P, Q = M.op(name, n), N.op(name, n)
+        coords = hom_coords(P.domain, Q.codomain)
+        for r, c, step, _ in coords:
+            row = [0] * width
+            for j, (row_t, col, st, _) in enumerate(unknown[t], at[t]):
+                if row_t == r:
+                    row[j] += st * P.matrix.entries[col][c]
+            for j, (row_s, col, st, _) in enumerate(unknown[s], at[s]):
+                if col == c:
+                    row[j] -= Q.matrix.entries[r][row_s] * st
+            rows.append([x // step for x in row])
+        value_orders.append([order for *_, order in coords])
+    images = list(zip(*rows)) if rows else [()] * width
+    return images, value_orders, [[order for *_, order in unknown[slot]] for slot in SLOTS]
 
 
 def crt_isomorphic(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
     """Search for a CRT-isomorphism between modules with finite parts.
 
     An isomorphism in our storage convention repeats with the period of
-    each part, so it is one automorphism of each of the 14 slot groups.
-    backtrack assigns them in SLOTS order from candidates built by
-    linear algebra (_slot_candidates): the automorphisms of the slot that
-    commute with every operation to or from the slots before it.  One
-    node is one candidate tried, counted against budget; a search that
-    never backtracks takes 14 nodes.  Equal modules need no search: the
-    answer is the identity family, charged 14 nodes as such a search is,
-    so a budget below 14 raises BudgetExceeded for them too.  Its message
-    names the slot being tried and the nodes counted, the one over budget
-    included.
+    each part, so it is an automorphism of each of the 14 slot groups, and
+    the families that commute with all 64 operation instances form
+    Hom_CRT(M, N), the kernel of commutation_map L.  One echelon_mod of
+    the graph {(L.e_j, e_j)}, values first, gives echelon generators of
+    the kernel.  backtrack assigns the slots in SLOTS order, each by the
+    coefficients of the pivots in its coordinates: every prefix extends to
+    a homomorphism, so is_automorphism is the only test that can fail.
+    One node is one coefficient choice, counted against budget; the first
+    at a slot is all zeros.  Equal modules need no search: the
+    answer is the identity family, charged one node per slot, so a budget
+    below 14 raises BudgetExceeded for them too.  Its message names the
+    slot being tried and the nodes counted, the one over budget included.
 
     The search runs once per distinct (M, N, budget) in a process; every
     call returns a fresh dict.  BudgetExceeded is raised, never stored.
@@ -680,12 +658,25 @@ def _isomorphism(M: CRTModule, N: CRTModule, budget: int) -> Optional[Morphism]:
             tick(slot)
         return {(p, n): identity_hom(M.group(p, n)) for p in PARTS for n in range(8)}
 
-    system = functools.cache(lambda slot: _slot_candidates(M, N, slot))  # built on first visit
-    choice: dict[tuple[str, int], GroupHom] = {}
-    found = backtrack(SLOTS, lambda slot: system(slot)(choice), lambda slot: True, choice, tick)
+    images, value_orders, unknown_orders = commutation_map(M, N, itertools.product(OP_NAMES, range(8)))
+    values, unknowns = ([o for orders in listed for o in orders] for listed in (value_orders, unknown_orders))
+    graph = [image + (0,) * j + (1,) + (0,) * (len(unknowns) - j - 1) for j, image in enumerate(images)]
+    hom = [v[len(values):] for v in echelon_mod(graph, values + unknowns)[len(values):]]
+    ends = dict(zip(SLOTS, itertools.pairwise(itertools.accumulate(map(len, unknown_orders), initial=0))))
+    choice: dict[tuple[str, int], tuple[tuple[int, ...], GroupHom]] = {}  # slot -> (coefficients, map)
+
+    def options(slot) -> Iterator[tuple[tuple[int, ...], GroupHom]]:
+        (lo, hi), G = ends[slot], M.group(*slot)
+        before = [a for prior in SLOTS[:SLOTS.index(slot)] for a in choice[prior][0]]
+        for coeffs in itertools.product(*(range(unknowns[j] // hom[j][j]) for j in range(lo, hi))):
+            xs = [sum(ai * v[c] for ai, v in zip(before + list(coeffs), hom)) for c in range(lo, hi)]
+            yield coeffs, GroupHom(G, G, hom_matrix(G, G, xs))
+
+    found = backtrack(SLOTS, options, lambda slot: is_automorphism(M.group(*slot), choice[slot][1].matrix.entries),
+                      choice, tick)
     if next(found, None) is None:
         return None
-    return {(p, n): choice[slot_of(p, n)] for p in PARTS for n in range(8)}
+    return {(p, n): choice[slot_of(p, n)][1] for p in PARTS for n in range(8)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,28 +9,26 @@ extensions of each slot (one slot per stored period: 8 real, 2 complex,
 each with its extension maps, and backtracks over them and the
 operation matrices together.  For each operation instance the
 intertwining conditions are affine congruences in the hom_coords of the
-operation (written by zlinalg.commutation_rows, as are the gauge
-table's and crt_core's isomorphism systems): one particular solution is
-found by exact linear algebra, and the ambiguity is exactly
-alpha . W . beta for W ranging over the finite group
-Hom(tor_{n-1}, tensor_m), listed by its own hom_coords, so the
-aggregate search space is small.  An instance whose
-source or target slot has a trivial middle group K needs no algebra: its
-only candidate is the zero map, which intertwines (both sides of each
-condition pass through the trivial group).  The search is pruned
-further by every relation and exactness node of crt_core.CHECKS, each
-in each degree, at the operation that completes it; a full assignment
-therefore is an acyclic CRT-module, and no final suite runs on it.
-The search is one crt_core.backtrack, the engine of the isomorphism
-search too, over one key order (_KEYS): each slot, then the operation
-instances that one rule (crt_core.place) puts at the later of their two
-slots, so an instance is searched as soon as both its slots are chosen.
-The same rule puts each check at the last operation it reads.  An
-instance with no candidate has no options, so it prunes the slot
-options before it by itself.  A search lists the candidates of
-an instance once per pair of slot options and decides each check once
-for each degree and set of operands, options and operands keyed by
-identity (every one lives for the whole search).
+operation (zlinalg.commutation_rows): one particular solution is found
+by exact linear algebra, and the ambiguity is exactly alpha . W . beta
+for W in the finite group Hom(tor_{n-1}, tensor_m), listed by its own
+hom_coords.  An instance whose source or target slot has a trivial
+middle group K needs no algebra: its only candidate is the zero map,
+which intertwines (both sides of each condition pass through the
+trivial group).  The search is pruned further by every relation and
+exactness node of crt_core.CHECKS, each in each degree, at the
+operation that completes it; a full assignment therefore is an acyclic
+CRT-module, and no final suite runs on it.  The search is one
+crt_core.backtrack, the engine of the isomorphism search too, over one
+key order (_KEYS): each slot, then the operation instances that one
+rule (crt_core.place) puts at the later of their two slots, so an
+instance is searched as soon as both its slots are chosen.  The same
+rule puts each check at the last operation it reads.  An instance with
+no candidate has no options, so it prunes the slot options before it by
+itself.  A search lists the candidates of an instance once per pair of
+slot options and decides each check once for each degree and set of
+operands, options and operands keyed by identity (every one lives for
+the whole search).
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -40,7 +38,8 @@ gives the same answer on a candidate and on its image.  As beta.alpha = 0,
 u_t.theta.u_s^-1 moves the candidate at W to the one at W + h_t.Q - P.h_s
 (P, Q the tensor and Tor operations) for every slot choice.  These moves
 form one subgroup D(G) of the W coordinates of all operation instances,
-the same for every slot choice, and one echelon form of it
+the same for every slot choice: the image of crt_core.commutation_map,
+whose kernel crt_isomorphic searches.  One echelon form of it
 (_gauge_table) bounds each coordinate: the W below every bound are
 exactly those first in their orbit under the stabilizer of the
 operations before.  The search builds only the candidates in that box
@@ -73,6 +72,7 @@ from .crt_core import (
     SLOTS,
     SLOT_OPS,
     backtrack,
+    commutation_map,
     crt_isomorphic,
     direct_sum,
     make_module,
@@ -191,30 +191,16 @@ def _gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
 
     The gauge group, the hom_coords of each slot's Hom(quot, sub), moves
     the W coordinates of all operation keys at once, in _KEYS order, by
-    D(h) = h_t.Q - P.h_s.  W of a key is least (lexicographically) in its
-    orbit under the stabilizer of the keys before iff each coordinate is
-    below the pivot of echelon_mod(D) there: the elements of D's image
-    that vanish before a coordinate take exactly the multiples of its pivot.
+    D(h) = h_t.Q - P.h_s: crt_core.commutation_map from the Tor shifted up
+    one degree (quot) to the tensor (sub), over _OPS.  W of a key is least
+    (lexicographically) in its orbit under the stabilizer of the keys
+    before iff each coordinate is below the pivot of echelon_mod(D) there:
+    the elements of D's image that vanish before a coordinate take exactly
+    the multiples of its pivot.
     """
-    homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
-    zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
-    rows, orders, sizes = [], [], []
-    for name, n in _OPS:
-        src, tgt, shift = OP_SPECS[name]
-        s, t = slot_of(src, n), slot_of(tgt, n + shift)
-        P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
-        coords = hom_coords(Q.domain, P.codomain)
-        # D in gauge coordinates (zero off slots s and t) read at the hom_coords of the
-        # product D(h), a hom: its entry at a coordinate is a multiple of the step.
-        D = {slot: commutation_rows(*homs[slot], Q.matrix if slot == t else None,
-                                    P.matrix if slot == s else None) for slot in {s, t}}
-        rows += [[x // st for slot in SLOTS
-                  for x in (D[slot][r * Q.domain.ngens + c] if slot in D else zero[slot])]
-                 for r, c, st, _ in coords]
-        orders += [order for *_, order in coords]
-        sizes.append(len(coords))
-    pivots = iter([v[i] for i, v in enumerate(echelon_mod(list(zip(*rows)), orders))])
-    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OPS, sizes)}
+    images, key_orders, _ = commutation_map(suspend(p.tor, 1), p.tensor, _OPS)
+    pivots = iter([v[i] for i, v in enumerate(echelon_mod(images, [o for orders in key_orders for o in orders]))])
+    return {key: list(itertools.islice(pivots, len(orders))) for key, orders in zip(_OPS, key_orders)}
 
 
 class _Search:
@@ -430,16 +416,12 @@ class KunnethReport:
     tensor: CRTModule
     tor: CRTModule
     solutions: list[KunnethSolution]
-    expected: Optional[CRTModule]
+    expected: CRTModule
     matches_expected: list[bool]
     split: Optional[bool]
 
     def ok(self) -> bool:
-        if not self.solutions:
-            return False
-        if self.expected is not None and not all(self.matches_expected):
-            return False
-        return True
+        return bool(self.solutions) and all(self.matches_expected)
 
 
 def kunneth_pipeline(name_a: str, name_b: str, budget: int = 5_000_000) -> KunnethReport:

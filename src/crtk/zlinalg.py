@@ -759,20 +759,35 @@ def echelon_mod(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> list[Ve
     p_i there.  So the sums of a_i * v_i with 0 <= a_i < orders[i] // p_i
     list S once each, and w (entries in 0..orders[i]-1) is lexicographically
     least in its coset w + S iff w[i] < p_i for every i.
+
+    Vectors are sparse.  Step i folds into the pivot, in the order given,
+    only the generators whose first nonzero coordinate is i, and re-files
+    them; a coordinate no generator reaches keeps its order as the pivot.
     """
-    vecs = [[x % o for x, o in zip(v, orders)] for v in gens]
+    waiting: dict[int, list[tuple[int, dict[int, int]]]] = {}  # first nonzero coordinate -> (index, vector)
+
+    def file(k: int, v: dict[int, int]):
+        if v:
+            waiting.setdefault(min(v), []).append((k, v))
+
+    for k, v in enumerate(gens):
+        file(k, {j: r for j, (x, o) in enumerate(zip(v, orders)) if x and (r := x % o)})
     out = []
     for i, o in enumerate(orders):
-        pivot, rest = [o if j == i else 0 for j in range(len(orders))], []
-        for v in vecs:
-            if v[i]:  # pivot, v := x.pivot + y.v = gcd at i, b.pivot - a.v = 0 at i (unimodular)
-                g = gcd(pivot[i], v[i])
-                a, b, x = pivot[i] // g, v[i] // g, pow(pivot[i] // g, -1, v[i] // g)
-                y = (g - x * pivot[i]) // v[i]
-                pivot, v = [x * s + y * t for s, t in zip(pivot, v)], [b * s - a * t for s, t in zip(pivot, v)]
-            rest.append(v)
-        out.append(tuple(s % q if j > i else s for j, (s, q) in enumerate(zip(pivot, orders))))
-        vecs = [w for w in ([x % q for x, q in zip(v, orders)] for v in rest) if any(w)]
+        pivot = {i: o}
+        for k, v in sorted(waiting.pop(i, ())):
+            # pivot, v := x.pivot + y.v = gcd at i, b.pivot - a.v = 0 at i (unimodular)
+            g = gcd(pivot[i], v[i])
+            a, b, x = pivot[i] // g, v[i] // g, pow(pivot[i] // g, -1, v[i] // g)
+            y = (g - x * pivot[i]) // v[i]
+            both = pivot.keys() | v.keys()
+            pivot, v = ({j: x * pivot.get(j, 0) + y * v.get(j, 0) for j in both},
+                        {j: r for j in both if (r := (b * pivot.get(j, 0) - a * v.get(j, 0)) % orders[j])})
+            file(k, v)
+        row = [0] * len(orders)
+        for j, s in pivot.items():
+            row[j] = s % orders[j] if j > i else s
+        out.append(tuple(row))
     return out
 
 

@@ -16,7 +16,9 @@ operations before it element by element.  gauge_table_oracle keeps the
 table that came next: a stabilizer chain, one kernel_lattice per
 operation, and the visited candidate indices listed.  The solver reads
 the same verdicts from the bounds of one echelon form per problem
-(kunneth._gauge_table) and builds only the candidates inside them.
+(kunneth._gauge_table) and builds only the candidates inside them;
+gauge_table_rows_oracle keeps that table's rows as first assembled, one
+commutation_rows per slot, and the dense echelon_mod.
 
 instance_candidates_oracle keeps the operation candidates as first
 written: one unknown per entry of the operation matrix, explicit
@@ -67,7 +69,7 @@ from crtk.kunneth import (
 from crtk.zlinalg import (FinAbGroup, GroupHom, IntMatrix, commutation_rows, echelon_mod, hom_compose,
                           hom_coords, hom_matrix, identity_hom, kernel_lattice, solve_int)
 
-from oracles import hom_group_elements, hom_preimage, solve_matrix_system
+from oracles import echelon_mod_dense, hom_group_elements, hom_preimage, solve_matrix_system
 
 
 def full_boxes(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
@@ -307,12 +309,17 @@ _OP_SCHEDULE = place(_OP_ORDER, (((chk, n), [("eps" if name == "psiT" else name,
                                  for chk in CHECKS if chk.name != "eps.r.zeta=1+psiT" for n in range(8)))
 
 
-def two_stage_gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]:
-    """kunneth._gauge_table in _OP_ORDER order: the box of each key of the operation stage."""
+def gauge_table_rows_oracle(p: KunnethProblem, keys) -> dict[tuple[str, int], list[int]]:
+    """kunneth._gauge_table over the operation keys given, its rows assembled as first written.
+
+    Each key's rows are the commutation_rows of its two slots' gauge
+    coordinates, read at the hom_coords of the key's W and divided by
+    their steps, instead of crt_core.commutation_map's image.
+    """
     homs = {slot: (p.quot(*slot), p.sub(*slot)) for slot in SLOTS}
     zero = {slot: [0] * len(hom_coords(*homs[slot])) for slot in SLOTS}
     rows, orders, sizes = [], [], []
-    for name, n in _OP_ORDER:
+    for name, n in keys:
         src, tgt, shift = OP_SPECS[name]
         s, t = slot_of(src, n), slot_of(tgt, n + shift)
         P, Q = p.tensor.op(name, n), p.tor.op(name, n - 1)
@@ -324,8 +331,8 @@ def two_stage_gauge_table(p: KunnethProblem) -> dict[tuple[str, int], list[int]]
                  for r, c, st, _ in coords]
         orders += [order for *_, order in coords]
         sizes.append(len(coords))
-    pivots = iter([v[i] for i, v in enumerate(echelon_mod(list(zip(*rows)), orders))])
-    return {key: list(itertools.islice(pivots, size)) for key, size in zip(_OP_ORDER, sizes)}
+    pivots = iter([v[i] for i, v in enumerate(echelon_mod_dense(list(zip(*rows)), orders))])
+    return {key: list(itertools.islice(pivots, size)) for key, size in zip(keys, sizes)}
 
 
 class TwoStageSearch(_Search):
@@ -334,13 +341,13 @@ class TwoStageSearch(_Search):
     The slot stage prunes a slot choice as soon as some operation instance
     between assigned slots has no candidate (SLOT_OPS); every instance of
     a full choice thus has one.  The operation stage assigns each key of
-    _OP_ORDER its candidates, inside two_stage_gauge_table's box, and
-    prunes with the checks _OP_SCHEDULE places there.
+    _OP_ORDER its candidates, inside the box gauge_table_rows_oracle gives
+    over _OP_ORDER, and prunes with the checks _OP_SCHEDULE places there.
     """
 
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
-        self.bounds = two_stage_gauge_table(p)
+        self.bounds = gauge_table_rows_oracle(p, _OP_ORDER)
 
     def run(self):
         # A slot fits when every instance it completes has a candidate (psiT is derived, not searched).

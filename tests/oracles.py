@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from crtk.catalog import cuntz_module
 from crtk.cli import _fmt_matrix
@@ -24,7 +24,9 @@ from crtk.crt_core import (
     OP_NAMES,
     OP_SPECS,
     PARTS,
+    SLOT_OPS,
     SLOTS,
+    backtrack,
     crt_isomorphic,
     is_free,
     make_module,
@@ -63,6 +65,7 @@ from crtk.zlinalg import (
     ZERO_GROUP,
     checked_entries,
     cokernel_data,
+    commutation_rows,
     fin_ab_tensor,
     fin_ab_tor,
     group_from_invariants,
@@ -71,10 +74,12 @@ from crtk.zlinalg import (
     hom_coords,
     hom_image,
     hom_kernel,
+    hom_matrix,
     hom_scale,
     identity_hom,
     is_automorphism,
     is_exact_at,
+    kernel_lattice,
     solve_int,
 )
 
@@ -430,6 +435,103 @@ def crt_isomorphic_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -
     if not rec(0):
         return None
     return {(p, n): assignment[slot_of(p, n)] for p in PARTS for n in range(8)}
+
+
+def echelon_mod_dense(gens: Sequence[Sequence[int]], orders: Sequence[int]) -> list[Vec]:
+    """zlinalg.echelon_mod as first written: dense vectors, every one reduced again at every step."""
+    vecs = [[x % o for x, o in zip(v, orders)] for v in gens]
+    out = []
+    for i, o in enumerate(orders):
+        pivot, rest = [o if j == i else 0 for j in range(len(orders))], []
+        for v in vecs:
+            if v[i]:  # pivot, v := x.pivot + y.v = gcd at i, b.pivot - a.v = 0 at i (unimodular)
+                g = gcd(pivot[i], v[i])
+                a, b, x = pivot[i] // g, v[i] // g, pow(pivot[i] // g, -1, v[i] // g)
+                y = (g - x * pivot[i]) // v[i]
+                pivot, v = [x * s + y * t for s, t in zip(pivot, v)], [b * s - a * t for s, t in zip(pivot, v)]
+            rest.append(v)
+        out.append(tuple(s % q if j > i else s for j, (s, q) in enumerate(zip(pivot, orders))))
+        vecs = [w for w in ([x % q for x, q in zip(v, orders)] for v in rest) if any(w)]
+    return out
+
+
+def slot_candidates_oracle(M: CRTModule, N: CRTModule, slot: tuple[str, int]) -> Callable[[dict], Iterator[GroupHom]]:
+    """The automorphisms phi of the slot group that commute with every instance of SLOT_OPS[slot].
+
+    Each instance asks phi_t.M_op = N_op.phi_s, its other endpoint assigned:
+    congruences A.x = b in the hom_coords x of phi, whose rows
+    (zlinalg.commutation_rows) write phi -> phi.M_op - N_op.phi with the
+    terms where phi sits.  A and the echelon of its homogeneous solutions
+    (kernel_lattice) are built once; the returned generator reads b off the
+    choice, solves for one x0 (solve_int) and yields the invertible maps of
+    x0 + (homogeneous solutions) lazily.  On a trivial slot group the only
+    candidate is its identity, which commutes with every instance, so no
+    system is built.
+    """
+    G = M.group(*slot)
+    if G.is_trivial():
+        identity = identity_hom(G)
+        return lambda choice: iter((identity,))
+    orders = [o for *_, o in hom_coords(G, G)]
+    rows, mods, terms = [], [], []
+    for name, n in SLOT_OPS[slot]:
+        src, tgt, shift = OP_SPECS[name]
+        s, t = slot_of(src, n), slot_of(tgt, n + shift)
+        P, Q = M.op(name, n).matrix, N.op(name, n).matrix
+        rows += commutation_rows(G, G, P if t == slot else None, Q if s == slot else None)
+        mods += [e for e in M.group(*t).invariants for _ in range(P.cols)]
+        terms.append((s, t, P, Q))
+    A = IntMatrix.from_rows(rows, cols=len(orders)).hstack(IntMatrix.diag(mods))
+    basis = echelon_mod_dense([v[:len(orders)] for v in kernel_lattice(A).columns()], orders)
+    ranges = [range(o // v[i]) for i, (v, o) in enumerate(zip(basis, orders))]
+
+    def candidates(choice: dict) -> Iterator[GroupHom]:
+        b = []
+        for s, t, P, Q in terms:
+            known = (-(choice[t].matrix * P) if t != slot else
+                     Q * choice[s].matrix if s != slot else IntMatrix.zeros(P.rows, P.cols))
+            b.extend(x for row in known.entries for x in row)
+        x0 = solve_int(A, b)
+        if x0 is None:
+            return
+        for a in itertools.product(*ranges):
+            phi = hom_matrix(G, G, [x + sum(ai * v[c] for ai, v in zip(a, basis))
+                                    for c, x in enumerate(x0[:len(orders)])])
+            if is_automorphism(G, phi.entries):
+                yield GroupHom(G, G, phi)
+
+    return candidates
+
+
+def slot_search_oracle(M: CRTModule, N: CRTModule, budget: int = 2_000_000) -> Optional[Morphism]:
+    """crt_core.crt_isomorphic as a search slot by slot, each slot's system solved on its own.
+
+    backtrack assigns the 14 slots in SLOTS order from slot_candidates_oracle:
+    the automorphisms of the slot that commute with every operation to or
+    from the slots before it.  One node is one candidate tried; equal
+    modules are searched like any others.  BudgetExceeded names the slot
+    and the nodes counted, as the package's does.
+    """
+    if not (M.all_finite() and N.all_finite()):
+        raise ValueError("crt_isomorphic requires finite parts")
+    for p, n in SLOTS:
+        if M.group(p, n) != N.group(p, n):
+            return None
+    nodes = 0
+
+    def tick(slot):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"isomorphism search budget exceeded at slot {slot[0]}_{slot[1]} "
+                                 f"after {nodes} nodes")
+
+    system = functools.cache(lambda slot: slot_candidates_oracle(M, N, slot))  # built on first visit
+    choice: dict[tuple[str, int], GroupHom] = {}
+    found = backtrack(SLOTS, lambda slot: system(slot)(choice), lambda slot: True, choice, tick)
+    if next(found, None) is None:
+        return None
+    return {(p, n): choice[slot_of(p, n)] for p in PARTS for n in range(8)}
 
 
 # ---------------------------------------------------------------------------

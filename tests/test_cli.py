@@ -147,9 +147,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("where", [lambda tmp_path: tmp_path, lambda tmp_path: tmp_path / "missing" / "out.json"],
                              ids=["directory", "missing-directory"])
     def test_unwritable_json_path_is_usage_error(self, argv, where, tmp_path, capsys):
-        code, _, err = run([*argv, "--json", str(where(tmp_path))], capsys)
-        assert code == 2
+        code, out, err = run([*argv, "--json", str(where(tmp_path))], capsys)
+        assert code == 2 and out == ""  # kunneth refuses the path before it solves
         assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_kunneth_solve_writes_no_json(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        code, _, err = run(["kunneth", "O3", "O5", "--budget", "5", "--json", str(path)], capsys)
+        assert code == 1 and "budget exceeded" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_json_file(self, tmp_path, capsys):

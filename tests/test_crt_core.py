@@ -1,5 +1,6 @@
 """Structure, relations, acyclicity, sums, suspension, isomorphism search."""
 
+import itertools
 import random
 from math import gcd
 
@@ -51,7 +52,7 @@ from crtk.zlinalg import (
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
 from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, eta_O, morphism_commutes_oracle,
-                     morphism_is_iso, slot_ops_oracle, well_defined_matrix)
+                     morphism_is_iso, slot_ops_oracle, slot_search_oracle, well_defined_matrix)
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -509,7 +510,7 @@ def _twisted(M, seed):
 
 
 class TestSlotEngine:
-    """crt_isomorphic's built candidates against the enumerating oracle in tests/oracles.py."""
+    """crt_isomorphic against the enumerating oracle and the slot-by-slot search in tests/oracles.py."""
 
     @staticmethod
     def outcome(search, M, N, budget=2_000_000):
@@ -519,9 +520,9 @@ class TestSlotEngine:
             return "budget exceeded"
 
     def agree(self, M, N):
-        """Both searches agree on existence; a map found is a CRT-isomorphism M -> N."""
+        """The three searches agree on existence; a map found is a CRT-isomorphism M -> N."""
         got = crt_isomorphic(M, N)
-        assert (got is None) == (crt_isomorphic_oracle(M, N) is None)
+        assert (got is None) == (crt_isomorphic_oracle(M, N) is None) == (slot_search_oracle(M, N) is None)
         if got is not None:
             assert morphism_commutes(M, N, got)
             assert morphism_is_iso(got)
@@ -583,18 +584,56 @@ class TestSlotEngine:
         M = expected_product(4, 4)
         Z = _zeroed(M, "c", 1)
         assert self.agree(Z, M) is None
-        # 158 built candidates (crt_isomorphic_oracle tries 1190 automorphisms).
-        assert self.outcome(crt_isomorphic, Z, M, budget=158) is None
-        assert self.outcome(crt_isomorphic, Z, M, budget=157) == "budget exceeded"
+        # 6 coefficient choices; the slot-by-slot search builds 158 candidates, and
+        # crt_isomorphic_oracle tries 1190 automorphisms.
+        assert self.outcome(crt_isomorphic, Z, M, budget=6) is None
+        assert self.outcome(crt_isomorphic, Z, M, budget=5) == "budget exceeded"
+        assert self.outcome(slot_search_oracle, Z, M, budget=158) is None
+        assert self.outcome(slot_search_oracle, Z, M, budget=157) == "budget exceeded"
         assert self.outcome(crt_isomorphic, _twisted(M, 3), M, budget=3) == "budget exceeded"
 
     def test_budget_message_names_slot_and_nodes(self):
         M = expected_product(4, 4)
+        # The first choice at U_0 is the zero map, which is not invertible: the second is node 2.
+        with pytest.raises(BudgetExceeded, match=r"^isomorphism search budget exceeded at slot U_0 after 2 nodes$"):
+            crt_isomorphic(_zeroed(M, "c", 1), M, budget=1)
         with pytest.raises(BudgetExceeded, match=r"^isomorphism search budget exceeded at slot T_3 after 158 nodes$"):
-            crt_isomorphic(_zeroed(M, "c", 1), M, budget=157)
+            slot_search_oracle(_zeroed(M, "c", 1), M, budget=157)
         # Equal modules are charged one node per slot, in SLOTS order.
         with pytest.raises(BudgetExceeded, match=r"^isomorphism search budget exceeded at slot O_7 after 14 nodes$"):
             crt_isomorphic(M, M, budget=len(SLOTS) - 1)
+
+
+class TestKernelSearch:
+    """crt_isomorphic against the slot-by-slot search it replaced, on the grid k, l in 2..12."""
+
+    @staticmethod
+    def agree(M, N):
+        got = crt_isomorphic(M, N)
+        assert (got is None) == (slot_search_oracle(M, N) is None)
+        if got is not None:
+            assert morphism_commutes(M, N, got) and morphism_is_iso(got)
+        return got is not None
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return [kunneth_pipeline(f"O{k + 1}", f"O{l + 1}") for k in range(2, 13) for l in range(2, 13)]
+
+    def test_middles_against_table_and_split_model(self, grid):
+        for rep in grid:
+            M = rep.solutions[0].middle
+            assert self.agree(M, rep.expected)
+            assert self.agree(M, split_model(KunnethProblem(rep.tensor, rep.tor))) == rep.solutions[0].split
+
+    def test_middles_with_equal_groups(self, grid):
+        groups = {}
+        for rep in grid:
+            M = rep.solutions[0].middle
+            groups.setdefault(tuple(M.group(*slot) for slot in SLOTS), set()).add(M)
+        pairs = [pair for same in groups.values() for pair in itertools.product(same, repeat=2)]
+        assert len(pairs) == 81 and len(groups) == 14  # 27 of them compare a middle with itself
+        # On the grid, middles with equal groups are CRT-isomorphic.
+        assert all(self.agree(M, N) for M, N in pairs)
 
 
 class TestBacktrack:
@@ -697,12 +736,14 @@ class TestEqualModules:
             crt_isomorphic(R, R, budget=1)
 
     def test_trivial_slot_candidate_is_the_identity(self):
+        """A trivial slot has one coefficient choice, the empty map, which is invertible."""
         M = expected_product(5, 10)
         trivial = [slot for slot in SLOTS if M.group(*slot).is_trivial()]
         assert trivial
-        for slot in trivial:
-            got = list(crt_core._slot_candidates(M, M, slot)({}))
-            assert got == automorphisms(M.group(*slot)) == [identity_hom(ZERO_GROUP)]
+        for seed in range(3):
+            phi = crt_isomorphic(_twisted(M, seed), M)
+            for slot in trivial:
+                assert phi[slot] == automorphisms(M.group(*slot))[0] == identity_hom(ZERO_GROUP)
 
 
 class TestIsomorphismCache:

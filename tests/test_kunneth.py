@@ -64,7 +64,7 @@ from crtk.zlinalg import (
 from cold_path import clear_caches
 from extension_oracle import extension_options, same_extension
 from kunneth_oracle import (CheckEveryCopy, EnumeratedGauge, TwoStageSearch, _slot_gauge, conjugate,
-                            full_boxes, gauge_table_oracle, instance_candidates_oracle,
+                            full_boxes, gauge_table_oracle, gauge_table_rows_oracle, instance_candidates_oracle,
                             solve_middle_oracle, solved_candidates_oracle)
 from oracles import hom_group_elements, schedule_oracle, search_order_oracle
 
@@ -464,6 +464,12 @@ class TestGaugeFixing:
         assert any(b < order for key in _OPS for b, order in zip(table[key], full[key]))
         assert peak < 20 * 2 ** 20, peak
 
+    def test_table_equals_the_row_assembly_on_the_grid(self):
+        """The echelon of commutation_map's image bounds each W as the rows assembled slot by slot did."""
+        for k, l in itertools.product(range(2, 13), repeat=2):
+            problem = make_problem(k, l)
+            assert _gauge_table(problem) == gauge_table_rows_oracle(problem, _OPS), (k, l)
+
     @pytest.mark.slow
     def test_boxes_select_the_oracle_visits(self):
         """Each key's box holds exactly the candidate indices the stabilizer chain visits."""
@@ -528,8 +534,8 @@ class TestTwoStageOracle:
         """O3 x middle(O5 x O5): one of four triples with 2 <= k, l, m <= 6 that take more nodes.
 
         The others are O5 x middle(O3 x O5), O5 x middle(O5 x O7) and O7 x
-        middle(O5 x O5), with the same counts.  Deduplicating the 4 raw
-        middles takes minutes of isomorphism search, so only raw middles are counted.
+        middle(O5 x O5), with the same counts.  Only raw middles are counted
+        here; test_the_grown_triple_keeps_one_class runs the dedup too.
         """
         problem = triple_problem(2, 4, 4)
         got = count_raw(_Search(problem, 5_000_000))
@@ -538,6 +544,12 @@ class TestTwoStageOracle:
         want.run()
         assert (got.nodes, got.raw) == (157_422, 4)
         assert (want.nodes, want.raw) == (76_814, 4)
+
+    def test_the_grown_triple_keeps_one_class(self):
+        """O3 x middle(O5 x O5) with the dedup on: its 4 raw middles are CRT-isomorphic."""
+        search = _Search(triple_problem(2, 4, 4), 5_000_000)
+        kept = search.run()
+        assert (search.nodes, search.raw, len(kept)) == (157_422, 4, 1)
 
 
 class ComparedCandidates(_Search):

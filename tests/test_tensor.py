@@ -209,7 +209,7 @@ def free_morphisms(draw):
     return FreeMorphism(F, G, images)
 
 
-class TestInducedMapBySums:
+class TestInducedTensorMap:
     """induced_tensor_map expands mor's own images once and checks the family; the per-pair path is the oracle."""
 
     def test_agrees_with_the_per_pair_path_on_the_grid(self):

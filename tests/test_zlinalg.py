@@ -42,7 +42,7 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from extension_oracle import abelian_groups_of_order, extension_candidates
-from oracles import (automorphisms, hom_from_cols, hom_group_elements, hom_preimage,
+from oracles import (automorphisms, echelon_mod_dense, hom_from_cols, hom_group_elements, hom_preimage,
                      is_exact_at_oracle, matmul_via_transpose, oracle_enumerate, product_oracle,
                      reduce_hom_matrix, solve_matrix_system, subgroup_contains, well_defined_matrix,
                      zero_hom)
@@ -288,6 +288,16 @@ class TestEchelonMod:
         for w in itertools.product(*map(range, orders)):
             least = min(add(w, s) for s in S) == w
             assert least == all(x < v[i] for i, (x, v) in enumerate(zip(w, basis)))
+
+
+    @given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dense_elimination(self, orders, data):
+        """The same generators as oracles.echelon_mod_dense, on sparse and dense systems alike."""
+        entry = st.one_of(st.just(0), st.integers(-40, 40))
+        gens = data.draw(st.lists(st.lists(entry, min_size=len(orders), max_size=len(orders)), max_size=10),
+                         label="gens")
+        assert echelon_mod(gens, orders) == echelon_mod_dense(gens, orders)
 
 
 class TestGroups:
