@@ -91,7 +91,8 @@ GENERATOR = {
 # Basis vectors of each base module as operation words applied to the
 # generator, keyed by part and window offset from the generator degree: one
 # signed word per basis vector, in crt_core._parse_side's notation and read
-# at the generator's degree.  Validated against the stored tables by tests.
+# at the generator's degree.  free_crt types each word at import (it must run
+# from the generator to its entry); tests validate it against the stored tables.
 BASIS_WORDS = {
     "R": {
         "O": {0: ["O"], 1: ["tau.eps"], 2: ["tau+1.eps+1.tau.eps"], 4: ["r+4.c"]},
@@ -131,4 +132,110 @@ BASIS_WORDS = {
             7: ["-gamma.zeta"],
         },
     },
+}
+
+# The pairing axioms of the monogenic modules, as three tables of words that
+# tensor.py types against their entries at import.  Each word is in
+# crt_core._parse_side's notation and read on the second factor N.  A sign is
+# 1, -1, "s" or "-s", where s = (-1)^g for the summand's generator degree g.
+
+# Provenance slots per summand kind and part: (label, N part, degree offset,
+# pre, post, n-word).  A slot at window m of a summand with generator degree g
+# holds N^{N part}_{m - g + offset}, and n there stands for the element
+# post(pre(b) ⊗ n-word(n)) of the tensor, b the summand's generator: pre is
+# read on the free module at b's degree, n-word on N at n's degree, and post
+# on the tensor at the window of the pure tensor, whose part is the N part.
+SLOT_WORDS = {
+    "R": {
+        "O": [("b~", "O", 0, "O", "O", "O")],
+        "U": [("cb~", "U", 0, "c", "U", "U")],
+        "T": [("eb~", "T", 0, "eps", "T", "T")],
+    },
+    "C": {
+        "O": [("r(b~)", "U", 0, "U", "r", "U")],
+        "U": [("b~", "U", 0, "U", "U", "U"), ("psiU.b~", "U", 0, "U", "psiU", "psiU")],
+        "T": [("gamma(b~)", "U", 1, "U", "gamma", "U"), ("eps.r(b~)", "U", 0, "U", "eps.r", "U")],
+    },
+    "T": {
+        "O": [("tau(b~)", "T", -1, "T", "tau", "T")],
+        "U": [("zb~", "U", 0, "zeta", "U", "U"), ("ctb~", "U", -1, "c+1.tau", "U", "U")],
+        "T": [("b~", "T", 0, "T", "T", "T"), ("etb~", "T", -1, "eps+1.tau", "T", "T")],
+    },
+}
+
+# The raw operations of (summand ⊗ N) per kind: {(target slot, source slot):
+# (sign, word)}, slots numbered as in SLOT_WORDS, words read on N at o = m - g
+# for the source window m.  A missing block is zero.  A real summand pairs
+# each operation with N's own, twisted by s across a degree shift.
+BLOCK_WORDS = {
+    "R": {
+        "c": {(0, 0): (1, "c")},
+        "r": {(0, 0): (1, "r")},
+        "eps": {(0, 0): (1, "eps")},
+        "zeta": {(0, 0): (1, "zeta")},
+        "psiU": {(0, 0): (1, "psiU")},
+        "psiT": {(0, 0): (1, "psiT")},
+        "gamma": {(0, 0): ("s", "gamma")},
+        "tau": {(0, 0): ("s", "tau")},
+    },
+    "C": {
+        "c": {(0, 0): (1, "U"), (1, 0): (1, "psiU")},
+        "r": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
+        "eps": {(1, 0): (1, "U")},
+        "zeta": {(0, 1): (1, "U"), (1, 1): (1, "psiU")},
+        "psiU": {(0, 1): (1, "psiU"), (1, 0): (1, "psiU")},
+        "psiT": {(0, 0): (-1, "U+1"), (1, 1): (1, "U")},
+        "gamma": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
+        "tau": {(0, 0): (1, "U+1")},
+    },
+    "T": {
+        "c": {(0, 0): ("s", "c.tau-1"), (1, 0): (1, "zeta-1")},
+        "r": {(0, 0): ("s", "gamma"), (0, 1): (1, "eps-1.r-1")},
+        "eps": {(0, 0): ("s", "eps.tau-1 + gamma+1.zeta-1"), (1, 0): (1, "T-1")},
+        "zeta": {(0, 0): (1, "zeta"), (1, 1): (1, "zeta-1")},
+        "psiU": {(0, 0): (1, "psiU"), (1, 1): (1, "psiU-1")},
+        "psiT": {(0, 0): (1, "psiT"), (1, 0): ("s", "gamma.zeta"), (1, 1): (1, "psiT-1")},
+        "gamma": {(0, 0): ("s", "gamma"), (1, 1): ("-s", "gamma-1")},
+        "tau": {(0, 0): (1, "T"), (0, 1): ("-s", "eps.tau-1")},
+    },
+}
+
+# (basis vector of a summand) ⊗ n in the summand's slots: keyed by (kind,
+# part, offset of the basis vector from the generator degree modulo the part's
+# period, position of its word in that offset's list in BASIS_WORDS), a sum of
+# terms (slot, sign, word), the word read on N at n's degree.  A basis word
+# moves onto n as the same word: e.g. R's "r+4.c".
+EXPANSION_WORDS = {
+    ("R", "O", 0, 0): [(0, 1, "O")],
+    ("R", "O", 1, 0): [(0, "s", "tau.eps")],
+    ("R", "O", 2, 0): [(0, 1, "tau+1.eps+1.tau.eps")],
+    ("R", "O", 4, 0): [(0, 1, "r+4.c")],
+    ("R", "U", 0, 0): [(0, 1, "U")],
+    ("R", "T", 0, 0): [(0, 1, "T")],
+    ("R", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
+    ("R", "T", 3, 0): [(0, "s", "gamma.zeta")],
+    ("C", "O", 0, 0): [(0, 1, "c")],
+    ("C", "O", 2, 0): [(0, -1, "c")],
+    ("C", "O", 4, 0): [(0, 1, "c")],
+    ("C", "O", 6, 0): [(0, -1, "c")],
+    ("C", "U", 0, 0): [(0, 1, "U")],
+    ("C", "U", 0, 1): [(1, 1, "U")],
+    ("C", "T", 0, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
+    ("C", "T", 1, 0): [(0, 1, "zeta")],
+    ("C", "T", 2, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
+    ("C", "T", 3, 0): [(0, 1, "zeta")],
+    ("T", "O", 0, 0): [(0, "-s", "gamma.zeta.eps")],
+    ("T", "O", 1, 0): [(0, 1, "eps")],
+    ("T", "O", 2, 0): [(0, "-s", "eps+1.tau.eps")],
+    ("T", "O", 4, 0): [(0, "-s", "gamma.zeta.eps")],
+    ("T", "O", 5, 0): [(0, 1, "eps")],
+    ("T", "O", 6, 0): [(0, "-s", "eps+1.tau.eps")],
+    ("T", "U", 0, 0): [(0, -1, "U")],
+    ("T", "U", 1, 0): [(1, 1, "U")],
+    ("T", "T", 0, 0): [(0, -1, "T")],
+    ("T", "T", 0, 1): [(1, "-s", "gamma.zeta")],
+    ("T", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
+    ("T", "T", 1, 1): [(1, 1, "T")],
+    ("T", "T", 2, 0): [(1, "-s", "gamma+2.zeta")],
+    ("T", "T", 3, 0): [(0, "-s", "gamma.zeta")],
 }

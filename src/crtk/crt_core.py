@@ -12,9 +12,12 @@ verify_relations and is_acyclic iterate it, and the Kunneth search prunes
 with it.  Every check is data, two sides that sum integer multiples of
 operation words, each word typed by part and degree where it is parsed
 (_parse_side), and one evaluator reads them all by multiplying rows of
-reduced entries, with the endpoint, shape and well-definedness tests of
-hom_compose, hom_scale and GroupHom.__add__ at every step; a relation
-compares its sides, and a node runs is_exact_at on them.  Each suite
+reduced entries.  It runs the endpoint tests of hom_compose and of a sum
+at every step and reduces each value modulo its codomain, but runs no
+shape or well-definedness test: the operands are a module's homs,
+checked where the module was assembled, and their composites and
+integer combinations are well defined.  A relation compares its sides,
+and a node runs is_exact_at on them.  Each suite
 runs once per distinct module value in a process (failures cached by
 module and suite); every call gets a fresh report.
 
@@ -48,6 +51,8 @@ from .zlinalg import (
     IntMatrix,
     Layout,
     ZERO_GROUP,
+    _hom,
+    _reduced_rows,
     checked_entries,
     echelon_mod,
     hom_coords,
@@ -298,6 +303,16 @@ def _side_ends(side: tuple, text: str) -> Optional[tuple[tuple[str, int], tuple[
     return ends.pop() if ends else None
 
 
+def _with_ends(side: tuple, text: str, source: tuple[str, int], target: tuple[str, int], entry) -> tuple:
+    """side, parsed from text, if it runs from source to target, each (part, degree offset) compared
+    modulo the part's period; otherwise a CompositionError names the table entry: a word that chains
+    but sits in the wrong entry fails where its table is built."""
+    want = tuple((part, off % PART_PERIOD[part]) for part, off in (source, target))
+    if (got := _side_ends(side, text)) != want:
+        raise CompositionError(f"{entry}: {text!r} runs from {got[0]} to {got[1]}, not from {want[0]} to {want[1]}")
+    return side
+
+
 def _triple(h: GroupHom) -> tuple:
     return h.domain, h.codomain, h.matrix.entries
 
@@ -314,27 +329,28 @@ def _checked(domain: FinAbGroup, codomain: FinAbGroup, rows: list) -> tuple:
 
 
 def _product(g: tuple, f: tuple) -> tuple:
-    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's tests.
+    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's endpoint test.
 
-    Through a trivial domain, middle or codomain the composite is the zero
-    map, which passes every shape and well-definedness test, so it is
-    returned as it is.
+    The rows are reduced modulo the codomain invariants and nothing else:
+    a composite of well-defined homs is well defined, with the shape by
+    construction.  Through a trivial domain, middle or codomain the
+    composite is the zero map, returned without multiplying.
     """
     if f[1] is not g[0] and f[1] != g[0]:
         raise CompositionError(f"cannot compose: {f[1]} != {g[0]}")
     if not (f[0].ngens and g[0].ngens and g[1].ngens):
         return f[0], g[1], IntMatrix.zeros(g[1].ngens, f[0].ngens).entries
     cols = tuple(zip(*f[2]))
-    rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in g[2]]
-    return f[0], g[1], checked_entries(rows, f[0].ngens, f[0], g[1])
+    return f[0], g[1], _reduced_rows([[sum(map(mul, row, col)) for col in cols] for row in g[2]], g[1].invariants)
 
 
 def _side_value(M, n: int, side: tuple) -> Optional[tuple]:
     """The side at degree n as a (domain, codomain, reduced rows) triple; None if it is zero.
 
-    Every composite, multiple and sum gets the tests that hom_compose,
-    hom_scale and GroupHom.__add__ run: endpoints (CompositionError),
-    shape and well-definedness, then reduction (checked_entries).
+    Composites are _product's; a multiple or a sum of terms is reduced
+    modulo the codomain invariants, after GroupHom.__add__'s endpoint test
+    for a sum.  The operands are the module's homs, checked where the
+    module was assembled, so no shape or well-definedness test runs here.
     """
     total = None
     for coef, word in side:
@@ -343,19 +359,18 @@ def _side_value(M, n: int, side: tuple) -> Optional[tuple]:
             h = _identity(M.group(name, n + off)) if name in PART_PERIOD else _triple(M.op(name, n + off))
             val = h if val is None else _product(h, val)
         if coef != 1:
-            val = _checked(*val[:2], [tuple([coef * x for x in row]) for row in val[2]])
+            val = val[0], val[1], _reduced_rows([[coef * x for x in row] for row in val[2]], val[1].invariants)
         if total is not None:
             if total[:2] != val[:2]:
                 raise CompositionError("sum of homs with different endpoints")
-            val = _checked(*val[:2], [tuple(map(add, a, b)) for a, b in zip(total[2], val[2])])
+            val = val[0], val[1], _reduced_rows([map(add, a, b) for a, b in zip(total[2], val[2])], val[1].invariants)
         total = val
     return total
 
 
 def _side_hom(M, n: int, side: tuple) -> GroupHom:
-    """The side at degree n as a GroupHom."""
-    domain, codomain, rows = _side_value(M, n, side)
-    return GroupHom(domain, codomain, IntMatrix(len(rows), domain.ngens, rows))
+    """The side at degree n as a GroupHom, built as hom_compose builds a composite."""
+    return _hom(*_side_value(M, n, side))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ from .crt_core import (
     PARTS,
     _parse_side,
     _side_value,
+    _with_ends,
     direct_sum_with_layout,
     morphism_commutes,
     presented_module,
@@ -139,8 +140,11 @@ class FreeCRT:
         return Element(part, deg, G.reduce(lay.proj.apply(raw)))
 
 
-# _tables.BASIS_WORDS parsed once: (kind, part, offset) -> one side per basis vector.
-_BASIS_SIDES = {(kind, part, off): tuple(map(_parse_side, words))
+# _tables.BASIS_WORDS parsed once: (kind, part, offset) -> one side per basis vector, each word
+# typed to run from the generator (its part, offset 0) to its entry's part and offset.
+_BASIS_SIDES = {(kind, part, off): tuple(_with_ends(_parse_side(word), word, (_tables.GENERATOR[kind][0], 0),
+                                                    (part, off), f"basis word of {kind} at {part}+{off}")
+                                         for word in words)
                 for kind, parts in _tables.BASIS_WORDS.items()
                 for part, offsets in parts.items() for off, words in offsets.items()}
 

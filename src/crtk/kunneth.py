@@ -25,10 +25,16 @@ rule (crt_core.place) puts at the later of their two slots, so an
 instance is searched as soon as both its slots are chosen.  The same
 rule puts each check at the last operation it reads.  An instance with
 no candidate has no options, so it prunes the slot options before it by
-itself.  A search lists the candidates of an instance once per pair of
-slot options and decides each check once for each degree and set of
-operands, options and operands keyed by identity (every one lives for
-the whole search).
+itself.  A search interns its slot options by value (slots with equal
+groups share them), lists the candidates once per pair of slot options
+and instance data (P, Q and the gauge bounds, interned by value), so
+instances with equal data share one list, and decides each check once
+per set of operands, whatever the degree: every group a check reads is
+an endpoint of an operand it reads.  Options and operands are keyed by
+identity (every one lives for the whole search).  A candidate is a sum
+of homs, so it is well defined by construction and only reduced
+(zlinalg._hom); each finished middle is assembled by make_module, which
+checks every map.
 
 The operation search is gauge-fixed.  For a slot with extension maps
 alpha, beta, the automorphisms u = 1 + alpha.h.beta of K (h in
@@ -53,6 +59,7 @@ distinct problem is solved once per process (solve_middle).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -87,6 +94,7 @@ from .zlinalg import (
     GroupHom,
     IntMatrix,
     Zmod,
+    _hom,
     commutation_rows,
     echelon_mod,
     fin_ab_tensor,
@@ -222,13 +230,26 @@ class _Search:
         self._choice: dict = {}  # slot -> (K, alpha, beta); instance -> operation matrix
         self._cand_cache: dict[tuple, list[GroupHom]] = {}
         # Per-search memos keyed by ids (slot_options keeps every option alive, _cand_cache and
-        # _psiT every operand): candidates per (instance, slot options), psiT per (eps, r, zeta),
-        # and each verdict per (check, degree, operands).
+        # _psiT every operand): candidates per (slot options, instance data), psiT per
+        # (eps, r, zeta), and each verdict per (check, operands).
         self._psiT: dict[tuple[int, int, int], GroupHom] = {}
         self._verdicts: dict[tuple, bool] = {}
-        self.bounds = _gauge_table(p)  # the gauge box: per key, a bound on each hom_coord of W
-        self.slot_options = {slot: _extension_options(p.sub(*slot), p.quot(*slot))
-                             for slot in SLOTS}
+        self._set_bounds(_gauge_table(p))
+        # Slot options interned by value: slots with equal (sub, quot) share one list of option objects.
+        options = functools.cache(_extension_options)
+        self.slot_options = {slot: options(p.sub(*slot), p.quot(*slot)) for slot in SLOTS}
+
+    def _set_bounds(self, bounds: dict[tuple[str, int], list[int]]):
+        """Search the box of bounds (per key, a bound on each hom_coord of W).
+
+        Each operation key's data (P, Q, its bounds) is interned by value
+        as a small integer, part of the key of its candidate list.
+        """
+        self.bounds = bounds
+        data: dict[tuple, int] = {}
+        self._instance_data = {(name, n): data.setdefault((self.p.tensor.op(name, n), self.p.tor.op(name, n - 1),
+                                                           tuple(bounds[(name, n)])), len(data))
+                               for name, n in bounds}
 
     def run(self):
         choice = self._choice
@@ -276,7 +297,8 @@ class _Search:
         """
         src, tgt, shift = OP_SPECS[name]
         opt_s, opt_t = self._option(src, n), self._option(tgt, n + shift)
-        cache_key = (name, n, id(opt_s), id(opt_t))
+        # The list depends on the two options and on (P, Q, bounds) alone: instances with equal data share it.
+        cache_key = (id(opt_s), id(opt_t), self._instance_data[(name, n)])
         hit = self._cand_cache.get(cache_key)
         if hit is not None:
             return hit
@@ -299,14 +321,20 @@ class _Search:
         if x0 is not None:
             # W -> alpha_t.W.beta_s is injective (alpha_t is, and beta_s is onto): no repeats.
             theta0, quot, sub = hom_matrix(Ks, Kt, x0[:ncoords]), Q.domain, P.codomain
-            out = [GroupHom(Ks, Kt, theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix)
+            # Each candidate is a sum of homs, so it is well defined: _hom only reduces it.
+            out = [_hom(Ks, Kt, (theta0 + a_t.matrix * hom_matrix(quot, sub, w) * b_s.matrix).entries)
                    for w in itertools.product(*map(range, self.bounds[(name, n)]))]
         self._cand_cache[cache_key] = out
         return out
 
     def _holds(self, chk: Check, n: int, view: _Assigned) -> bool:
-        """chk.holds(view, n), decided once per search for each set of operands; errors are not stored."""
-        key = (chk, n, *(id(view.op(name, n + off)) for name, off in chk.reads))
+        """chk.holds(view, n), decided once per search for each set of operands; errors are not stored.
+
+        The degree is not part of the key: every group the check reads (an
+        identity factor's) is an endpoint of an operand it reads, so the
+        operands alone fix the verdict.
+        """
+        key = (chk, *(id(view.op(name, n + off)) for name, off in chk.reads))
         if (verdict := self._verdicts.get(key)) is None:
             verdict = self._verdicts[key] = chk.holds(view, n)
         return verdict

@@ -2,8 +2,11 @@
 
 Tensoring a free module F against an arbitrary module N follows the
 pairing axioms of the monogenic modules R, C and T.  They are data, three
-tables in the word notation of crt_core.CHECKS, and every word is read by
-its evaluator (crt_core._side_value):
+tables in the word notation of crt_core.CHECKS (_tables.SLOT_WORDS,
+BLOCK_WORDS and EXPANSION_WORDS), typed here at import: each word must
+run between the groups its entry joins, so a word that chains but sits in
+the wrong entry fails at import.  Every word is read by crt_core's
+evaluator (crt_core._side_value):
 
 - _SLOTS: each part of (summand ⊗ N) is a direct sum of N's groups, one
   per provenance slot, whose generators are operation words applied to
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from . import _tables
 from .crt_core import (
     CRTModule,
     Morphism,
@@ -54,6 +58,7 @@ from .crt_core import (
     _product,
     _side_hom,
     _side_value,
+    _with_ends,
     make_module,
     morphism_commutes,
     presented_module,
@@ -82,109 +87,62 @@ from .zlinalg import (
 _SIGN = {1: (1, 1), -1: (-1, -1), "s": (1, -1), "-s": (-1, 1)}
 
 
-def _signed(sign, word: str) -> tuple:
-    """(the sign's values for even and odd g, the parsed word)."""
-    return _SIGN[sign], _parse_side(word)
+def _signed(sign, word: str, source: tuple[str, int], target: tuple[str, int], entry) -> tuple:
+    """(the sign's values for even and odd g, the word parsed), the word typed to run from source to target."""
+    return _SIGN[sign], _with_ends(_parse_side(word), word, source, target, entry)
 
 
-def _slot(label: str, n_part: str, offset: int, pre: str, post: str, n_word: str) -> tuple:
-    """A slot with its words parsed; a part's identity ("O", "U", "T") is None, and nothing is applied."""
-    return (label, n_part, offset, *(None if word in PARTS else _parse_side(word) for word in (pre, post, n_word)))
+def _slot(kind: str, part: str, label: str, n_part: str, offset: int, pre: str, post: str, n_word: str) -> tuple:
+    """A slot of _tables.SLOT_WORDS with its words parsed, and typed against the slot.
+
+    pre runs from the generator (its part, offset 0) into the N part, post
+    from there into the slot's part, and the two shift the degree by
+    -offset; n-word runs in the N part with no shift.  A part's identity
+    ("O", "U", "T") is None afterwards, and nothing is applied.
+    """
+    entry = f"slot {label} of {kind}, part {part}"
+    pre_side, post_side, n_side = map(_parse_side, (pre, post, n_word))
+    shift = _shift(pre_side)
+    _with_ends(pre_side, pre, (_tables.GENERATOR[kind][0], 0), (n_part, shift), entry)
+    _with_ends(post_side, post, (n_part, 0), (part, -offset - shift), entry)
+    _with_ends(n_side, n_word, (n_part, 0), (n_part, 0), entry)
+    return (label, n_part, offset, *(None if word in PARTS else side
+                                     for word, side in ((pre, pre_side), (post, post_side), (n_word, n_side))))
 
 
-# Provenance slots per summand kind and part: (label, N part, degree offset,
-# pre, post, n-word).  A slot at window m of a summand with generator degree g
-# holds N^{N part}_{m - g + offset}, and n there stands for the element
-# post(pre(b) ⊗ n-word(n)) of the tensor, b the summand's generator: pre is
-# read on the free module at b's degree, n-word on N at n's degree, and post
-# on the tensor at the window of the pure tensor, whose part is the N part.
-_SLOTS = {
-    "R": {
-        "O": (_slot("b~", "O", 0, "O", "O", "O"),),
-        "U": (_slot("cb~", "U", 0, "c", "U", "U"),),
-        "T": (_slot("eb~", "T", 0, "eps", "T", "T"),),
-    },
-    "C": {
-        "O": (_slot("r(b~)", "U", 0, "U", "r", "U"),),
-        "U": (_slot("b~", "U", 0, "U", "U", "U"), _slot("psiU.b~", "U", 0, "U", "psiU", "psiU")),
-        "T": (_slot("gamma(b~)", "U", 1, "U", "gamma", "U"), _slot("eps.r(b~)", "U", 0, "U", "eps.r", "U")),
-    },
-    "T": {
-        "O": (_slot("tau(b~)", "T", -1, "T", "tau", "T"),),
-        "U": (_slot("zb~", "U", 0, "zeta", "U", "U"), _slot("ctb~", "U", -1, "c+1.tau", "U", "U")),
-        "T": (_slot("b~", "T", 0, "T", "T", "T"), _slot("etb~", "T", -1, "eps+1.tau", "T", "T")),
-    },
-}
+def _shift(word: tuple) -> int:
+    """The degree shift of a one-term word: its last factor's offset and shift (none for an identity)."""
+    ((_, ((name, off), *_)),) = word
+    return off + OP_SPECS.get(name, (name, name, 0))[2]
 
-# The raw operations of (summand ⊗ N) per kind: {(target slot, source slot):
-# (sign, word)}, slots numbered as in _SLOTS, words read on N at o = m - g for
-# the source window m.  A missing block is zero.
-_BLOCKS = {kind: {name: {key: _signed(*value) for key, value in blocks.items()} for name, blocks in ops.items()}
-           for kind, ops in {
-    # A real summand pairs each operation with N's own, twisted by s across a degree shift.
-    "R": {name: {(0, 0): ("s" if shift else 1, name)} for name, (_, _, shift) in OP_SPECS.items()},
-    "C": {
-        "c": {(0, 0): (1, "U"), (1, 0): (1, "psiU")},
-        "r": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
-        "eps": {(1, 0): (1, "U")},
-        "zeta": {(0, 1): (1, "U"), (1, 1): (1, "psiU")},
-        "psiU": {(0, 1): (1, "psiU"), (1, 0): (1, "psiU")},
-        "psiT": {(0, 0): (-1, "U+1"), (1, 1): (1, "U")},
-        "gamma": {(0, 0): (1, "U"), (0, 1): (1, "psiU")},
-        "tau": {(0, 0): (1, "U+1")},
-    },
-    "T": {
-        "c": {(0, 0): ("s", "c.tau-1"), (1, 0): (1, "zeta-1")},
-        "r": {(0, 0): ("s", "gamma"), (0, 1): (1, "eps-1.r-1")},
-        "eps": {(0, 0): ("s", "eps.tau-1 + gamma+1.zeta-1"), (1, 0): (1, "T-1")},
-        "zeta": {(0, 0): (1, "zeta"), (1, 1): (1, "zeta-1")},
-        "psiU": {(0, 0): (1, "psiU"), (1, 1): (1, "psiU-1")},
-        "psiT": {(0, 0): (1, "psiT"), (1, 0): ("s", "gamma.zeta"), (1, 1): (1, "psiT-1")},
-        "gamma": {(0, 0): ("s", "gamma"), (1, 1): ("-s", "gamma-1")},
-        "tau": {(0, 0): (1, "T"), (0, 1): ("-s", "eps.tau-1")},
-    },
-}.items()}
 
-# (basis vector of a summand) ⊗ n in the summand's slots: keyed by (kind,
-# part, offset of the basis vector from the generator degree modulo the part's
-# period, position of its word in that offset's list in _tables.BASIS_WORDS),
-# a sum of terms (slot, sign, word), the word read on N at n's degree.  The
-# words of both tables share crt_core._parse_side's notation: e.g. R's basis
-# word "r+4.c" moves onto n as the same word.
-_EXPANSION = {key: tuple((slot, *_signed(sign, word)) for slot, sign, word in terms) for key, terms in {
-    ("R", "O", 0, 0): [(0, 1, "O")],
-    ("R", "O", 1, 0): [(0, "s", "tau.eps")],
-    ("R", "O", 2, 0): [(0, 1, "tau+1.eps+1.tau.eps")],
-    ("R", "O", 4, 0): [(0, 1, "r+4.c")],
-    ("R", "U", 0, 0): [(0, 1, "U")],
-    ("R", "T", 0, 0): [(0, 1, "T")],
-    ("R", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
-    ("R", "T", 3, 0): [(0, "s", "gamma.zeta")],
-    ("C", "O", 0, 0): [(0, 1, "c")],
-    ("C", "O", 2, 0): [(0, -1, "c")],
-    ("C", "O", 4, 0): [(0, 1, "c")],
-    ("C", "O", 6, 0): [(0, -1, "c")],
-    ("C", "U", 0, 0): [(0, 1, "U")],
-    ("C", "U", 0, 1): [(1, 1, "U")],
-    ("C", "T", 0, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
-    ("C", "T", 1, 0): [(0, 1, "zeta")],
-    ("C", "T", 2, 0): [(0, "s", "c+1.tau"), (1, 1, "zeta")],
-    ("C", "T", 3, 0): [(0, 1, "zeta")],
-    ("T", "O", 0, 0): [(0, "-s", "gamma.zeta.eps")],
-    ("T", "O", 1, 0): [(0, 1, "eps")],
-    ("T", "O", 2, 0): [(0, "-s", "eps+1.tau.eps")],
-    ("T", "O", 4, 0): [(0, "-s", "gamma.zeta.eps")],
-    ("T", "O", 5, 0): [(0, 1, "eps")],
-    ("T", "O", 6, 0): [(0, "-s", "eps+1.tau.eps")],
-    ("T", "U", 0, 0): [(0, -1, "U")],
-    ("T", "U", 1, 0): [(1, 1, "U")],
-    ("T", "T", 0, 0): [(0, -1, "T")],
-    ("T", "T", 0, 1): [(1, "-s", "gamma.zeta")],
-    ("T", "T", 1, 0): [(0, "s", "gamma+2.zeta")],
-    ("T", "T", 1, 1): [(1, 1, "T")],
-    ("T", "T", 2, 0): [(1, "-s", "gamma+2.zeta")],
-    ("T", "T", 3, 0): [(0, "-s", "gamma.zeta")],
-}.items()}
+# The slots per kind and part, each typed (_slot).
+_SLOTS = {kind: {part: tuple(_slot(kind, part, *slot) for slot in slots) for part, slots in parts.items()}
+          for kind, parts in _tables.SLOT_WORDS.items()}
+
+
+def _block(kind: str, name: str, a: int, b: int, sign, word: str) -> tuple:
+    """Block (a, b) of _tables.BLOCK_WORDS, typed: from source slot b's N group to target slot a's."""
+    src, tgt, shift = OP_SPECS[name]
+    _, source_part, source_offset, *_ = _SLOTS[kind][src][b]
+    _, target_part, target_offset, *_ = _SLOTS[kind][tgt][a]
+    return _signed(sign, word, (source_part, source_offset), (target_part, shift + target_offset),
+                   f"block {(a, b)} of {name} on {kind}")
+
+
+def _term(key: tuple, slot: int, sign, word: str) -> tuple:
+    """A term of _tables.EXPANSION_WORDS, typed: from n to the slot's N group at the basis vector's offset."""
+    kind, part, offset, _ = key
+    _, n_part, slot_offset, *_ = _SLOTS[kind][part][slot]
+    return (slot, *_signed(sign, word, (part, 0), (n_part, offset + slot_offset), f"expansion {key}"))
+
+
+# The raw operations of (summand ⊗ N) per kind, name and (target slot, source slot), each typed (_block).
+_BLOCKS = {kind: {name: {(a, b): _block(kind, name, a, b, *value) for (a, b), value in blocks.items()}
+                  for name, blocks in ops.items()}
+           for kind, ops in _tables.BLOCK_WORDS.items()}
+# (basis vector of a summand) ⊗ n as terms (slot, sign, word), each typed (_term).
+_EXPANSION = {key: tuple(_term(key, *term) for term in terms) for key, terms in _tables.EXPANSION_WORDS.items()}
 
 
 @dataclass(eq=False)
@@ -267,12 +225,6 @@ def _raw_op(summands: tuple[MonogenicKind, ...], N: CRTModule, slots: dict, firs
             for i, row in enumerate(_side_value(N, m - g, word)[2], targets[t + a].offset):
                 out[i][lo:lo + len(row)] = row if k == 1 else [k * x for x in row]
     return IntMatrix(rows, cols, tuple(map(tuple, out)))
-
-
-def _shift(word: tuple) -> int:
-    """The degree shift of a one-term operation word: its last operation's offset and shift."""
-    ((_, ((name, off), *_)),) = word
-    return off + OP_SPECS[name][2]
 
 
 def _expansion(F: FreeCRT, part: str, e: int, y: Sequence[int]) -> list[tuple]:

@@ -12,6 +12,16 @@ divisibility order, followed by the free rank.  Two groups are equal iff
 their fields are equal, and two homomorphisms are equal iff their reduced
 matrices are equal.
 
+Data is validated where it enters: the public IntMatrix constructor
+tests the shape, and GroupHom's the shape and well-definedness
+(checked_entries).
+A composite, sum, difference, negative or multiple of well-defined homs
+is well defined with the shape by construction, so hom_compose,
+hom_scale and GroupHom's arithmetic build it through one private
+constructor (_hom) that only reduces modulo the codomain invariants, and
+IntMatrix's arithmetic skips the shape re-test of its results; the
+endpoint tests (CompositionError) stay.
+
 Values are frozen, so the primitives are memoised by value for the life
 of the process (functools.cache): the Smith form of each matrix, and the
 kernel, image, cokernel and exactness verdicts of each map, are computed
@@ -28,8 +38,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul
-from typing import Iterator, Optional, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -115,18 +125,14 @@ class IntMatrix:
         if not (self.rows and other.rows and other.cols):  # an empty dimension: the zero matrix
             return IntMatrix.zeros(self.rows, other.cols)
         ot = tuple(zip(*other.entries))
-        return IntMatrix(
-            self.rows, other.cols,
-            tuple(tuple([sum(map(mul, row, col)) for col in ot]) for row in self.entries),
-        )
+        return _matrix(self.rows, other.cols,
+                       tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self.entries]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows, self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        return _matrix(self.rows, self.cols,
+                       tuple([tuple(map(add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -135,7 +141,7 @@ class IntMatrix:
         return self.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in row) for row in self.entries))
+        return _matrix(self.rows, self.cols, tuple([tuple([k * x for x in row]) for row in self.entries]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -173,6 +179,14 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
+
+
+def _matrix(rows: int, cols: int, entries: tuple[Vec, ...]) -> IntMatrix:
+    """The IntMatrix of entries, rows x cols by construction: __post_init__'s shape test is skipped."""
+    m = object.__new__(IntMatrix)
+    d = m.__dict__  # set key by key: the instance keeps the class's compact shared-key dict
+    d["rows"], d["cols"], d["entries"] = rows, cols, entries
+    return m
 
 
 @functools.cache
@@ -581,7 +595,12 @@ def checked_entries(rows: Sequence[Vec], cols: int, domain: FinAbGroup,
                 raise ValueError(f"entry ({i},{j}) not well-defined: torsion into free")
         elif (x * d) % e:
             raise ValueError(f"entry ({i},{j})={x} not well-defined mod {e}")
-    return tuple([tuple([x % e for x in row]) if e else tuple(row) for row, e in zip(rows, cod_inv)])
+    return _reduced_rows(rows, cod_inv)
+
+
+def _reduced_rows(rows: Iterable[Iterable[int]], invariants: Vec) -> tuple[Vec, ...]:
+    """Each row reduced modulo its invariant, a free row (invariant 0) kept: no shape or well-definedness test."""
+    return tuple([tuple([x % e for x in row]) if e else tuple(row) for row, e in zip(rows, invariants)])
 
 
 @dataclass(frozen=True)
@@ -592,6 +611,8 @@ class GroupHom:
     unreduced), so equality of maps is equality of fields.  Construction
     fails unless the matrix is well-defined on the domain relations
     (checked_entries); a matrix given already reduced is kept as it is.
+    Composites, sums, negatives and multiples of homs are well defined
+    by construction, so they are built by _hom, which only reduces.
     """
 
     domain: FinAbGroup
@@ -611,15 +632,35 @@ class GroupHom:
         return self.matrix.is_zero()
 
     def __neg__(self) -> "GroupHom":
-        return GroupHom(self.domain, self.codomain, -self.matrix)
+        return hom_scale(self, -1)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise CompositionError("sum of homs with different endpoints")
-        return GroupHom(self.domain, self.codomain, self.matrix + other.matrix)
+        return self._combine(other, add)
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def _combine(self, other: "GroupHom", op) -> "GroupHom":
+        """self op other, entry by entry, for homs with the same endpoints."""
+        if self.domain != other.domain or self.codomain != other.codomain:
+            raise CompositionError("sum of homs with different endpoints")
+        return _hom(self.domain, self.codomain,
+                    [map(op, a, b) for a, b in zip(self.matrix.entries, other.matrix.entries)])
+
+
+def _hom(domain: FinAbGroup, codomain: FinAbGroup, rows: Iterable[Iterable[int]]) -> GroupHom:
+    """The hom with rows reduced modulo the codomain invariants, without GroupHom's shape and
+    well-definedness tests.
+
+    For values built inside the package from well-defined homs, whose
+    composites and integer combinations are well defined and have the
+    shape by construction; data entering the system goes through GroupHom.
+    """
+    h = object.__new__(GroupHom)
+    d = h.__dict__
+    d["domain"], d["codomain"] = domain, codomain
+    d["matrix"] = _matrix(codomain.ngens, domain.ngens, _reduced_rows(rows, codomain.invariants))
+    return h
 
 
 def identity_hom(G: FinAbGroup) -> GroupHom:
@@ -630,11 +671,11 @@ def hom_compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """g after f."""
     if f.codomain is not g.domain and f.codomain != g.domain:
         raise CompositionError(f"cannot compose: {f.codomain} != {g.domain}")
-    return GroupHom(f.domain, g.codomain, g.matrix * f.matrix)
+    return _hom(f.domain, g.codomain, (g.matrix * f.matrix).entries)
 
 
 def hom_scale(f: GroupHom, k: int) -> GroupHom:
-    return GroupHom(f.domain, f.codomain, f.matrix.scale(k))
+    return _hom(f.domain, f.codomain, [[k * x for x in row] for row in f.matrix.entries])
 
 
 @functools.cache

@@ -126,7 +126,7 @@ class CheckEveryCopy(_Search):
 
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
-        self.bounds = full_boxes(p)  # no gauge fixing: every candidate is built and tried
+        self._set_bounds(full_boxes(p))  # no gauge fixing: every candidate is built and tried
 
     def _holds(self, chk, n, view):
         return chk.holds(view, n)  # every visit decides its checks anew: no per-search verdicts
@@ -230,7 +230,7 @@ class EnumeratedGauge(_Search):
 
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
-        self.bounds = full_boxes(p)
+        self._set_bounds(full_boxes(p))
         self.skipped = 0
 
     def run(self):
@@ -347,7 +347,7 @@ class TwoStageSearch(_Search):
 
     def __init__(self, p: KunnethProblem, budget: int):
         super().__init__(p, budget)
-        self.bounds = gauge_table_rows_oracle(p, _OP_ORDER)
+        self._set_bounds(gauge_table_rows_oracle(p, _OP_ORDER))
 
     def run(self):
         # A slot fits when every instance it completes has a candidate (psiT is derived, not searched).

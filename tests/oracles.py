@@ -10,7 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from crtk.catalog import cuntz_module
@@ -23,9 +23,11 @@ from crtk.crt_core import (
     Morphism,
     OP_NAMES,
     OP_SPECS,
+    PART_PERIOD,
     PARTS,
     SLOT_OPS,
     SLOTS,
+    _triple,
     backtrack,
     crt_isomorphic,
     is_free,
@@ -290,6 +292,55 @@ def _exact(f: GroupHom, g: GroupHom) -> bool:
         return is_exact_at(f, g)
     except ValueError:
         return False
+
+
+# The checked evaluator of crt_core.CHECKS: every composite, multiple and sum of a
+# side gets the tests of GroupHom's constructor, as the package once ran them.
+
+
+def _checked_triple(domain: FinAbGroup, codomain: FinAbGroup, rows: list) -> tuple:
+    """The triple (domain, codomain, reduced rows) after GroupHom's shape and well-definedness tests."""
+    return domain, codomain, checked_entries(rows, domain.ngens, domain, codomain)
+
+
+def checked_product_oracle(g: tuple, f: tuple) -> tuple:
+    """g after f on (domain, codomain, reduced rows) triples, with hom_compose's endpoint test
+    and GroupHom's shape and well-definedness tests; through a trivial group the zero map."""
+    if f[1] is not g[0] and f[1] != g[0]:
+        raise CompositionError(f"cannot compose: {f[1]} != {g[0]}")
+    if not (f[0].ngens and g[0].ngens and g[1].ngens):
+        return f[0], g[1], IntMatrix.zeros(g[1].ngens, f[0].ngens).entries
+    cols = tuple(zip(*f[2]))
+    rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in g[2]]
+    return _checked_triple(f[0], g[1], rows)
+
+
+def checked_side_value_oracle(M, n: int, side: tuple) -> Optional[tuple]:
+    """crt_core._side_value with every composite, multiple and sum checked; None for zero."""
+    total = None
+    for coef, word in side:
+        val = None
+        for name, off in reversed(word):
+            h = _triple(identity_hom(M.group(name, n + off)) if name in PART_PERIOD else M.op(name, n + off))
+            val = h if val is None else checked_product_oracle(h, val)
+        if coef != 1:
+            val = _checked_triple(*val[:2], [tuple([coef * x for x in row]) for row in val[2]])
+        if total is not None:
+            if total[:2] != val[:2]:
+                raise CompositionError("sum of homs with different endpoints")
+            val = _checked_triple(*val[:2], [tuple(map(add, a, b)) for a, b in zip(total[2], val[2])])
+        total = val
+    return total
+
+
+def checked_holds_oracle(chk: Check, M: CRTModule, n: int) -> bool:
+    """Check.holds on the checked evaluator: a node's sides go through GroupHom's constructor."""
+    if chk.node:
+        f, g = (GroupHom(dom, cod, IntMatrix(len(rows), dom.ngens, rows))
+                for dom, cod, rows in (checked_side_value_oracle(M, n, side) for side in chk.sides))
+        return _exact(f, g)
+    left, right = (checked_side_value_oracle(M, n, side) for side in chk.sides)
+    return not any(map(any, left[2])) if right is None else left == right
 
 
 # The derived ring elements as composites of stored operations, as the package

@@ -1,14 +1,19 @@
 """Structure, relations, acyclicity, sums, suspension, isomorphism search."""
 
+import importlib.util
 import itertools
 import random
+import re
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtk import crt_core, free_crt, tensor
+import crtk
+from crtk import _tables, crt_core, free_crt, tensor
 from crtk.catalog import catalog_entry, catalog_names, cuntz_module, expected_product
 from crtk.crt_core import (
     BudgetExceeded,
@@ -51,8 +56,9 @@ from crtk.zlinalg import (
 
 from cold_path import clear_caches
 from kunneth_oracle import conjugate
-from oracles import (CHECK_ORACLE, automorphisms, crt_isomorphic_oracle, eta_O, morphism_commutes_oracle,
-                     morphism_is_iso, slot_ops_oracle, slot_search_oracle, well_defined_matrix)
+from oracles import (CHECK_ORACLE, automorphisms, checked_holds_oracle, checked_side_value_oracle,
+                     crt_isomorphic_oracle, eta_O, morphism_commutes_oracle, morphism_is_iso, slot_ops_oracle,
+                     slot_search_oracle, well_defined_matrix)
 
 R = monogenic("R", 0).realized
 C = monogenic("C", 0).realized
@@ -560,20 +566,31 @@ class TestSlotEngine:
 
     @staticmethod
     def split_pair(k):
-        """The solver's middle for (k, k) and the split model it is compared with."""
+        """A _twisted copy of the solver's middle for (k, k), and the split model it is compared with.
+
+        The middle itself equals the split model, which crt_isomorphic
+        answers without a search; the copy differs from both, so backtrack runs.
+        """
         rep = kunneth_pipeline(f"O{k + 1}", f"O{k + 1}")
-        return rep.solutions[0].middle, split_model(KunnethProblem(rep.tensor, rep.tor))
+        M, S = rep.solutions[0].middle, split_model(KunnethProblem(rep.tensor, rep.tor))
+        twisted = _twisted(M, k)
+        assert M == S and twisted != M
+        return twisted, S
 
     @pytest.mark.parametrize("k", [13, 15])
     def test_odd_diagonal_split_check(self, k):
-        assert self.agree(*self.split_pair(k)) is not None
+        M, S = self.split_pair(k)
+        assert self.agree(M, S) is not None
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) + 2) is not None
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) + 1) == "budget exceeded"
 
     def test_split_check_needs_one_node_per_slot(self):
+        # One node per slot, and one more at U_0 and at U_1, where the zero map is tried first.
         # crt_isomorphic_oracle, which enumerates each slot's automorphisms, tries 10^3 to 10^4 here.
         M, S = self.split_pair(13)
         assert crt_isomorphic(M, S, budget=100) is not None
-        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS)) is not None
-        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) - 1) == "budget exceeded"
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) + 2) is not None
+        assert self.outcome(crt_isomorphic, M, S, budget=len(SLOTS) + 1) == "budget exceeded"
 
     @pytest.mark.parametrize("a,b", [((2, 2), (2, 4)), ((6, 6), (6, 12))])
     def test_distinguished_products(self, a, b):
@@ -634,6 +651,39 @@ class TestKernelSearch:
         assert len(pairs) == 81 and len(groups) == 14  # 27 of them compare a middle with itself
         # On the grid, middles with equal groups are CRT-isomorphic.
         assert all(self.agree(M, N) for M, N in pairs)
+
+
+class TestReduceOnlyEvaluator:
+    """_side_value and Check.holds, which only reduce, against the checked evaluator in tests/oracles.py.
+
+    The corpus: the tensors, Tors, middles and split models of the grid
+    k, l in 2..12, the catalog entries, and a _twisted copy of each finite
+    one; copies with c_1 zeroed add failing verdicts.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        modules = [catalog_entry(name).module for name in catalog_names()]
+        for k in range(2, 13):
+            for l in range(2, 13):
+                rep = kunneth_pipeline(f"O{k + 1}", f"O{l + 1}")
+                modules += [rep.tensor, rep.tor, rep.solutions[0].middle,
+                            split_model(KunnethProblem(rep.tensor, rep.tor))]
+        modules = list(dict.fromkeys(modules))
+        finite = [M for M in modules if M.all_finite()]
+        return modules + [_twisted(M, seed) for seed, M in enumerate(finite)] + [_zeroed(M, "c", 1) for M in finite]
+
+    def test_triples_and_verdicts_agree(self, corpus):
+        verdicts = set()
+        for M in corpus:
+            for chk in CHECKS:
+                for n in range(8):
+                    for side in chk.sides:
+                        assert crt_core._side_value(M, n, side) == checked_side_value_oracle(M, n, side), (chk.name, n)
+                    verdict = chk.holds(M, n)
+                    assert verdict == checked_holds_oracle(chk, M, n), (chk.name, n)
+                    verdicts.add((chk.node, verdict))
+        assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 class TestBacktrack:
@@ -834,15 +884,44 @@ class TestWordTypes:
         # _tables.BASIS_WORDS, as free_crt._BASIS_SIDES parses it: R's "gamma+2.zeta.eps" off by one.
         (lambda: crt_core._parse_side("gamma+1.zeta.eps"), "does not chain"),
         # tensor._SLOTS: T's slot "ctb~" with c read at tau's source degree.
-        (lambda: tensor._slot("ctb~", "U", -1, "c.tau", "U", "U"), "does not chain"),
+        (lambda: tensor._slot("T", "U", "ctb~", "U", -1, "c.tau", "U", "U"), "does not chain"),
         # tensor._BLOCKS: T's eps block with the second term read two degrees high.
-        (lambda: tensor._signed("s", "eps.tau-1 + gamma+1.zeta+1"), "different endpoints"),
+        (lambda: tensor._block("T", "eps", 0, 0, "s", "eps.tau-1 + gamma+1.zeta+1"), "different endpoints"),
         # tensor._EXPANSION: R's "tau+1.eps+1.tau.eps" with its first shift dropped.
-        (lambda: tensor._signed(1, "tau.eps+1.tau.eps"), "does not chain"),
+        (lambda: tensor._term(("R", "O", 2, 0), 0, 1, "tau.eps+1.tau.eps"), "does not chain"),
     ], ids=["relation", "node", "basis", "slot", "block", "expansion"])
     def test_a_mistyped_table_word_fails_at_parse(self, build, message):
         with pytest.raises(CompositionError, match=message):
             build()
+
+    @staticmethod
+    def import_anew(monkeypatch, name):
+        """Run the code of crtk.<name> again as a new module, crtk.<name>_anew: what importing it runs."""
+        spec = importlib.util.spec_from_file_location(f"crtk.{name}_anew", Path(crtk.__file__).with_name(f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+
+    # Per table, a word that chains but sits in an entry whose endpoints it does not have.
+    @pytest.mark.parametrize("module, table, key, word, message", [
+        # R's basis vector at U_0 is c(b), from O into U; eps runs into T.
+        ("free_crt", lambda: _tables.BASIS_WORDS["R"]["U"], 0, ["eps"],
+         "basis word of R at U+0: 'eps' runs from ('O', 0) to ('T', 0), not from ('O', 0) to ('U', 0)"),
+        # R's slot cb~ with the pre-word of T's slot zb~: zeta starts in T, not at R's generator in O.
+        ("tensor", lambda: _tables.SLOT_WORDS["R"], "U", [("cb~", "U", 0, "zeta", "U", "U")],
+         "slot cb~ of R, part U: 'zeta' runs from ('T', 0) to ('U', 0), not from ('O', 0) to ('U', 0)"),
+        # C's gamma block from slot psiU.b~ with T's zeta block, which starts in T, not in U.
+        ("tensor", lambda: _tables.BLOCK_WORDS["C"]["gamma"], (0, 1), (1, "zeta"),
+         "block (0, 1) of gamma on C: 'zeta' runs from ('T', 0) to ('U', 0), not from ('U', 0) to ('U', 0)"),
+        # C's T_1 expansion term moved from slot gamma(b~) to slot eps.r(b~), whose group is a degree lower.
+        ("tensor", lambda: _tables.EXPANSION_WORDS, ("C", "T", 1, 0), [(1, 1, "zeta")],
+         "expansion ('C', 'T', 1, 0): 'zeta' runs from ('T', 0) to ('U', 0), not from ('T', 0) to ('U', 1)"),
+    ], ids=["basis", "slot", "block", "expansion"])
+    def test_a_word_in_the_wrong_entry_fails_at_import(self, monkeypatch, module, table, key, word, message):
+        self.import_anew(monkeypatch, module)  # the tables as they stand import
+        monkeypatch.setitem(table(), key, word)
+        with pytest.raises(CompositionError, match=f"^{re.escape(message)}$"):
+            self.import_anew(monkeypatch, module)
 
     def test_every_table_word_is_typed(self):
         sides = [side for chk in CHECKS for side in chk.sides]

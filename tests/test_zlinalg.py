@@ -33,6 +33,7 @@ from crtk.zlinalg import (
     hom_image,
     hom_kernel,
     hom_matrix,
+    hom_scale,
     identity_hom,
     is_exact_at,
     kernel_lattice,
@@ -245,6 +246,28 @@ class TestZeroComposites:
             assert want == (CompositionError, f"cannot compose: {B} != {D}")
         else:
             assert want == (A, C, IntMatrix.zeros(C.ngens, A.ngens).entries)
+
+
+class TestReduceOnlyHoms:
+    """hom_compose, +, - and hom_scale only reduce (zlinalg._hom); each equals GroupHom's checked constructor."""
+
+    @given(mixed_groups(), mixed_groups(), mixed_groups(), st.integers(-30, 30), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_checked_constructor(self, A, B, C, k, data):
+        f, f2, g = data.draw(group_homs(A, B)), data.draw(group_homs(A, B)), data.draw(group_homs(B, C))
+        assert hom_compose(g, f) == GroupHom(A, C, g.matrix * f.matrix)
+        assert f + f2 == GroupHom(A, B, f.matrix + f2.matrix)
+        assert f - f2 == GroupHom(A, B, f.matrix - f2.matrix)
+        assert -f == GroupHom(A, B, -f.matrix)
+        assert hom_scale(f, k) == GroupHom(A, B, f.matrix.scale(k))
+
+    def test_endpoints_are_still_tested(self):
+        f, g = identity_hom(Zmod(2)), identity_hom(Zmod(4))
+        with pytest.raises(CompositionError, match="^cannot compose: Z_2 != Z_4$"):
+            hom_compose(g, f)
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(CompositionError, match="^sum of homs with different endpoints$"):
+                combine(f, g)
 
 
 class TestSolve:
